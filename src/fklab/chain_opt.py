@@ -2,10 +2,14 @@
 
 Solver layout: a banded grid DP finds the global structure (restricted to
 monotone interior orderings when the endpoints differ, which is safe for the
-weakly twist catalog), then coordinate-descent Newton refines off-grid.  When
-the sweep stage stalls, a safeguarded tridiagonal Newton polish finishes the
-job; long chains over weak potentials have soft modes that plain coordinate
-descent cannot push below the 1e-9 move tolerance inside the sweep budget.
+weakly twist catalog), then red-black sweeps refine off-grid.  Each sweep is
+a block Gauss-Seidel pass: with the odd sites fixed the even sites decouple,
+so all of them take one vectorized safeguarded Newton step at once (sites
+where Newton cannot descend fall back to a bracketed search), and then the
+odd sites do the same.  Sweeps stop when no site moves by MOVE_TOL.  When the
+sweep budget runs out first, a safeguarded tridiagonal Newton polish finishes
+the job; long chains over weak potentials have soft modes that Gauss-Seidel
+cannot push below the move tolerance inside the budget.
 """
 
 from __future__ import annotations
@@ -150,87 +154,99 @@ def _dp_solve(model, env, grid, n, dlo, dhi, h, start_idx, end_idx):
 # -- refinement ----------------------------------------------------------------
 
 
-def _golden(f, lo, hi, iters=90):
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(iters):
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-        if b - a < 1e-14:
-            break
-    return c if fc <= fd else d
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _point_update(model, env, a, u, b, h):
-    """Minimize phi(u) = W(u-a) + W(b-u) + V(u) in one variable.
+def _bracket_search(f, u, cur, br):
+    """Golden-section search of a vectorized f on [u - br, u + br], every site at once.
 
-    a is None for the left free endpoint (phi = W(b-u) + V(u)); b is None for
-    the right free endpoint (phi = W(u-a), the potential term attaches to the
-    left neighbor).
+    f maps one trial position per site to the sites' energies; a site moves
+    only where the search finds an energy strictly below cur.
     """
+    lo, hi = u - br, u + br
+    c = hi - _INVPHI * (hi - lo)
+    d = lo + _INVPHI * (hi - lo)
+    fc, fd = f(c), f(d)
+    for _ in range(90):
+        if np.all(hi - lo < 1e-14):
+            break
+        shrink_right = fc <= fd
+        lo = np.where(shrink_right, lo, c)
+        hi = np.where(shrink_right, d, hi)
+        probe = np.where(shrink_right, hi - _INVPHI * (hi - lo), lo + _INVPHI * (hi - lo))
+        fp = f(probe)
+        c, d = np.where(shrink_right, probe, d), np.where(shrink_right, c, probe)
+        fc, fd = np.where(shrink_right, fp, fd), np.where(shrink_right, fc, fp)
+    best, f_best = np.where(fc <= fd, c, d), np.minimum(fc, fd)
+    return np.where(f_best < cur, best, u)
 
-    def phi(v):
-        tot = 0.0
-        if a is not None:
-            tot += float(spring_value(model, v - a))
-        if b is not None:
-            tot += float(spring_value(model, b - v))
-            tot += float(potential_values(model, env, v))
-        return tot
 
-    d1 = 0.0
-    d2 = 0.0
-    if a is not None:
-        d1 += float(spring_d1(model, u - a))
-        d2 += float(spring_d2(model, u - a))
-    if b is not None:
-        d1 += -float(spring_d1(model, b - u)) + float(potential_d1(model, env, u))
-        d2 += float(spring_d2(model, b - u)) + float(potential_d2(model, env, u))
+def _half_sweep(model, env, xs, idx, h):
+    """Move every site of idx to a lower energy at once; return the largest move.
+
+    The sites of idx are pairwise non-adjacent, so with all other sites fixed
+    their one-variable problems decouple.  Each gets one safeguarded Newton
+    step (clipped to 1, halved until the energy does not rise); sites where
+    the energy is not locally convex, or where halving never stops the rise,
+    fall back to a bracketed search.  A Newton step is kept when it raises the
+    energy by at most roundoff (1e-15): near a minimum the energy change falls
+    below what doubles resolve, and rejecting such steps would stall the
+    sites at about the square root of machine precision.
+    """
+    n = xs.size - 1
+    # 0/1 weights drop the terms a free end lacks: the left end has no bond to
+    # its left, the right end none to its right (a bond's potential term is
+    # evaluated at its left site)
+    left = (idx > 0).astype(float)
+    right = (idx < n).astype(float)
+    a = xs[np.maximum(idx - 1, 0)]
+    b = xs[np.minimum(idx + 1, n)]
+    u = xs[idx]
+
+    def phi(v, sel=slice(None)):
+        """Energy terms of the sites idx[sel] at positions v."""
+        return left[sel] * spring_value(model, v - a[sel]) + right[sel] * (
+            spring_value(model, b[sel] - v) + potential_values(model, env, v)
+        )
+
     cur = phi(u)
-    if d2 > 1e-12:
-        step = -d1 / d2
-        step = max(-1.0, min(1.0, step))
-        v = u + step
-        for _ in range(40):
-            if phi(v) <= cur + 1e-15:
-                break
-            step *= 0.5
-            v = u + step
-        if phi(v) <= cur:
-            return v
-    br = max(2.0 * h, 1e-3)
-    v = _golden(phi, u - br, u + br)
-    return v if phi(v) < cur else u
+    d1 = left * spring_d1(model, u - a) + right * (
+        potential_d1(model, env, u) - spring_d1(model, b - u)
+    )
+    d2 = left * spring_d2(model, u - a) + right * (
+        spring_d2(model, b - u) + potential_d2(model, env, u)
+    )
+    convex = d2 > 1e-12
+    step = np.where(convex, np.clip(-d1 / np.where(convex, d2, 1.0), -1.0, 1.0), 0.0)
+    v = u + step
+    f = phi(v)
+    for _ in range(40):
+        rise = f > cur + 1e-15
+        if not rise.any():
+            break
+        step[rise] *= 0.5
+        v[rise] = u[rise] + step[rise]
+        f[rise] = phi(v[rise], rise)
+    new = np.where(f <= cur + 1e-15, v, u)
+    stuck = ~convex | (f > cur + 1e-15)
+    if stuck.any():
+        new[stuck] = _bracket_search(
+            lambda w: phi(w, stuck), u[stuck], cur[stuck], max(2.0 * h, 1e-3)
+        )
+    xs[idx] = new
+    return float(np.max(np.abs(new - u)))
 
 
 def _sweep_refine(model, env, xs, h, fixed_ends, max_sweeps):
+    """Red-black (even/odd) block Gauss-Seidel until no site moves by MOVE_TOL."""
     xs = xs.copy()
     n = xs.size - 1
+    sites = np.arange(1, n) if fixed_ends else np.arange(n + 1)
+    colors = [c for c in (sites[sites % 2 == 0], sites[sites % 2 == 1]) if c.size]
     sweeps = 0
     converged = False
     for sweeps in range(1, max_sweeps + 1):
-        move = 0.0
-        if not fixed_ends:
-            new = _point_update(model, env, None, xs[0], xs[1], h)
-            move = max(move, abs(new - xs[0]))
-            xs[0] = new
-        for k in range(1, n):
-            new = _point_update(model, env, xs[k - 1], xs[k], xs[k + 1], h)
-            move = max(move, abs(new - xs[k]))
-            xs[k] = new
-        if not fixed_ends:
-            new = _point_update(model, env, xs[n - 1], xs[n], None, h)
-            move = max(move, abs(new - xs[n]))
-            xs[n] = new
+        move = max([_half_sweep(model, env, xs, idx, h) for idx in colors])
         if move < MOVE_TOL:
             converged = True
             break
@@ -362,7 +378,7 @@ def minimize_fixed(
     start_idx = -n_lo
     end_idx = int(round((x_end - x_start) / h)) - n_lo
     end_idx = max(0, min(grid.size - 1, end_idx))
-    if model.is_twist and abs(x_end - x_start) > 1e-12:
+    if abs(x_end - x_start) > 1e-12:
         dlo, dhi = (0, B) if x_end > x_start else (-B, 0)
     else:
         dlo, dhi = -B, B
@@ -508,8 +524,6 @@ def aubry_exchange_repair(model: LagrangianSpec, env: EnvPoint, chain: Chain) ->
     subsequence is strictly monotone and the total is minimal over all such
     decompositions (dynamic program over kept indices).
     """
-    if not model.is_twist:
-        raise DomainError("exchange repair requires a twist model")
     xs = np.asarray(chain.positions, dtype=float)
     n = xs.size - 1
     if abs(xs[n] - xs[0]) < 1e-15:

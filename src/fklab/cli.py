@@ -391,6 +391,8 @@ def cmd_tower(cfg: RunConfig, out: Path, seed: int, threads: int) -> List[str]:
 
 
 def cmd_lp(cfg: RunConfig, out: Path, seed: int, threads: int) -> List[str]:
+    if cfg.variant != "circle":
+        raise ConfigError("lp command needs a circle environment")
     lp = holonomic_lp.discretize_circle(cfg.model(), cfg.lp_N, cfg.lp_T_max)
     measure, primal = holonomic_lp.solve_primal(lp)
     dual = holonomic_lp.solve_dual(lp, measure)

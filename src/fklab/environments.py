@@ -10,9 +10,10 @@ cocycle property holds exactly, not merely to roundoff.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -24,6 +25,51 @@ SQRT2 = math.sqrt(2.0)
 MATCH_TOL = 1e-9  # absolute tolerance for pattern / point matching
 _MAX_WINDOW_POINTS = 10_000_000  # hard cap on materialized points
 _MAX_RETURN_WINDOW = 1_000_000.0
+_TABLE_SPAN = 1 << 16  # integers one slope's index table may span (~330 kB of indices)
+_TABLE_MARGIN = 64  # extra integers tabulated on each side a table grows
+
+# alpha -> (lo, hi, raw Beatty indices in [lo, hi]).  Entries are exact and
+# depend on the slope alone, so which windows built a table never changes a
+# result; an entry is replaced whole under the lock and never mutated.
+_TABLES: Dict[AlphaValue, Tuple[int, int, np.ndarray]] = {}
+_TABLES_LOCK = threading.Lock()
+
+
+def _grown_table(ps: "PointSet", table, lo: int, hi: int):
+    """A table of ps.alpha covering [lo, hi], reusing ``table`` where it can."""
+    if table is None:
+        t_lo, t_hi, ns = lo, lo - 1, np.empty(0, dtype=np.int64)
+    else:
+        t_lo, t_hi, ns = table
+        if t_lo <= lo and hi <= t_hi:
+            return table
+    pad = (t_hi - t_lo + 1) // 2 + _TABLE_MARGIN  # geometric growth
+    new_lo, new_hi = min(t_lo, lo - pad), max(t_hi, hi + pad)
+    if new_hi - new_lo > _TABLE_SPAN:  # start over around the new window
+        new_lo, new_hi = lo - _TABLE_MARGIN, hi + _TABLE_MARGIN
+        return new_lo, new_hi, ps.raw_indices_in(new_lo, new_hi)
+    parts = [ps.raw_indices_in(new_lo, t_lo - 1), ns, ps.raw_indices_in(t_hi + 1, new_hi)]
+    return new_lo, new_hi, np.concatenate(parts)
+
+
+def _slope_indices(ps: "PointSet", lo: int, hi: int) -> np.ndarray:
+    """Raw Beatty indices of ps.alpha in [lo, hi], read from the slope's table.
+
+    The indices depend only on the slope, so each slope keeps one table of
+    exact integers, shared by every offset and thread.  A window outside the
+    table grows it geometrically; a table that would span more than
+    ``_TABLE_SPAN`` integers is rebuilt around the new window instead, and a
+    window too wide for any table is materialized directly.
+    """
+    table = _TABLES.get(ps.alpha)
+    if table is None or lo < table[0] or hi > table[1]:
+        if hi - lo + 2 * _TABLE_MARGIN > _TABLE_SPAN:
+            return ps.raw_indices_in(lo, hi)
+        with _TABLES_LOCK:
+            table = _grown_table(ps, _TABLES.get(ps.alpha), lo, hi)
+            _TABLES[ps.alpha] = table
+    ns = table[2]
+    return ns[np.searchsorted(ns, lo) : np.searchsorted(ns, hi, side="right")]
 
 
 @dataclass(frozen=True)
@@ -32,8 +78,6 @@ class PointSet:
 
     alpha: AlphaValue
     offset: Fraction = Fraction(0)
-    window_lo: Optional[float] = None
-    window_hi: Optional[float] = None
     window: Optional[tuple] = None  # raw Beatty indices of the last materialization
 
     def raw_indices_in(self, lo: int, hi: int) -> np.ndarray:
@@ -55,6 +99,18 @@ class PointSet:
         ns = self.raw_indices_in(n_lo, n_hi)
         return ns.astype(np.float64) - float(self.offset)
 
+    def tabulated_points(self, lo: float, hi: float) -> np.ndarray:
+        """Sorted points covering [lo, hi], read from the slope's shared index table.
+
+        The window is located in floats and widened by one integer each way,
+        so the result holds every point of :meth:`points_in` over the same
+        window, with the same values ``n - float(offset)``, and possibly one
+        more point at each end.
+        """
+        off = float(self.offset)
+        ns = _slope_indices(self, math.floor(lo + off) - 1, math.ceil(hi + off) + 1)
+        return ns.astype(np.float64) - off
+
     def gaps_in(self, lo: float, hi: float) -> np.ndarray:
         pts = self.points_in(lo, hi)
         return np.diff(pts)
@@ -73,7 +129,7 @@ def beatty_points(alpha: AlphaValue, interval: Sequence[float]) -> PointSet:
         raise ResourceError("interval longer than 1e7 is not materializable")
     ps = PointSet(alpha)
     idx = ps.raw_indices_in(math.ceil(lo), math.floor(hi))
-    return PointSet(alpha, Fraction(0), lo, hi, tuple(int(n) for n in idx))
+    return PointSet(alpha, window=tuple(int(n) for n in idx))
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,9 @@ Springs: quadratic W(t) = |t - lam|^2/2 or quartic W(t) = |t - lam|^4/4.
 Potentials: circle cosine, torus double cosine along the (1, sqrt 2) line, or
 strongly equivariant bump potentials over a Beatty point set.  The bump shape
 is b(s) = s^2 (1-s)^2 rescaled to the gap support, which gives closed-form
-test values (b(1/2) = 1/16).
+test values (b(1/2) = 1/16).  Both springs are weakly convex, so
+-d2E/dxdy = W'' >= 0 and every catalog model is weakly twist; the monotone
+DPs downstream rely on that without a per-model check.
 """
 
 from __future__ import annotations
@@ -55,12 +57,6 @@ class LagrangianSpec:
             "torus_double_cosine": "torus",
             "quasicrystal_bumps": "quasicrystal",
         }[self.potential]
-
-    @property
-    def is_twist(self) -> bool:
-        # Both springs are weakly convex, so -d2E/dxdy = W'' >= 0 with
-        # equality at most on a line; every catalog model is weakly twist.
-        return True
 
 
 def circle_model(K: float, lam: float, spring: str = "quadratic") -> LagrangianSpec:
@@ -113,10 +109,14 @@ def spring_d2(model, t):
 
 
 def _bump_tables(model, env, xs):
-    """Locate the gap around each x; return (amp, L, s) arrays."""
+    """Locate the gap around each x; return (amp, L, s) arrays.
+
+    The points come from the slope's shared index table, so a call costs a
+    lookup rather than a fresh exact materialization.
+    """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     pad = env.pset.alpha.max_gap() + 1.0
-    pts = env.pset.points_in(xs.min() - pad, xs.max() + pad)
+    pts = env.pset.tabulated_points(xs.min() - pad, xs.max() + pad)
     if pts.size < 2:
         raise DomainError("window materialization failed, set not relatively dense?")
     i = np.searchsorted(pts, xs, side="right") - 1

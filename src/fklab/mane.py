@@ -106,8 +106,6 @@ def mane_table(
     n_max: int,
 ) -> ManeTable:
     """Tabulate Phi(omega, t) for t on the grid {k h} in [-X, X]."""
-    if not model.is_twist:
-        raise DomainError("the monotone DP requires a twist model")
     if h <= 0 or X <= 0:
         raise DomainError("X and h must be positive")
     if n_max > 4.0 * X / h + 1e-9:

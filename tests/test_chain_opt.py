@@ -24,6 +24,10 @@ from fklab import (
     translate_env,
 )
 
+from fklab import chain_opt
+from fklab.chain_opt import DEFAULT_SWEEPS
+from fklab.lagrangians import potential_d1, spring_d1
+
 from oracles import brute_force_fixed_chain, brute_force_free_chain, brute_force_repair
 
 CIRCLE = EnvPoint.circle(0.0)
@@ -97,6 +101,71 @@ class TestMinimizeFree:
         vals = [minimize_free(m, CIRCLE, n, h=0.05).energy / n for n in (4, 8, 16, 32)]
         for a, b in zip(vals, vals[1:]):
             assert b >= a - 1e-9
+
+
+def chain_gradient(model, env, xs):
+    """dE/dx_k of E = sum_k W(x_{k+1} - x_k) + V(x_k), from the closed-form derivatives."""
+    dw = np.atleast_1d(spring_d1(model, np.diff(xs)))
+    g = np.zeros(xs.size)
+    g[:-1] += np.atleast_1d(potential_d1(model, env, xs[:-1])) - dw
+    g[1:] += dw
+    return g
+
+
+REFINE_CASES = [
+    (circle_model(1.0, 0.5), EnvPoint.circle(0.3)),
+    (torus_model(1.0, 0.7, 0.4), EnvPoint.torus(0.1, 0.6)),
+    (sturm_model(FIB, 0.5, 1.0, PHI), translate_env(EnvPoint.quasicrystal(FIB), 0.375)),
+]
+REFINE_IDS = ["circle", "torus", "quasicrystal"]
+
+
+class TestRefinement:
+    """The red-black sweeps end at a stationary chain no worse than the DP chain."""
+
+    @pytest.mark.parametrize("model,env", REFINE_CASES, ids=REFINE_IDS)
+    @pytest.mark.parametrize("n", [2, 7, 24])
+    def test_fixed_stationary(self, model, env, n):
+        res = minimize_fixed(model, env, 0.25, 0.25 + n * model.lam + 0.1, n, h=0.05)
+        xs = res.chain.positions
+        assert res.converged and not res.polish_used
+        assert np.max(np.abs(chain_gradient(model, env, xs)[1:-1])) <= 1e-7
+        assert res.energy <= res.dp_energy + 1e-12
+
+    @pytest.mark.parametrize("model,env", REFINE_CASES, ids=REFINE_IDS)
+    @pytest.mark.parametrize("n", [1, 8, 31])
+    def test_free_stationary(self, model, env, n):
+        res = minimize_free(model, env, n, h=0.05)
+        assert res.converged and not res.polish_used
+        assert np.max(np.abs(chain_gradient(model, env, res.chain.positions))) <= 1e-7
+        assert res.energy <= res.dp_energy + 1e-12
+
+    def test_concave_sites_take_the_bracketed_search(self, monkeypatch):
+        # lam = 1/2 from 0 puts every odd site on a maximum of the K = 8 cosine,
+        # where the site energy is concave and Newton has no descent step
+        m = circle_model(8.0, 0.5)
+        start = np.linspace(0.0, 4.0, 9)
+        searched = []
+        search = chain_opt._bracket_search
+
+        def spy(*args):
+            searched.append(args[1].size)
+            return search(*args)
+
+        monkeypatch.setattr(chain_opt, "_bracket_search", spy)
+        xs, _, converged = chain_opt._sweep_refine(m, CIRCLE, start, 0.05, True, DEFAULT_SWEEPS)
+        assert searched and converged
+        assert np.max(np.abs(chain_gradient(m, CIRCLE, xs)[1:-1])) <= 1e-7
+        assert chain_energy(m, CIRCLE, xs) < chain_energy(m, CIRCLE, start)
+
+    def test_soft_chain_reaches_the_polish(self):
+        # K = 0.1 leaves soft modes that use up the sweep budget; the polish finishes
+        m = circle_model(0.1, 0.5)
+        res = minimize_free(m, CIRCLE, 64, h=0.05)
+        assert res.sweeps == DEFAULT_SWEEPS
+        assert res.polish_used and res.converged
+        assert np.max(np.abs(chain_gradient(m, CIRCLE, res.chain.positions))) <= 1e-7
+        assert res.energy <= res.dp_energy + 1e-12
 
 
 class TestGroundEnergy:

@@ -195,6 +195,12 @@ class TestOtherCommands:
         code, _ = run(tmp_path, CIRCLE_K0, "tower")
         assert code == 2
 
+    @pytest.mark.parametrize("config", [QC_CONFIG, TORUS_CONFIG], ids=["quasicrystal", "torus"])
+    def test_lp_needs_circle(self, tmp_path, config):
+        # a variant mismatch is a config error (2), not a numerical failure (3)
+        code, _ = run(tmp_path, config, "lp")
+        assert code == 2
+
     def test_calibrate_torus(self, tmp_path):
         code, out = run(tmp_path, TORUS_CONFIG, "calibrate")
         assert code == 0

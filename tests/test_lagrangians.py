@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,11 +10,13 @@ from fklab import (
     AlphaValue,
     DomainError,
     EnvPoint,
+    GridSpec,
     chain_energy,
     circle_model,
     coercivity_probe,
     energy,
     equivariant_potential,
+    ground_energy,
     return_times,
     cylinder_at,
     sturm_model,
@@ -19,6 +24,8 @@ from fklab import (
     translate_env,
     twist_defect,
 )
+from fklab import environments
+from fklab.environments import PointSet
 from fklab.lagrangians import LagrangianSpec, potential_d1, potential_d2, potential_values
 
 FIB = AlphaValue.fibonacci()
@@ -132,6 +139,99 @@ class TestBumpPotential:
             ref = energy(m, envs[0], x, y)
             for e in envs[1:]:
                 assert energy(m, e, x, y) == pytest.approx(ref, abs=1e-12)
+
+
+class TestTabulatedBumps:
+    """The slope's shared index table reproduces a fresh per-point materialization."""
+
+    M = sturm_model(FIB, 0.5, 1.0, PHI)
+    FUNCS = (potential_values, potential_d1, potential_d2)
+
+    @pytest.fixture(autouse=True)
+    def fresh_tables(self):
+        environments._TABLES.clear()
+        yield
+        environments._TABLES.clear()
+
+    def _per_point(self, monkeypatch, env, xs):
+        # one call per x, each locating its gap through PointSet.points_in
+        with monkeypatch.context() as mp:
+            mp.setattr(PointSet, "tabulated_points", PointSet.points_in)
+            return [np.array([f(self.M, env, float(x)) for x in xs]) for f in self.FUNCS]
+
+    def _assert_bit_identical(self, monkeypatch, env, xs):
+        tabulated = [np.atleast_1d(f(self.M, env, xs)) for f in self.FUNCS]
+        for got, want in zip(tabulated, self._per_point(monkeypatch, env, xs)):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize(
+        "offset", [Fraction(0), Fraction(3, 16), Fraction(-37, 8), Fraction(1025, 64)]
+    )
+    @pytest.mark.parametrize("shift", [Fraction(0), Fraction(5, 4), Fraction(-301, 32)])
+    def test_matches_points_in_at_dyadic_offsets(self, monkeypatch, offset, shift):
+        env = translate_env(EnvPoint.quasicrystal(FIB, offset), shift)
+        rng = np.random.default_rng(21)
+        xs = rng.uniform(-60.0, 60.0, size=60)
+        on_points = env.pset.points_in(-20.0, 20.0)
+        self._assert_bit_identical(monkeypatch, env, np.concatenate([xs, on_points]))
+
+    def test_far_windows_grow_the_table(self, monkeypatch):
+        env = EnvPoint.quasicrystal(FIB, Fraction(7, 4))
+        rng = np.random.default_rng(22)
+        for centre in (0.0, 3.0e3, -2.5e4, 3.0e5, -1.0e6):
+            xs = centre + rng.uniform(-30.0, 30.0, size=20)
+            on_points = env.pset.points_in(centre - 5.0, centre + 5.0)
+            self._assert_bit_identical(monkeypatch, env, np.concatenate([xs, on_points]))
+            lo, hi, _ = environments._TABLES[FIB]
+            assert lo <= centre - 30.0 and centre + 30.0 <= hi
+            assert hi - lo <= environments._TABLE_SPAN
+
+    def test_window_wider_than_table(self, monkeypatch):
+        env = EnvPoint.quasicrystal(FIB, Fraction(1, 2))
+        xs = np.array([-4.0e4, -1.25, 0.0, 17.5, 4.0e4 + 0.25])
+        self._assert_bit_identical(monkeypatch, env, xs)
+
+    def test_concurrent_growth(self):
+        # more threads than cores, switching often, each growing and rebuilding
+        # the shared table in its own order
+        env = EnvPoint.quasicrystal(FIB, Fraction(5, 8))
+        rng = np.random.default_rng(23)
+        centres = (0.0, 4.0e3, -9.0e3, 2.0e4, -3.0e5, 5.0e5, 70.0, -70.0)
+        windows = [c + rng.uniform(-20.0, 20.0, size=16) for c in centres]
+        want = [potential_values(self.M, env, xs) for xs in windows]
+        got = {}
+
+        def work(t):
+            for rep in range(10):
+                for j in np.roll(np.arange(len(windows)), t + rep):
+                    got.setdefault((t, j), []).append(potential_values(self.M, env, windows[j]))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            environments._TABLES.clear()
+            threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert len(got) == 4 * len(windows)
+        for (_, j), vals in got.items():
+            assert all(np.array_equal(v, want[j]) for v in vals)
+        lo, hi, ns = environments._TABLES[FIB]
+        assert np.array_equal(ns, PointSet(FIB).raw_indices_in(lo, hi))
+
+    def test_threads_share_the_table(self):
+        env = EnvPoint.quasicrystal(FIB, Fraction(37, 16))
+        grid = GridSpec(h=0.08)
+        one = ground_energy(self.M, env, [4, 8, 16, 32], grid, threads=1)
+        environments._TABLES.clear()
+        two = ground_energy(self.M, env, [4, 8, 16, 32], grid, threads=2)
+        assert one.m_values == two.m_values
+        assert one.extrapolated == two.extrapolated
 
 
 class TestChainEnergy:
