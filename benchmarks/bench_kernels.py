@@ -3,7 +3,7 @@
 
 Runs each hot kernel on a representative workload and prints both timings and
 the speedup.  Workload sizes mirror the acceptance-scale runs (length-64 free
-chains, a Mane table, the N=32 holonomic LP).
+chains, a Mane table).
 
 Usage:
     python3 benchmarks/bench_kernels.py [--repeat 5]
@@ -61,49 +61,13 @@ def bench_phi_dp(repeat):
     return "Mane phi DP (G=240, n_max=160)", t_np, t_nb
 
 
-def bench_simplex(repeat):
-    from fklab import circle_model, discretize_circle
-    from fklab.holonomic_lp import _build_constraints
-
-    lp = discretize_circle(circle_model(1.0, 0.5), 32, 2.0)
-    A, b = _build_constraints(lp)
-    c = lp.cost.ravel()
-    m, n = A.shape
-
-    def solve(loop):
-        T = np.zeros((m + 1, n + m + 1))
-        T[:m, :n] = A
-        T[:m, n : n + m] = np.eye(m)
-        T[:m, -1] = b
-        basis = np.arange(n, n + m, dtype=np.int64)
-        T[m, :n] = -A.sum(axis=0)
-        T[m, -1] = -b.sum()
-        loop(T, basis, n, 1e-10, 200_000)
-        T[m, :] = 0.0
-        T[m, :n] = c
-        for i in range(m):
-            f = T[m, basis[i]]
-            if f != 0.0:
-                T[m, :] -= f * T[i, :]
-        loop(T, basis, n, 1e-10, 200_000)
-        return -T[m, -1]
-
-    t_np, ref = timeit(lambda: solve(_kernels.simplex_pivot_loop_np), repeat)
-    t_nb = None
-    if USE_NUMBA:
-        solve(_kernels._simplex_pivot_loop_jit)  # compile
-        t_nb, out = timeit(lambda: solve(_kernels._simplex_pivot_loop_jit), repeat)
-        assert abs(ref - out) < 1e-9
-    return "simplex (N=32 LP, 4128 vars)", t_np, t_nb
-
-
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--repeat", type=int, default=5)
     args = ap.parse_args()
     if not USE_NUMBA:
         print("numba unavailable or disabled (FKLAB_NUMBA=0): timing numpy path only\n")
-    rows = [bench_chain_dp(args.repeat), bench_phi_dp(args.repeat), bench_simplex(args.repeat)]
+    rows = [bench_chain_dp(args.repeat), bench_phi_dp(args.repeat)]
     width = max(len(r[0]) for r in rows)
     print(f"{'kernel':<{width}}  {'numpy':>10}  {'numba':>10}  {'speedup':>8}")
     for name, t_np, t_nb in rows:

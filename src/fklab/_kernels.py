@@ -1,5 +1,9 @@
 """Hot numeric kernels: numba @njit loops with vectorized numpy fallbacks.
 
+Two kernels live here, the banded chain DP and the Mane cocycle DP.  The
+holonomic LP has no kernel: its policy iteration (``holonomic_lp._howard``)
+walks each policy graph once in Python and improves it in one numpy pass.
+
 The selected implementation is bound to the public name at import time (see
 ``_accel``).  All kernels operate on plain float64/int arrays so the numba and
 numpy paths share identical semantics; parity is covered by tests and timed by
@@ -114,92 +118,12 @@ def _phi_dp_jit(cost, n_max):
     return D, back
 
 
-# --------------------------------------------------------------------------
-# dense simplex pivot loop (Bland's rule)
-# --------------------------------------------------------------------------
-# Status codes: 0 optimal, 1 unbounded, 2 iteration cap reached.
-
-
-def simplex_pivot_loop_np(T, basis, allowed_upto, tol, max_iter):
-    m = T.shape[0] - 1
-    it = 0
-    while it < max_iter:
-        it += 1
-        row = T[m, :allowed_upto]
-        neg = np.flatnonzero(row < -tol)
-        if neg.size == 0:
-            return 0, it
-        enter = int(neg[0])
-        col = T[:m, enter]
-        r = -1
-        best = np.inf
-        bestvar = 1 << 60
-        for i in range(m):
-            a = col[i]
-            if a > 1e-11:
-                ratio = T[i, -1] / a
-                if ratio < best - 1e-12 or (abs(ratio - best) <= 1e-12 and basis[i] < bestvar):
-                    best = ratio
-                    r = i
-                    bestvar = basis[i]
-        if r < 0:
-            return 1, it
-        piv = T[r] / T[r, enter]
-        factors = T[:, enter].copy()
-        T -= factors[:, None] * piv[None, :]
-        T[r] = piv
-        basis[r] = enter
-    return 2, it
-
-
-@njit(cache=True)
-def _simplex_pivot_loop_jit(T, basis, allowed_upto, tol, max_iter):
-    m = T.shape[0] - 1
-    ncol = T.shape[1]
-    it = 0
-    while it < max_iter:
-        it += 1
-        enter = -1
-        for j in range(allowed_upto):
-            if T[m, j] < -tol:
-                enter = j
-                break
-        if enter < 0:
-            return 0, it
-        r = -1
-        best = np.inf
-        bestvar = 1 << 60
-        for i in range(m):
-            a = T[i, enter]
-            if a > 1e-11:
-                ratio = T[i, ncol - 1] / a
-                if ratio < best - 1e-12 or (abs(ratio - best) <= 1e-12 and basis[i] < bestvar):
-                    best = ratio
-                    r = i
-                    bestvar = basis[i]
-        if r < 0:
-            return 1, it
-        piv = T[r, enter]
-        for jj in range(ncol):
-            T[r, jj] /= piv
-        for i in range(m + 1):
-            if i != r:
-                f = T[i, enter]
-                if f != 0.0:
-                    for jj in range(ncol):
-                        T[i, jj] -= f * T[r, jj]
-        basis[r] = enter
-    return 2, it
-
-
 if USE_NUMBA:
     chain_dp_backward = _chain_dp_backward_jit
     phi_dp = _phi_dp_jit
-    simplex_pivot_loop = _simplex_pivot_loop_jit
 else:
     chain_dp_backward = chain_dp_backward_np
     phi_dp = phi_dp_np
-    simplex_pivot_loop = simplex_pivot_loop_np
 
 
 def warmup():
@@ -209,6 +133,3 @@ def warmup():
     chain_dp_backward(V, Wd, 2, 0, -1)
     cost = np.zeros((3, 3))
     phi_dp(cost, 2)
-    T = np.array([[1.0, 1.0, 1.0], [-1.0, 0.0, 0.0]])
-    basis = np.array([0], dtype=np.int64)
-    simplex_pivot_loop(T, basis, 1, 1e-10, 10)

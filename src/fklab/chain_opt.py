@@ -68,6 +68,11 @@ class MinimizeResult:
     polish_used: bool
 
 
+def _jump_cap(model: LagrangianSpec, R_max: Optional[float]) -> float:
+    """Largest single jump R_max a chain solve allows; default |lambda| + 3."""
+    return R_max if R_max is not None else abs(model.lam) + 3.0
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Numerical knobs shared by the chain and Mane solvers."""
@@ -82,7 +87,7 @@ class GridSpec:
     newton_polish: bool = True
 
     def jump_cap(self, model: LagrangianSpec) -> float:
-        return self.R_max if self.R_max is not None else abs(model.lam) + 3.0
+        return _jump_cap(model, self.R_max)
 
 
 @dataclass(frozen=True)
@@ -366,7 +371,7 @@ def minimize_fixed(
         raise DomainError("need at least two steps")
     if h <= 0:
         raise DomainError("grid step must be positive")
-    R = R_max if R_max is not None else abs(model.lam) + 3.0
+    R = _jump_cap(model, R_max)
     if abs(x_end - x_start) > n * R + 1e-9:
         raise DomainError("endpoints farther apart than n * R_max")
     B = int(math.ceil(R / h))
@@ -413,7 +418,7 @@ def minimize_free(
     """Minimize over all n-step chains (both endpoints free)."""
     if n < 1:
         raise DomainError("need at least one step")
-    R = R_max if R_max is not None else abs(model.lam) + 3.0
+    R = _jump_cap(model, R_max)
     if window is None:
         c = 0.5 * n * model.lam
         half = 0.5 * n * R

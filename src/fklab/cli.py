@@ -31,7 +31,7 @@ from .environments import (
     translate_env,
     transverse_frequency,
 )
-from .errors import ConfigError, FKError, NumericalFailure
+from .errors import ConfigError, DomainError, FKError, NumericalFailure, ResourceError
 from .exact import AlphaValue
 from .lagrangians import LagrangianSpec, circle_model, energy, sturm_model, torus_model
 
@@ -393,7 +393,11 @@ def cmd_tower(cfg: RunConfig, out: Path, seed: int, threads: int) -> List[str]:
 def cmd_lp(cfg: RunConfig, out: Path, seed: int, threads: int) -> List[str]:
     if cfg.variant != "circle":
         raise ConfigError("lp command needs a circle environment")
-    lp = holonomic_lp.discretize_circle(cfg.model(), cfg.lp_N, cfg.lp_T_max)
+    try:
+        lp = holonomic_lp.discretize_circle(cfg.model(), cfg.lp_N, cfg.lp_T_max)
+    except (DomainError, ResourceError) as exc:
+        # T_max below lambda + 1 or an over-cap arc count: both are config mistakes
+        raise ConfigError(f"[lp] {exc}") from exc
     measure, primal = holonomic_lp.solve_primal(lp)
     dual = holonomic_lp.solve_dual(lp, measure)
     support = holonomic_lp.mather_support(measure)

@@ -67,40 +67,6 @@ class TestKernelPairs:
         assert np.allclose(Da, Db, atol=1e-12)
         assert np.array_equal(ba, bb)
 
-    def test_simplex_pair(self):
-        A = np.array([[1.0, 1.0, 1.0, 0.0], [1.0, 2.0, 0.0, 1.0]])
-        b = np.array([4.0, 6.0])
-        c = np.array([-1.0, -2.0, 0.0, 0.0])
-
-        def solve(loop):
-            m, n = A.shape
-            T = np.zeros((m + 1, n + m + 1))
-            T[:m, :n] = A
-            T[:m, n : n + m] = np.eye(m)
-            T[:m, -1] = b
-            basis = np.arange(n, n + m, dtype=np.int64)
-            T[m, :n] = -A.sum(axis=0)
-            T[m, -1] = -b.sum()
-            loop(T, basis, n, 1e-10, 1000)
-            T[m, :] = 0.0
-            T[m, :n] = c
-            for i in range(m):
-                f = T[m, basis[i]]
-                if f != 0.0:
-                    T[m, :] -= f * T[i, :]
-            loop(T, basis, n, 1e-10, 1000)
-            x = np.zeros(n)
-            for i in range(m):
-                if basis[i] < n:
-                    x[basis[i]] = T[i, -1]
-            return x
-
-        xa = solve(_kernels.simplex_pivot_loop_np)
-        xb = solve(_kernels._simplex_pivot_loop_jit)
-        assert np.allclose(xa, xb, atol=1e-12)
-        # vertices (0,3) and (2,2) both give objective -6
-        assert c @ xa == pytest.approx(-6.0, abs=1e-12)
-
     @pytest.mark.skipif(not USE_NUMBA, reason="numba path not active")
     def test_selected_names_point_at_jit(self):
         assert _kernels.chain_dp_backward is _kernels._chain_dp_backward_jit

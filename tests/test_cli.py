@@ -201,6 +201,15 @@ class TestOtherCommands:
         code, _ = run(tmp_path, config, "lp")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "old, new",
+        [("t_max = 2.0", "t_max = 1.0"), ("n = 16\nt_max = 2.0", "n = 512\nt_max = 8.0")],
+        ids=["t_max-below-lambda-plus-1", "arcs-over-cap"],
+    )
+    def test_lp_bad_size_is_config_error(self, tmp_path, old, new):
+        code, _ = run(tmp_path, CIRCLE_K1.replace(old, new), "lp")
+        assert code == 2
+
     def test_calibrate_torus(self, tmp_path):
         code, out = run(tmp_path, TORUS_CONFIG, "calibrate")
         assert code == 0

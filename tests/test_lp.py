@@ -1,15 +1,20 @@
+import time
+
 import numpy as np
 import pytest
 
 from fklab import (
+    DiscreteMeasure,
     DomainError,
     EnvPoint,
     GridSpec,
+    NumericalFailure,
     ResourceError,
     circle_model,
     discretize_circle,
     energy,
     ground_energy,
+    holonomic_lp,
     mather_support,
     solve_dual,
     solve_primal,
@@ -83,7 +88,7 @@ class TestPrimal:
 
     @pytest.mark.parametrize("K", [0.0, 1.0])
     def test_min_mean_cycle_oracle(self, K):
-        for N in (8, 16):
+        for N in (8, 16, 56):
             m = circle_model(K, 0.5)
             lp = discretize_circle(m, N, 2.0)
             _, value = solve_primal(lp)
@@ -118,6 +123,58 @@ class TestDual:
         for j in range(N):
             for mi, k in enumerate(lp.jumps):
                 assert lp.cost[j, mi] + u[j] - u[(j + int(k)) % N] >= v - 1e-9
+
+    def test_largest_grid_within_budget(self):
+        # N = 512 at T_max = 2 is 1,049,088 arcs, just under the arc cap
+        t0 = time.perf_counter()
+        lp = discretize_circle(circle_model(1.0, 0.5), 512, 2.0)
+        measure, primal = solve_primal(lp)
+        dual = solve_dual(lp, measure)
+        elapsed = time.perf_counter() - t0
+        assert elapsed < 5.0, f"N=512 LP took {elapsed:.2f}s, over its 5s budget"
+        assert abs(primal - dual.value) <= 1e-9
+        heads = (np.arange(lp.N)[:, None] + lp.jumps[None, :]) % lp.N
+        slack = lp.cost + dual.u[:, None] - dual.u[heads] - dual.value
+        assert float(slack.min()) >= -1e-9
+
+
+class TestCertificates:
+    """Each certificate the solvers check raises NumericalFailure when broken."""
+
+    def setup_method(self):
+        self.lp = discretize_circle(circle_model(1.0, 0.5), 16, 2.0)
+        self.measure, self.primal = solve_primal(self.lp)
+
+    def test_flow_residual(self, monkeypatch):
+        # a "cycle" of one node whose policy arc leaves it is not holonomic
+        N = self.lp.N
+        policy = np.full(N, (self.lp.jumps.size - 1) // 2 + 1)  # jump +1
+
+        def fake_howard(cost, heads):
+            return policy, np.zeros(N), [(0.0, [0])]
+
+        monkeypatch.setattr(holonomic_lp, "_howard", fake_howard)
+        with pytest.raises(NumericalFailure, match="holonomy residual"):
+            solve_primal(self.lp)
+
+    def test_iteration_cap(self, monkeypatch):
+        monkeypatch.setattr(holonomic_lp, "_MAX_ITER", 1)
+        with pytest.raises(NumericalFailure, match="did not converge"):
+            solve_primal(self.lp)
+
+    def test_dual_arc_violation(self):
+        bias = self.measure.bias.copy()
+        bias[3] += 1.0
+        bent = DiscreteMeasure(weights=self.measure.weights, bias=bias, value=self.primal)
+        with pytest.raises(NumericalFailure, match="dual infeasible"):
+            solve_dual(self.lp, bent)
+
+    def test_primal_dual_gap(self):
+        off = DiscreteMeasure(
+            weights=self.measure.weights, bias=self.measure.bias, value=self.primal + 1e-6
+        )
+        with pytest.raises(NumericalFailure, match="gap"):
+            solve_dual(self.lp, off)
 
 
 class TestMatherSupport:
