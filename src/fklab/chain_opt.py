@@ -2,14 +2,13 @@
 
 Solver layout: a banded grid DP finds the global structure (restricted to
 monotone interior orderings when the endpoints differ, which is safe for the
-weakly twist catalog), then red-black sweeps refine off-grid.  Each sweep is
-a block Gauss-Seidel pass: with the odd sites fixed the even sites decouple,
-so all of them take one vectorized safeguarded Newton step at once (sites
-where Newton cannot descend fall back to a bracketed search), and then the
-odd sites do the same.  Sweeps stop when no site moves by MOVE_TOL.  When the
-sweep budget runs out first, a safeguarded tridiagonal Newton polish finishes
-the job; long chains over weak potentials have soft modes that Gauss-Seidel
-cannot push below the move tolerance inside the budget.
+weakly twist catalog), then one safeguarded Newton method refines the whole
+chain off-grid.  The chain energy has a tridiagonal Hessian, so each Newton
+step is an O(n) L D L^T factorization and solve; a diagonal shift handles
+indefinite Hessians, a negative-curvature step escapes saddles, and halving
+on the chain energy keeps every step a descent.  At most MAX_ITER steps are
+taken; a solve that does not converge raises NumericalFailure carrying the
+best iterate, so no solver returns a silently worse chain.
 """
 
 from __future__ import annotations
@@ -35,8 +34,10 @@ from .lagrangians import (
     spring_value,
 )
 
-MOVE_TOL = 1e-9
-DEFAULT_SWEEPS = 500
+MAX_ITER = 200
+# largest site move of one refinement step; the catalog's potentials vary on
+# unit length scales, so a capped step stays near the well the DP chose
+STEP_CAP = 0.25
 
 
 @dataclass(frozen=True)
@@ -59,6 +60,14 @@ def make_chain(model: LagrangianSpec, env: EnvPoint, positions) -> Chain:
 
 @dataclass(frozen=True)
 class MinimizeResult:
+    """A refined chain and its DP start.
+
+    ``converged`` is True on every returned result (a refinement that does not
+    converge raises NumericalFailure).  ``sweeps`` counts the Newton steps of
+    the refinement and ``polish_used`` is always False; both keep their names
+    only because the benchmark's tracer reads them.
+    """
+
     chain: Chain
     energy: float
     dp_positions: np.ndarray
@@ -83,8 +92,6 @@ class GridSpec:
     N_outer: int = 64
     W: int = 8
     R_max: Optional[float] = None
-    max_sweeps: int = DEFAULT_SWEEPS
-    newton_polish: bool = True
 
     def jump_cap(self, model: LagrangianSpec) -> float:
         return _jump_cap(model, self.R_max)
@@ -141,121 +148,17 @@ def _dp_solve(model, env, grid, n, dlo, dhi, h, start_idx, end_idx):
         raise NumericalFailure("fixed endpoints unreachable on the DP grid")
     idx = [j]
     for k in range(n):
-        base = C[k + 1]
-        # among minimizing successors take the smallest index (lexicographic rule)
-        cand = []
-        for di, delta in enumerate(deltas):
-            jj = j + delta
-            if 0 <= jj < G and np.isfinite(base[jj]):
-                cand.append((Wd[di] + base[jj], jj))
-        vmin = min(c[0] for c in cand)
-        bj = min(jj for v, jj in cand if v <= vmin + 1e-12)
-        idx.append(bj)
-        j = bj
+        jj = j + deltas
+        vals = np.where((jj >= 0) & (jj < G), Wd + C[k + 1][np.clip(jj, 0, G - 1)], np.inf)
+        # among minimizing successors take the smallest index (lexicographic rule);
+        # jj increases with delta, so that is the first one
+        j = int(jj[np.argmax(vals <= vals.min() + 1e-12)])
+        idx.append(j)
     positions = grid[np.asarray(idx)]
     return positions, chain_energy(model, env, positions)
 
 
 # -- refinement ----------------------------------------------------------------
-
-
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _bracket_search(f, u, cur, br):
-    """Golden-section search of a vectorized f on [u - br, u + br], every site at once.
-
-    f maps one trial position per site to the sites' energies; a site moves
-    only where the search finds an energy strictly below cur.
-    """
-    lo, hi = u - br, u + br
-    c = hi - _INVPHI * (hi - lo)
-    d = lo + _INVPHI * (hi - lo)
-    fc, fd = f(c), f(d)
-    for _ in range(90):
-        if np.all(hi - lo < 1e-14):
-            break
-        shrink_right = fc <= fd
-        lo = np.where(shrink_right, lo, c)
-        hi = np.where(shrink_right, d, hi)
-        probe = np.where(shrink_right, hi - _INVPHI * (hi - lo), lo + _INVPHI * (hi - lo))
-        fp = f(probe)
-        c, d = np.where(shrink_right, probe, d), np.where(shrink_right, c, probe)
-        fc, fd = np.where(shrink_right, fp, fd), np.where(shrink_right, fc, fp)
-    best, f_best = np.where(fc <= fd, c, d), np.minimum(fc, fd)
-    return np.where(f_best < cur, best, u)
-
-
-def _half_sweep(model, env, xs, idx, h):
-    """Move every site of idx to a lower energy at once; return the largest move.
-
-    The sites of idx are pairwise non-adjacent, so with all other sites fixed
-    their one-variable problems decouple.  Each gets one safeguarded Newton
-    step (clipped to 1, halved until the energy does not rise); sites where
-    the energy is not locally convex, or where halving never stops the rise,
-    fall back to a bracketed search.  A Newton step is kept when it raises the
-    energy by at most roundoff (1e-15): near a minimum the energy change falls
-    below what doubles resolve, and rejecting such steps would stall the
-    sites at about the square root of machine precision.
-    """
-    n = xs.size - 1
-    # 0/1 weights drop the terms a free end lacks: the left end has no bond to
-    # its left, the right end none to its right (a bond's potential term is
-    # evaluated at its left site)
-    left = (idx > 0).astype(float)
-    right = (idx < n).astype(float)
-    a = xs[np.maximum(idx - 1, 0)]
-    b = xs[np.minimum(idx + 1, n)]
-    u = xs[idx]
-
-    def phi(v, sel=slice(None)):
-        """Energy terms of the sites idx[sel] at positions v."""
-        return left[sel] * spring_value(model, v - a[sel]) + right[sel] * (
-            spring_value(model, b[sel] - v) + potential_values(model, env, v)
-        )
-
-    cur = phi(u)
-    d1 = left * spring_d1(model, u - a) + right * (
-        potential_d1(model, env, u) - spring_d1(model, b - u)
-    )
-    d2 = left * spring_d2(model, u - a) + right * (
-        spring_d2(model, b - u) + potential_d2(model, env, u)
-    )
-    convex = d2 > 1e-12
-    step = np.where(convex, np.clip(-d1 / np.where(convex, d2, 1.0), -1.0, 1.0), 0.0)
-    v = u + step
-    f = phi(v)
-    for _ in range(40):
-        rise = f > cur + 1e-15
-        if not rise.any():
-            break
-        step[rise] *= 0.5
-        v[rise] = u[rise] + step[rise]
-        f[rise] = phi(v[rise], rise)
-    new = np.where(f <= cur + 1e-15, v, u)
-    stuck = ~convex | (f > cur + 1e-15)
-    if stuck.any():
-        new[stuck] = _bracket_search(
-            lambda w: phi(w, stuck), u[stuck], cur[stuck], max(2.0 * h, 1e-3)
-        )
-    xs[idx] = new
-    return float(np.max(np.abs(new - u)))
-
-
-def _sweep_refine(model, env, xs, h, fixed_ends, max_sweeps):
-    """Red-black (even/odd) block Gauss-Seidel until no site moves by MOVE_TOL."""
-    xs = xs.copy()
-    n = xs.size - 1
-    sites = np.arange(1, n) if fixed_ends else np.arange(n + 1)
-    colors = [c for c in (sites[sites % 2 == 0], sites[sites % 2 == 1]) if c.size]
-    sweeps = 0
-    converged = False
-    for sweeps in range(1, max_sweeps + 1):
-        move = max([_half_sweep(model, env, xs, idx, h) for idx in colors])
-        if move < MOVE_TOL:
-            converged = True
-            break
-    return xs, sweeps, converged
 
 
 def _grad_hess(model, env, xs, fixed_ends):
@@ -278,78 +181,99 @@ def _grad_hess(model, env, xs, fixed_ends):
     return g, diag, off
 
 
-def _thomas(diag, off, rhs):
-    n = diag.size
-    if n == 0:
-        return rhs
-    mu = 1e-12 * (1.0 + float(np.max(np.abs(diag))))
-    a = diag + mu
-    cp = np.zeros(max(n - 1, 0))
-    dp = np.zeros(n)
-    denom = a[0]
-    if n > 1:
-        cp[0] = off[0] / denom
-    dp[0] = rhs[0] / denom
-    for i in range(1, n):
-        denom = a[i] - off[i - 1] * cp[i - 1]
-        if abs(denom) < 1e-300:
-            denom = 1e-300
-        if i < n - 1:
-            cp[i] = off[i] / denom
-        dp[i] = (rhs[i] - off[i - 1] * dp[i - 1]) / denom
-    x = np.zeros(n)
-    x[n - 1] = dp[n - 1]
-    for i in range(n - 2, -1, -1):
-        x[i] = dp[i] - cp[i] * x[i + 1]
-    return x
+def _ldl(diag, off, floor):
+    """Pivots d and multipliers l of the tridiagonal H = L D L^T (l[i] = L[i+1, i]).
+
+    Stops at the first pivot not above floor, which is then the last of d.
+    """
+    d, l = [diag[0]], []
+    for a, b in zip(diag[1:], off):
+        if d[-1] <= floor:
+            break
+        l.append(b / d[-1])
+        d.append(a - l[-1] * b)
+    return d, l
 
 
-def _newton_polish(model, env, xs, fixed_ends, max_iter=60):
+def _ldl_solve(d, l, rhs):
+    """Solve L D L^T x = rhs from a complete factorization."""
+    y = [rhs[0]]
+    for li, r in zip(l, rhs[1:]):
+        y.append(r - li * y[-1])
+    x = [y[-1] / d[-1]]
+    for i in range(len(d) - 2, -1, -1):
+        x.append(y[i] / d[i] - l[i] * x[-1])
+    return np.asarray(x[::-1])
+
+
+def _refine(model, env, xs, fixed_ends):
+    """Safeguarded Newton on the whole chain; returns (positions, Newton steps).
+
+    Each step factors the tridiagonal Hessian H = L D L^T.  With every pivot
+    positive it takes the Newton step; otherwise it shifts the diagonal by x4
+    steps, from -min(diag), until H factors and takes the shifted step; at a
+    stationary point with a negative pivot k (a saddle) it steps along the
+    negative-curvature vector v, L^T v = e_k, signed so that g.v <= 0.  Steps
+    are scaled down to move no site by more than STEP_CAP and then halved
+    until the energy falls; a Newton step is also kept when it raises the
+    energy by at most roundoff (1e-15), since near a minimum the energy change
+    falls below what doubles resolve.  Converged when max|g| <= 1e-11 with no
+    pivot below -tiny, or when the step falls below 1e-13 with max|g| <= 1e-8.
+    """
     xs = xs.copy()
-    n = xs.size - 1
+    inner = slice(1, -1) if fixed_ends else slice(None)
     e_cur = chain_energy(model, env, xs)
-    for _ in range(max_iter):
+    for it in range(MAX_ITER + 1):
         g, diag, off = _grad_hess(model, env, xs, fixed_ends)
-        if g.size == 0 or float(np.max(np.abs(g))) < 1e-12:
-            return xs, True
-        step = _thomas(diag, off, -g)
+        g_max = float(np.max(np.abs(g)))
+        tiny = 1e-12 * (1.0 + float(np.max(np.abs(diag))))
+        diag, off = diag.tolist(), off.tolist()
+        d, l = _ldl(diag, off, tiny)
+        definite = len(d) == len(diag) and d[-1] > tiny
+        if g_max <= 1e-11 and (definite or d[-1] >= -tiny):
+            return xs, it
+        if it == MAX_ITER:
+            break
+        if definite:
+            step = _ldl_solve(d, l, -g)
+        elif g_max <= 1e-11:
+            v = [1.0]
+            for li in reversed(l):
+                v.append(-li * v[-1])
+            step = np.zeros(g.size)
+            step[: len(v)] = v[::-1]
+            if g @ step > 0:
+                step = -step
+        else:
+            # H + mu I is indefinite while mu < -min(diag)
+            mu = max(-min(diag), tiny)
+            while True:
+                d, l = _ldl([a + mu for a in diag], off, tiny)
+                if len(d) == len(diag) and d[-1] > tiny:
+                    break
+                mu *= 4.0
+            step = _ldl_solve(d, l, -g)
+        size = float(np.max(np.abs(step)))
+        if size > STEP_CAP:
+            step *= STEP_CAP / size
+            size = STEP_CAP
         t = 1.0
-        applied = False
-        for _ in range(40):
+        while t * size >= 1e-13:
             trial = xs.copy()
-            if fixed_ends:
-                trial[1:n] += t * step
-            else:
-                trial += t * step
+            trial[inner] += t * step
             e_new = chain_energy(model, env, trial)
-            if e_new <= e_cur + 1e-15:
-                xs, e_cur, applied = trial, e_new, True
+            if (e_new <= e_cur + 1e-15) if definite else (e_new < e_cur):
+                xs, e_cur = trial, e_new
                 break
             t *= 0.5
-        if not applied:
-            return xs, False
-        if t * float(np.max(np.abs(step))) < 1e-11:
-            g, _, _ = _grad_hess(model, env, xs, fixed_ends)
-            return xs, bool(g.size == 0 or float(np.max(np.abs(g))) < 1e-8)
-    g, _, _ = _grad_hess(model, env, xs, fixed_ends)
-    return xs, bool(g.size == 0 or float(np.max(np.abs(g))) < 1e-8)
-
-
-def _refine(model, env, dp_positions, h, fixed_ends, max_sweeps, newton_polish):
-    xs, sweeps, converged = _sweep_refine(model, env, dp_positions, h, fixed_ends, max_sweeps)
-    polish_used = False
-    if not converged and newton_polish:
-        xs2, ok = _newton_polish(model, env, xs, fixed_ends)
-        if chain_energy(model, env, xs2) <= chain_energy(model, env, xs) + 1e-15:
-            xs = xs2
-        polish_used = True
-        converged = ok
-    if not converged:
-        raise NumericalFailure(
-            f"refinement did not converge after {max_sweeps} sweeps",
-            best=make_chain(model, env, xs),
-        )
-    return xs, sweeps, converged, polish_used
+        if t * size < 1e-13:
+            if g_max <= 1e-8:
+                return xs, it
+            break
+    raise NumericalFailure(
+        f"refinement did not converge in {MAX_ITER} Newton steps",
+        best=make_chain(model, env, xs),
+    )
 
 
 # -- public solvers --------------------------------------------------------------
@@ -363,8 +287,6 @@ def minimize_fixed(
     n: int,
     h: float,
     R_max: Optional[float] = None,
-    max_sweeps: int = DEFAULT_SWEEPS,
-    newton_polish: bool = True,
 ) -> MinimizeResult:
     """Minimize the n-step chain energy with both endpoints pinned."""
     if n < 2:
@@ -390,18 +312,15 @@ def minimize_fixed(
     dp_pos, dp_energy = _dp_solve(model, env, grid, n, dlo, dhi, h, start_idx, end_idx)
     start = dp_pos.copy()
     start[0], start[-1] = x_start, x_end  # exact endpoints (DP snaps x_end to the grid)
-    xs, sweeps, converged, polish_used = _refine(
-        model, env, start, h, True, max_sweeps, newton_polish
-    )
-    xs[0], xs[-1] = x_start, x_end
+    xs, steps = _refine(model, env, start, True)
     return MinimizeResult(
         chain=make_chain(model, env, xs),
         energy=chain_energy(model, env, xs),
         dp_positions=dp_pos,
         dp_energy=dp_energy,
-        sweeps=sweeps,
-        converged=converged,
-        polish_used=polish_used,
+        sweeps=steps,
+        converged=True,
+        polish_used=False,
     )
 
 
@@ -412,8 +331,6 @@ def minimize_free(
     window: Optional[Sequence[float]] = None,
     h: float = 0.05,
     R_max: Optional[float] = None,
-    max_sweeps: int = DEFAULT_SWEEPS,
-    newton_polish: bool = True,
 ) -> MinimizeResult:
     """Minimize over all n-step chains (both endpoints free)."""
     if n < 1:
@@ -438,17 +355,15 @@ def minimize_free(
         dp_pos, dp_energy = (pos_dn, e_dn) if e_dn < e_up else (pos_up, e_up)
     else:
         dp_pos, dp_energy = pos_up, e_up
-    xs, sweeps, converged, polish_used = _refine(
-        model, env, dp_pos, h, False, max_sweeps, newton_polish
-    )
+    xs, steps = _refine(model, env, dp_pos, False)
     return MinimizeResult(
         chain=make_chain(model, env, xs),
         energy=chain_energy(model, env, xs),
         dp_positions=dp_pos,
         dp_energy=dp_energy,
-        sweeps=sweeps,
-        converged=converged,
-        polish_used=polish_used,
+        sweeps=steps,
+        converged=True,
+        polish_used=False,
     )
 
 
@@ -469,15 +384,7 @@ def ground_energy(
     R = grid.jump_cap(model)
 
     def solve(n):
-        return minimize_free(
-            model,
-            env,
-            n,
-            h=grid.h,
-            R_max=R,
-            max_sweeps=grid.max_sweeps,
-            newton_polish=grid.newton_polish,
-        ).energy
+        return minimize_free(model, env, n, h=grid.h, R_max=R).energy
 
     if threads > 1:
         from concurrent.futures import ThreadPoolExecutor

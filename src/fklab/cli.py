@@ -40,17 +40,7 @@ from .lagrangians import LagrangianSpec, circle_model, energy, sturm_model, toru
 _ALLOWED_KEYS = {
     "environment": {"variant", "alpha", "offset", "phase", "w1", "w2", "seeds"},
     "lagrangian": {"spring", "lambda", "k", "k1", "k2", "a0", "a1"},
-    "grid": {
-        "h",
-        "x",
-        "n_max",
-        "n_outer",
-        "w",
-        "n_list",
-        "r_max",
-        "max_sweeps",
-        "newton_polish",
-    },
+    "grid": {"h", "x", "n_max", "n_outer", "w", "n_list", "r_max"},
     "lp": {"n", "t_max"},
     "output": {"directory", "formats"},
 }
@@ -112,15 +102,6 @@ def _get(cp, section, key, conv, default=None, lo=None, hi=None):
     return val
 
 
-def _parse_bool(raw: str) -> bool:
-    v = raw.strip().lower()
-    if v in ("1", "true", "yes", "on"):
-        return True
-    if v in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {raw!r}")
-
-
 def load_config(path: str) -> RunConfig:
     p = Path(path)
     if not p.is_file():
@@ -163,8 +144,6 @@ def load_config(path: str) -> RunConfig:
         N_outer=_get(cp, "grid", "n_outer", int, default=64, lo=4, hi=4096),
         W=_get(cp, "grid", "w", int, default=8, lo=1, hi=64),
         R_max=None if r_max < 0 else r_max,
-        max_sweeps=_get(cp, "grid", "max_sweeps", int, default=500, lo=0, hi=100_000),
-        newton_polish=_get(cp, "grid", "newton_polish", _parse_bool, default=True),
     )
     fmts = _get(cp, "output", "formats", str, default="csv,json")
     formats = [f.strip() for f in fmts.split(",") if f.strip()]
@@ -502,7 +481,11 @@ def main(argv=None) -> int:
         return 2
     except FKError as exc:
         # NumericalFailure, InsufficientDataError: the solver ran and did not succeed
-        print(f"numerical failure: {exc}", file=sys.stderr)
+        msg = str(exc)
+        best = getattr(exc, "best", None)
+        if best is not None:
+            msg += f" (best iterate: {len(best)} sites, energy {best.energy:.12g})"
+        print(f"numerical failure: {msg}", file=sys.stderr)
         return 3
     elapsed = time.perf_counter() - t0
     # wall time goes to the console only; output files stay byte-reproducible

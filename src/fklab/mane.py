@@ -275,15 +275,7 @@ def calibrate_window(
     """
     if N_outer < 4 * W:
         raise DomainError("N_outer must be at least 4 W")
-    res = minimize_free(
-        model,
-        env,
-        N_outer,
-        h=grid.h,
-        R_max=grid.jump_cap(model),
-        max_sweeps=grid.max_sweeps,
-        newton_polish=grid.newton_polish,
-    )
+    res = minimize_free(model, env, N_outer, h=grid.h, R_max=grid.jump_cap(model))
     xs = np.asarray(res.chain.positions)
     mid = N_outer // 2
     lo, hi = mid - W, mid + W
@@ -336,15 +328,7 @@ def rotation_number(
     chains = []
     per_site = []
     for n in n_list:
-        res = minimize_free(
-            model,
-            env,
-            int(n),
-            h=grid.h,
-            R_max=grid.jump_cap(model),
-            max_sweeps=grid.max_sweeps,
-            newton_polish=grid.newton_polish,
-        )
+        res = minimize_free(model, env, int(n), h=grid.h, R_max=grid.jump_cap(model))
         xs = np.asarray(res.chain.positions)
         values.append((int(n), float(abs(xs[-1] - xs[0]) / n)))
         chains.append(xs)

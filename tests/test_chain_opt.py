@@ -25,7 +25,6 @@ from fklab import (
 )
 
 from fklab import chain_opt
-from fklab.chain_opt import DEFAULT_SWEEPS
 from fklab.lagrangians import potential_d1, spring_d1
 
 from oracles import brute_force_fixed_chain, brute_force_free_chain, brute_force_repair
@@ -61,10 +60,11 @@ class TestMinimizeFixed:
         with pytest.raises(DomainError):
             minimize_fixed(m, CIRCLE, 0.0, 100.0, 2, h=0.1)
 
-    def test_nonconvergence_carries_best_iterate(self):
+    def test_nonconvergence_carries_best_iterate(self, monkeypatch):
         m = circle_model(1.0, 0.5)
+        monkeypatch.setattr(chain_opt, "MAX_ITER", 0)
         with pytest.raises(NumericalFailure) as exc_info:
-            minimize_fixed(m, CIRCLE, 0.0, 8.0, 16, h=0.05, max_sweeps=0, newton_polish=False)
+            minimize_fixed(m, CIRCLE, 0.0, 8.0, 16, h=0.05)
         assert exc_info.value.best is not None
         assert len(exc_info.value.best.positions) == 17
 
@@ -121,7 +121,7 @@ REFINE_IDS = ["circle", "torus", "quasicrystal"]
 
 
 class TestRefinement:
-    """The red-black sweeps end at a stationary chain no worse than the DP chain."""
+    """The Newton refinement ends at a stationary chain no worse than the DP chain."""
 
     @pytest.mark.parametrize("model,env", REFINE_CASES, ids=REFINE_IDS)
     @pytest.mark.parametrize("n", [2, 7, 24])
@@ -140,30 +140,49 @@ class TestRefinement:
         assert np.max(np.abs(chain_gradient(model, env, res.chain.positions))) <= 1e-7
         assert res.energy <= res.dp_energy + 1e-12
 
-    def test_concave_sites_take_the_bracketed_search(self, monkeypatch):
-        # lam = 1/2 from 0 puts every odd site on a maximum of the K = 8 cosine,
-        # where the site energy is concave and Newton has no descent step
+    def test_saddle_start_escapes(self):
+        # lam = 1/2 from 0 puts every odd site on a maximum of the K = 8 cosine:
+        # the start is stationary, so only the negative-curvature step can descend
         m = circle_model(8.0, 0.5)
         start = np.linspace(0.0, 4.0, 9)
-        searched = []
-        search = chain_opt._bracket_search
-
-        def spy(*args):
-            searched.append(args[1].size)
-            return search(*args)
-
-        monkeypatch.setattr(chain_opt, "_bracket_search", spy)
-        xs, _, converged = chain_opt._sweep_refine(m, CIRCLE, start, 0.05, True, DEFAULT_SWEEPS)
-        assert searched and converged
+        assert np.max(np.abs(chain_gradient(m, CIRCLE, start)[1:-1])) <= 1e-11
+        xs, _ = chain_opt._refine(m, CIRCLE, start, True)
         assert np.max(np.abs(chain_gradient(m, CIRCLE, xs)[1:-1])) <= 1e-7
         assert chain_energy(m, CIRCLE, xs) < chain_energy(m, CIRCLE, start)
 
-    def test_soft_chain_reaches_the_polish(self):
-        # K = 0.1 leaves soft modes that use up the sweep budget; the polish finishes
+    def test_indefinite_start_stays_in_its_wells(self):
+        # lam = 0 pins the monotone DP chain at x = 0.1, on the concave flank of
+        # the K = 8 well at -0.17: an uncapped shifted step carries sites wells
+        # away, to a stationary chain 0.9 higher
+        m = circle_model(8.0, 0.0)
+        res = minimize_fixed(m, EnvPoint.circle(0.17), 0.1, 0.47, 40, h=0.05)
+        assert np.max(np.abs(res.chain.positions - res.dp_positions)) <= 0.5
+        assert res.energy == pytest.approx(0.4446721865541363, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "K,lam,n,expected",
+        [
+            (1.0, 1 / 3, 8, 0.15806748404513665),
+            (0.3, 0.5, 21, 0.15020887984968162),
+            (1.0, -0.7, 21, 0.4521267671988683),
+        ],
+        ids=["lam_third", "lam_half", "lam_negative"],
+    )
+    def test_indefinite_free_chain_converges(self, K, lam, n, expected):
+        # these pass through indefinite Hessians, where a shift far above the
+        # needed one makes steps too short to converge within MAX_ITER; the
+        # expected minima come from a red-black Gauss-Seidel sweep solver
+        m = circle_model(K, lam)
+        env = EnvPoint.circle(0.17)
+        res = minimize_free(m, env, n, h=0.05)
+        assert np.max(np.abs(chain_gradient(m, env, res.chain.positions))) <= 1e-7
+        assert res.energy == pytest.approx(expected, abs=1e-9)
+
+    def test_soft_chain_converges(self):
+        # K = 0.1 leaves soft modes, which site-by-site relaxation resolves slowly
         m = circle_model(0.1, 0.5)
         res = minimize_free(m, CIRCLE, 64, h=0.05)
-        assert res.sweeps == DEFAULT_SWEEPS
-        assert res.polish_used and res.converged
+        assert res.converged and res.sweeps <= 50
         assert np.max(np.abs(chain_gradient(m, CIRCLE, res.chain.positions))) <= 1e-7
         assert res.energy <= res.dp_energy + 1e-12
 

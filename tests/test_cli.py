@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from fklab import chain_opt
 from fklab.cli import main, read_csv
 
 CIRCLE_K0 = """
@@ -86,8 +87,14 @@ def run(tmp_path, config_text, command, name="run.ini", seed=0):
 
 
 class TestConfig:
-    def test_unknown_key_rejected(self, tmp_path):
-        code, _ = run(tmp_path, CIRCLE_K0 + "\nwibble = 3\n", "ground-energy")
+    @pytest.mark.parametrize(
+        "line",
+        ["wibble = 3", "max_sweeps = 0", "newton_polish = false"],
+        ids=["wibble", "max_sweeps", "newton_polish"],
+    )
+    def test_unknown_key_rejected(self, tmp_path, line):
+        config = CIRCLE_K0.replace("[grid]\n", f"[grid]\n{line}\n")
+        code, _ = run(tmp_path, config, "ground-energy")
         assert code == 2
 
     def test_unknown_section_rejected(self, tmp_path):
@@ -241,12 +248,12 @@ class TestOtherCommands:
         assert res["count_in_1_to_N"] == res["floor_N_alpha"]
         assert abs(res["alpha_value"] - (math.sqrt(5) - 1) / 2) < 1e-15
 
-    def test_numerical_failure_exit_code(self, tmp_path):
-        broken = CIRCLE_K1.replace(
-            "[grid]\nh = 0.05", "[grid]\nh = 0.05\nmax_sweeps = 0\nnewton_polish = false"
-        )
-        code, _ = run(tmp_path, broken, "ground-energy")
+    def test_numerical_failure_exit_code(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(chain_opt, "MAX_ITER", 0)
+        code, _ = run(tmp_path, CIRCLE_K1, "ground-energy")
         assert code == 3
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and "best iterate: 5 sites, energy " in err
 
     def test_lp_is_posed_on_the_hull(self, tmp_path):
         # omega_j = j/N covers every phase, so [environment] phase cannot enter the LP
