@@ -3,7 +3,8 @@
 
 Runs each kernel on a representative workload and prints the best time, the
 number of DP cells it relaxes and the time per cell.  Workload sizes mirror
-the acceptance-scale runs (length-64 free chains, a Mane table).
+the acceptance-scale runs (length-64 free chains, a Mane table); the Mane
+DP relaxes each of its G(G-1)/2 monotone steps once.
 
 Usage:
     PYTHONPATH=src python3 benchmarks/bench_kernels.py [--repeat 5]
@@ -37,12 +38,12 @@ def bench_chain_dp(repeat):
 
 def bench_phi_dp(repeat):
     rng = np.random.default_rng(1)
-    G, n_max = 240, 160
+    G = 240
     cost = np.full((G, G), np.inf)
     iu = np.triu_indices(G, k=1)
     cost[iu] = rng.uniform(-0.2, 1.0, iu[0].size)
-    t = timeit(lambda: _kernels.phi_dp_np(cost, n_max), repeat)
-    return "Mane phi DP (G=240, n_max=160)", t, n_max * G * G
+    t = timeit(lambda: _kernels.phi_dp(cost), repeat)
+    return "Mane phi DP (G=240)", t, G * (G - 1) // 2
 
 
 def main():

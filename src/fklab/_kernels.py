@@ -1,15 +1,16 @@
 """The two dynamic-programming kernels, in numpy.
 
 ``chain_dp_backward_np`` is the banded chain DP behind ground energies and
-minimizers (``chain_opt._dp_solve``); ``phi_dp_np`` is the layered Mane DP
-behind Phi and the calibration defects (``mane._phi_over_nodes``).  The
-holonomic LP has no kernel: its policy iteration (``holonomic_lp._howard``)
-walks each policy graph once in Python and improves it in one numpy pass.
+minimizers (``chain_opt._dp_solve``); ``phi_dp`` is the Mane DP behind Phi
+and the calibration defects (``mane._phi_over_nodes``), one pass over the DAG
+of monotone steps, so chains of any length are searched.  The holonomic LP
+has no kernel: its policy iteration (``holonomic_lp._howard``) walks each
+policy graph once in Python and improves it in one numpy pass.
 
 Each kernel has this one definition; ``tests/oracles.py`` holds plain-loop
-versions that the tests compare against.  The ``_np`` suffixes stay because
-``fkbench/tracer.py`` keys its ``kernels.*`` counters on these names.
-``benchmarks/bench_kernels.py`` times both kernels.
+versions that the tests compare against.  The ``_np`` suffix of the chain DP
+stays because ``fkbench/tracer.py`` keys its ``kernels.chain_dp_*`` counters
+on that name.  ``benchmarks/bench_kernels.py`` times both kernels.
 """
 
 from __future__ import annotations
@@ -51,22 +52,33 @@ def chain_dp_backward_np(V, Wd, n, dlo, end_idx):
 
 
 # --------------------------------------------------------------------------
-# Mane cocycle DP: layered shortest paths on an ordered node set
+# Mane cocycle DP: shortest paths on the DAG of an ordered node set
 # --------------------------------------------------------------------------
 
 
-def phi_dp_np(cost, n_max):
-    """Layered DP from node 0: D[m, j] = best m-step cost, back[m, j] = argmin."""
+def phi_dp(cost):
+    """One-pass DAG DP from node 0 over the strict upper triangle of ``cost``.
+
+    phi[j] = min_{i<j} phi[i] + cost[i, j] with phi[0] = 0 (0 steps); ties go
+    to the smallest step count, then to the smallest i.  Returns (phi,
+    n_steps, back); back[j] is the predecessor of j on its chain, -1 at node 0
+    and at unreachable nodes.
+    """
     G = cost.shape[0]
-    D = np.full((n_max + 1, G), np.inf)
-    back = np.full((n_max + 1, G), -1, dtype=np.int32)
-    D[0, 0] = 0.0
-    for m in range(1, n_max + 1):
-        S = D[m - 1][:, None] + cost
-        D[m] = S.min(axis=0)
-        bm = S.argmin(axis=0).astype(np.int32)
-        bm[~np.isfinite(D[m])] = -1
-        back[m] = bm
-    return D, back
+    phi = np.full(G, np.inf)
+    n_steps = np.zeros(G, dtype=np.int64)
+    back = np.full(G, -1, dtype=np.int64)
+    phi[0] = 0.0
+    for j in range(1, G):
+        s = phi[:j] + cost[:j, j]
+        best = s.min()
+        if best == np.inf:
+            continue
+        tied = np.flatnonzero(s == best)
+        i = tied[np.argmin(n_steps[tied])]  # argmin keeps the smallest i among equals
+        phi[j] = best
+        n_steps[j] = n_steps[i] + 1
+        back[j] = i
+    return phi, n_steps, back
 
 

@@ -88,7 +88,6 @@ class GridSpec:
 
     h: float = 0.05
     X: float = 2.0
-    n_max: int = 120
     N_outer: int = 64
     W: int = 8
     R_max: Optional[float] = None

@@ -33,13 +33,15 @@ from .environments import (
     translate_env,
     transverse_frequency,
 )
-from .errors import ConfigError, DomainError, FKError, ResourceError
+from .errors import ConfigError, DomainError, FKError, NumericalFailure, ResourceError
 from .exact import AlphaValue
 from .lagrangians import LagrangianSpec, circle_model, energy, sturm_model, torus_model
 
 _ALLOWED_KEYS = {
     "environment": {"variant", "alpha", "offset", "phase", "w1", "w2", "seeds"},
     "lagrangian": {"spring", "lambda", "k", "k1", "k2", "a0", "a1"},
+    # n_max is obsolete and read by nothing (the Mane DP searches chains of any
+    # length); it is still accepted so that existing configs keep loading
     "grid": {"h", "x", "n_max", "n_outer", "w", "n_list", "r_max"},
     "lp": {"n", "t_max"},
     "output": {"directory", "formats"},
@@ -140,7 +142,6 @@ def load_config(path: str) -> RunConfig:
     grid = chain_opt.GridSpec(
         h=_get(cp, "grid", "h", float, default=0.05, lo=1e-4, hi=1.0),
         X=_get(cp, "grid", "x", float, default=2.0, lo=0.1, hi=100.0),
-        n_max=_get(cp, "grid", "n_max", int, default=120, lo=1, hi=100_000),
         N_outer=_get(cp, "grid", "n_outer", int, default=64, lo=4, hi=4096),
         W=_get(cp, "grid", "w", int, default=8, lo=1, hi=64),
         R_max=None if r_max < 0 else r_max,
@@ -253,16 +254,11 @@ def cmd_mane(cfg: RunConfig, out: Path, seed: int, threads: int) -> List[str]:
     est = chain_opt.ground_energy(
         cfg.model(), cfg.env(), cfg.n_list, cfg.grid, seed=seed, threads=threads
     )
-    table = mane.mane_table(
-        cfg.model(), cfg.env(), est.lower_bound, cfg.grid.X, cfg.grid.h, cfg.grid.n_max
-    )
-    warnings = ["n_max reached on some targets"] if table.truncated else []
+    table = mane.mane_table(cfg.model(), cfg.env(), est.lower_bound, cfg.grid.X, cfg.grid.h)
     defects = mane.cocycle_defects(cfg.model(), table, samples=12, seed=seed)
     sens = mane.grid_sensitivity(cfg.model(), table)
     # defect sensitivity to the Ebar choice: rerun key defects at the extrapolated value
-    table_x = mane.mane_table(
-        cfg.model(), cfg.env(), est.extrapolated, cfg.grid.X, cfg.grid.h, cfg.grid.n_max
-    )
+    table_x = mane.mane_table(cfg.model(), cfg.env(), est.extrapolated, cfg.grid.X, cfg.grid.h)
     if "csv" in cfg.formats:
         rows = list(zip(table.targets, table.phi, table.n_steps))
         write_csv(out / "mane_potential.csv", cfg.config_hash, ["t", "phi", "n_steps"], rows)
@@ -281,9 +277,9 @@ def cmd_mane(cfg: RunConfig, out: Path, seed: int, threads: int) -> List[str]:
                     np.max(np.abs(table.phi - table_x.phi))
                 ),
             },
-            warnings,
+            [],
         )
-    return warnings
+    return []
 
 
 def cmd_calibrate(cfg: RunConfig, out: Path, seed: int, threads: int) -> List[str]:
@@ -412,7 +408,14 @@ def cmd_env_report(cfg: RunConfig, out: Path, seed: int, threads: int) -> List[s
         gaps = np.diff(pts)
         letters, counts = np.unique(np.rint(gaps).astype(int), return_counts=True)
         rows = list(zip(letters, counts, counts / gaps.size))
-        count_law = int(np.sum(np.asarray(alpha.membership_range(1, N))))
+        count_law = int(np.count_nonzero(alpha.membership_range(1, N)))
+        floor_law = alpha.floor_mul(N)
+        if count_law != floor_law:
+            # the vectorized membership test disagrees with the scalar exact floor
+            raise NumericalFailure(
+                f"count law violated: {count_law} Beatty points in 1..{N}, "
+                f"floor(N alpha) = {floor_law}"
+            )
         freq = transverse_frequency(env, canonical_point_section(env), 2000.0)
         rng = np.random.default_rng(seed)
         dists = []
@@ -425,7 +428,7 @@ def cmd_env_report(cfg: RunConfig, out: Path, seed: int, threads: int) -> List[s
                 "alpha_value": alpha.value,
                 "inv_floor": alpha.inv_floor(),
                 "count_in_1_to_N": count_law,
-                "floor_N_alpha": alpha.floor_mul(N),
+                "floor_N_alpha": floor_law,
                 "point_frequency": freq,
                 "hull_distance_samples": dists,
             }

@@ -86,9 +86,7 @@ class PointSet:
             return np.empty(0, dtype=np.int64)
         if hi - lo > _MAX_WINDOW_POINTS:
             raise ResourceError(f"window of {hi - lo} integers exceeds the materialization cap")
-        mask = self.alpha.membership_range(lo, hi)
-        ns = np.arange(lo, hi + 1, dtype=np.int64)
-        return ns[np.asarray(mask, dtype=bool)]
+        return lo + np.flatnonzero(self.alpha.membership_range(lo, hi))
 
     def points_in(self, lo: float, hi: float) -> np.ndarray:
         """Sorted points of the represented set inside [lo, hi]."""

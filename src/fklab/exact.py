@@ -13,7 +13,13 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError
+import numpy as np
+
+from .errors import DomainError, ResourceError
+
+# |n b| sqrt(d) stays below this in membership_range, so (n b)^2 d and the
+# squares of its root fit in int64 (whose limit is about (3.04e9)^2)
+_MAX_ROOT = 2e9
 
 _RAT_RE = re.compile(r"^\s*(-?\d+)\s*/\s*(-?\d+)\s*$")
 _QUAD_RE = re.compile(
@@ -128,10 +134,6 @@ class AlphaValue:
         F = A + _floor_sqrt_mult(n * self.b, self.d)
         return F // self.c
 
-    def mul_ge(self, n: int, m: int) -> bool:
-        """Exact test n * alpha >= m."""
-        return _sign_quad(n * self.a - m * self.c, n * self.b, self.d if self.d else 2) >= 0
-
     def inv_floor(self) -> int:
         """floor(1/alpha), exact; the short gap of the point set."""
         if self.b == 0:
@@ -149,21 +151,27 @@ class AlphaValue:
             return self.c
         return self.inv_floor() + 1
 
-    def membership_range(self, lo: int, hi: int):
-        """Boolean list: n in the Beatty set for n = lo..hi (inclusive).
+    def membership_range(self, lo: int, hi: int) -> np.ndarray:
+        """Boolean array: n in the Beatty set for n = lo..hi (inclusive).
 
-        Incremental: floor(n*alpha) grows by 0 or 1 per unit step, so each
-        step costs one exact comparison, never a float.
+        n is in the set when floor(n alpha) - floor((n-1) alpha) == 1.  Each
+        floor is (n a + floor(n b sqrt d)) // c in int64, where floor(n b sqrt d)
+        comes from the integer square root of (n b)^2 d: a float square root,
+        then one integer correction each way, so no float decides membership.
         """
-        out = []
-        f = self.floor_mul(lo - 1)
-        for n in range(lo, hi + 1):
-            if self.mul_ge(n, f + 1):
-                f += 1
-                out.append(True)
-            else:
-                out.append(False)
-        return out
+        reach = max(abs(lo - 1), abs(hi))
+        if reach * abs(self.b) * math.sqrt(self.d) >= _MAX_ROOT or reach * abs(self.a) >= 2**62:
+            raise ResourceError(f"Beatty window [{lo}, {hi}] is too far out for int64 arithmetic")
+        n = np.arange(lo - 1, hi + 1, dtype=np.int64)
+        nb = n * self.b
+        N = nb * nb * self.d
+        s = np.floor(np.sqrt(N.astype(np.float64))).astype(np.int64)
+        s -= s * s > N
+        s += (s + 1) * (s + 1) <= N
+        # b sqrt(d) is irrational when b != 0, so a negative n b is never exact
+        r = np.where(nb > 0, s, np.where(nb < 0, -s - 1, 0))
+        F = (n * self.a + r) // self.c
+        return np.diff(F) == 1
 
     # -- float view ---------------------------------------------------------
 

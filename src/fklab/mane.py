@@ -1,8 +1,10 @@
 """Mane subadditive cocycle tables, cocycle checks, calibration windows.
 
-Phi(omega, t) is approximated by a layered shortest-path DP over strictly
-monotone chains on a position grid (the monotone reduction justifies the
-restriction for twist models; t = 0 uses the closed form E(0,0) - Ebar).
+Phi(omega, t) is approximated by a shortest-path DP over strictly monotone
+chains of any length on a position grid: monotone steps between ordered nodes
+form a DAG, so one pass over the nodes gives the infimum (the monotone
+reduction justifies the restriction for twist models; t = 0 uses the closed
+form E(0,0) - Ebar).
 Calibration defects of a long free minimizer are measured against tables whose
 node set is augmented by the chain's own points, so the tested sub-chain is
 always inside the search space and defects stay nonnegative up to roundoff.
@@ -19,7 +21,7 @@ import numpy as np
 from . import _kernels
 from .chain_opt import GridSpec, minimize_free
 from .environments import CylinderSpec, EnvPoint, return_times, translate_env
-from .errors import DomainError, InsufficientDataError
+from .errors import DomainError, InsufficientDataError, ResourceError
 from .lagrangians import (
     LagrangianSpec,
     chain_energy,
@@ -33,6 +35,13 @@ from .lagrangians import (
 
 @dataclass(frozen=True)
 class ManeTable:
+    """Phi over the grid targets, with each target's step count and chain.
+
+    ``n_max`` is K = floor(X / h), the most steps a chain on the table's nodes
+    can take; nothing in the library reads it, and it keeps its name only
+    because the benchmark's tracer reads it.
+    """
+
     env: EnvPoint
     ebar: float
     X: float
@@ -42,7 +51,6 @@ class ManeTable:
     phi: np.ndarray
     n_steps: np.ndarray
     chains: Tuple[np.ndarray, ...]
-    truncated: bool
 
 
 @dataclass(frozen=True)
@@ -66,35 +74,39 @@ class RotationReport:
     chains: Tuple[np.ndarray, ...]
 
 
-def _phi_over_nodes(model, env, nodes, ebar, n_max):
-    """Layered monotone DP over the ordered node array (nodes[0] == 0).
+# Largest Mane node set: its G x G cost matrix is 34 MB, and a mane_table at
+# K = 2000 (two DP passes over 2001 nodes) takes about 0.3 s on a 2-core x86 host.
+_MAX_NODES = 2049
 
-    Returns (phi, n_steps, (D, back)): phi[j] is the best value over chains
-    0 -> nodes[j] with at most n_max steps through earlier nodes, n_steps[j]
-    the smallest optimal step count.
+
+def _phi_over_nodes(model, env, nodes, ebar):
+    """Monotone DAG DP over the ordered node array (nodes[0] == 0).
+
+    Returns (phi, n_steps, back): phi[j] is the best value over chains
+    0 -> nodes[j] through earlier nodes, n_steps[j] the smallest optimal step
+    count, back[j] the predecessor on that chain.
     """
     G = nodes.size
+    if G > _MAX_NODES:
+        raise ResourceError(f"Mane DP over {G} nodes exceeds the cap of {_MAX_NODES}")
     V = np.atleast_1d(potential_values(model, env, nodes))
     cost = np.full((G, G), np.inf)
     iu = np.triu_indices(G, k=1)
     steps = nodes[iu[1]] - nodes[iu[0]]
     cost[iu] = np.asarray(spring_value(model, steps)) + V[iu[0]] - ebar
-    n_eff = min(int(n_max), G - 1) if G > 1 else 0
-    if n_eff == 0:
-        return np.full(G, np.inf), np.zeros(G, dtype=int), None
-    D, back = _kernels.phi_dp_np(cost, n_eff)
-    phi = D[1:].min(axis=0)
-    n_steps = D[1:].argmin(axis=0) + 1  # argmin takes the first, so smallest m on ties
-    return phi, n_steps, (D, back)
+    return _kernels.phi_dp(cost)
 
 
-def _recover_chain(nodes, back, m, j):
-    idx = [j]
-    while m > 0:
-        j = int(back[m, j])
-        idx.append(j)
-        m -= 1
-    return nodes[np.asarray(idx[::-1])]
+def _chains(nodes, back):
+    """The optimal chain 0 -> nodes[j] of every node j >= 1, from the DP's back-pointers.
+
+    Every step cost is finite, so every node is reached and back[j] < j: each
+    chain is an earlier node's chain plus one step.
+    """
+    idx = [np.zeros(1, dtype=np.int64)]
+    for j in range(1, nodes.size):
+        idx.append(np.append(idx[back[j]], j))
+    return [nodes[i] for i in idx[1:]]
 
 
 def mane_table(
@@ -103,30 +115,22 @@ def mane_table(
     ebar: float,
     X: float,
     h: float,
-    n_max: int,
 ) -> ManeTable:
     """Tabulate Phi(omega, t) for t on the grid {k h} in [-X, X]."""
     if h <= 0 or X <= 0:
         raise DomainError("X and h must be positive")
-    if n_max > 4.0 * X / h + 1e-9:
-        raise DomainError("n_max exceeds 4 X / h")
     K = int(math.floor(X / h + 1e-9))
     targets: List[float] = []
     phis: List[float] = []
     nsteps: List[int] = []
     chains: List[np.ndarray] = []
-    truncated = False
     for sign in (-1.0, 1.0):
         nodes = sign * h * np.arange(K + 1)
-        phi, ns, aux = _phi_over_nodes(model, env, nodes, ebar, n_max)
-        _, back = aux
-        for j in range(1, K + 1):
-            targets.append(float(nodes[j]))
-            phis.append(float(phi[j]))
-            nsteps.append(int(ns[j]))
-            chains.append(_recover_chain(nodes, back, int(ns[j]), j))
-            if ns[j] == min(n_max, K):
-                truncated = True
+        phi, ns, back = _phi_over_nodes(model, env, nodes, ebar)
+        targets.extend(nodes[1:].tolist())
+        phis.extend(phi[1:].tolist())
+        nsteps.extend(ns[1:].tolist())
+        chains.extend(_chains(nodes, back))
     # closed form at t = 0: the one-step loop (0, 0)
     targets.append(0.0)
     phis.append(energy(model, env, 0.0, 0.0) - ebar)
@@ -138,12 +142,11 @@ def mane_table(
         ebar=float(ebar),
         X=float(X),
         h=float(h),
-        n_max=int(n_max),
+        n_max=K,
         targets=np.asarray(targets)[order],
         phi=np.asarray(phis)[order],
         n_steps=np.asarray(nsteps, dtype=int)[order],
         chains=tuple(chains[i] for i in order),
-        truncated=truncated,
     )
 
 
@@ -194,12 +197,7 @@ def cocycle_defects(
     for s, t in pairs:
         if s not in cache:
             cache[s] = mane_table(
-                model,
-                translate_env(env, s * table.h),
-                table.ebar,
-                table.X,
-                table.h,
-                table.n_max,
+                model, translate_env(env, s * table.h), table.ebar, table.X, table.h
             )
         lhs = table.phi[grid_idx[s + t]]
         rhs = table.phi[grid_idx[s]] + cache[s].phi[grid_idx[t]]
@@ -224,8 +222,8 @@ def grid_sensitivity(model: LagrangianSpec, coarse: ManeTable) -> Dict[str, floa
 
     The fine table halves ``coarse.h`` at the same environment, Ebar and X.
     """
-    env, ebar, X, h, n_max = coarse.env, coarse.ebar, coarse.X, coarse.h, coarse.n_max
-    fine = mane_table(model, env, ebar, X, h / 2.0, min(2 * n_max, int(4 * X / (h / 2.0))))
+    env, ebar, X, h = coarse.env, coarse.ebar, coarse.X, coarse.h
+    fine = mane_table(model, env, ebar, X, h / 2.0)
     idx = np.searchsorted(fine.targets, coarse.targets)
     idx = np.clip(idx, 0, fine.targets.size - 1)
     delta = float(np.max(np.abs(fine.phi[idx] - coarse.phi)))
@@ -254,7 +252,7 @@ def _phi_to_targets(model, env_at_start, rel_targets, h, ebar):
         ladder = ladder[~(near_hi | near_lo)]
     nodes = np.concatenate([[0.0], anchors, ladder])
     nodes = nodes[np.argsort(direction * nodes)]
-    phi, _, _ = _phi_over_nodes(model, env_at_start, nodes, ebar, nodes.size - 1)
+    phi, _, _ = _phi_over_nodes(model, env_at_start, nodes, ebar)
     lookup = {float(nodes[j]): float(phi[j]) for j in range(nodes.size)}
     return {float(t): lookup[float(t)] for t in rel}
 

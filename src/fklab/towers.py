@@ -53,13 +53,10 @@ def level0_tower(alpha: AlphaValue, window_length: float) -> Tower:
     ps = PointSet(alpha)
     idx = ps.raw_indices_in(0, int(window_length))
     gaps = np.diff(idx).astype(np.int64)
-    letters = sorted(set(int(g) for g in gaps))
-    lookup = {g: i for i, g in enumerate(letters)}
-    seq = np.array([lookup[int(g)] for g in gaps], dtype=np.int32)
-    counts = np.bincount(seq, minlength=len(letters)).astype(float)
+    letters, seq, counts = np.unique(gaps, return_inverse=True, return_counts=True)
     span = float(idx[-1] - idx[0])
-    labels = tuple((g,) for g in letters)
-    heights = np.array([float(g) for g in letters])
+    labels = tuple((int(g),) for g in letters)
+    heights = letters.astype(float)
     return Tower(
         level=0,
         labels=labels,

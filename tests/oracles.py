@@ -117,7 +117,11 @@ def chain_dp_backward_loop(V, Wd, n, dlo, end_idx):
 
 
 def phi_dp_loop(cost, n_max):
-    """Cell-by-cell loop version of ``_kernels.phi_dp_np`` (first argmin on ties)."""
+    """Layered DP, one layer per step count: D[m, j] = best m-step cost (first argmin on ties).
+
+    ``_kernels.phi_dp`` must match min over m >= 1 of D[:, j], the first such m
+    and the backtrack from (m, j) through ``back``.
+    """
     G = cost.shape[0]
     D = np.full((n_max + 1, G), np.inf)
     back = np.full((n_max + 1, G), -1, dtype=np.int32)

@@ -103,7 +103,7 @@ def test_criterion_04_mane_dp_vs_brute_force():
     t0 = time.perf_counter()
     for K in (0.0, 1.0):
         m = circle_model(K, 0.5)
-        table = mane_table(m, CIRCLE, 0.0, 2.0, 0.5, 6)
+        table = mane_table(m, CIRCLE, 0.0, 2.0, 0.5)
         for sign in (1.0, -1.0):
             nodes = sign * 0.5 * np.arange(5)
             for j in range(1, 5):
@@ -118,7 +118,7 @@ def test_criterion_05_cocycle_suite():
     m = circle_model(1.0, 0.5)
     h = 0.05
     est = ground_energy(m, CIRCLE, [4, 8, 16, 32], GridSpec(h=h))
-    table = mane_table(m, CIRCLE, est.lower_bound, 2.0, h, 120)
+    table = mane_table(m, CIRCLE, est.lower_bound, 2.0, h)
     d = cocycle_defects(m, table, samples=12, seed=0)
     assert d["subadd_max"] <= 10.0 * h * d["lip_bound"]
     assert d["one_step_max"] <= 1e-9

@@ -1,10 +1,11 @@
 import json
 import math
+import time
 from pathlib import Path
 
 import pytest
 
-from fklab import chain_opt
+from fklab import AlphaValue, chain_opt
 from fklab.cli import main, read_csv
 
 CIRCLE_K0 = """
@@ -116,14 +117,21 @@ class TestConfig:
     @pytest.mark.parametrize(
         "config, old, new, command",
         [
-            (CIRCLE_K0, "n_max = 100", "n_max = 500", "mane"),
             (TORUS_CONFIG, "n_outer = 32", "n_outer = 16", "calibrate"),
         ],
-        ids=["mane-n_max-over-4x-per-h", "calibrate-n_outer-below-4w"],
+        ids=["calibrate-n_outer-below-4w"],
     )
     def test_solver_domain_error_is_config_error(self, tmp_path, config, old, new, command):
         code, _ = run(tmp_path, config.replace(old, new), command)
         assert code == 2
+
+    def test_mane_node_cap_is_config_error(self, tmp_path):
+        # 10 001 nodes per side: refused before the cost matrix is allocated
+        config = CIRCLE_K1.replace("x = 2.5", "x = 100").replace("h = 0.05", "h = 0.01")
+        t0 = time.perf_counter()
+        code, _ = run(tmp_path, config, "mane")
+        assert code == 2
+        assert time.perf_counter() - t0 < 1.0
 
 
 class TestGroundEnergyCommand:
@@ -184,6 +192,20 @@ class TestManeCommand:
         # one-step bound row-wise: phi(t) <= L(w, t) - Ebar
         for t, phi, _ in data["rows"]:
             assert phi <= 0.5 * (t - 1.0) ** 2 + 1e-9
+
+    def test_n_max_key_is_obsolete(self, tmp_path):
+        # chains of about 5 steps are optimal here; the DP searches any length,
+        # so the [grid] n_max key changes nothing and no warning is given
+        rows, warnings = [], []
+        for n_max in ("100", "2"):
+            config = CIRCLE_K1.replace("n_max = 100", f"n_max = {n_max}")
+            code, out = run(tmp_path, config, "mane", name=f"n_max{n_max}.ini")
+            assert code == 0
+            rows.append((out / "mane_potential.csv").read_text().split("\n", 1)[1])
+            warnings.append(json.loads((out / "mane_summary.json").read_text())["warnings"])
+        assert rows[0] == rows[1]
+        assert max(r[2] for r in read_csv(out / "mane_potential.csv")["rows"]) > 2
+        assert warnings == [[], []]
 
     def test_round_trip_lossless(self, tmp_path):
         code, out = run(tmp_path, CIRCLE_K1, "mane")
@@ -247,6 +269,18 @@ class TestOtherCommands:
         res = summary["results"]
         assert res["count_in_1_to_N"] == res["floor_N_alpha"]
         assert abs(res["alpha_value"] - (math.sqrt(5) - 1) / 2) < 1e-15
+
+    def test_env_report_certifies_count_law(self, tmp_path, monkeypatch):
+        exact_range = AlphaValue.membership_range
+
+        def one_flipped(self, lo, hi):
+            mask = exact_range(self, lo, hi)
+            mask[0] = not mask[0]
+            return mask
+
+        monkeypatch.setattr(AlphaValue, "membership_range", one_flipped)
+        code, _ = run(tmp_path, QC_CONFIG, "env-report")
+        assert code == 3
 
     def test_numerical_failure_exit_code(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(chain_opt, "MAX_ITER", 0)

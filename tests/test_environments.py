@@ -63,6 +63,32 @@ class TestAlphaValue:
                 expect = alpha.floor_mul(n) - alpha.floor_mul(n - 1) == 1
                 assert mask[off] == expect
 
+    @pytest.mark.parametrize(
+        "alpha",
+        [FIB, AlphaValue.quadratic(1, 1, 2, 3), AlphaValue.quadratic(7, -2, 10, 3)],
+    )
+    def test_membership_at_the_int64_boundary(self, alpha):
+        # the largest |n| with |n b| sqrt(d) < 2e9 is admitted and still exact
+        # against the scalar floors in Python integers; one further integer raises
+        top = math.floor(2e9 / (abs(alpha.b) * math.sqrt(alpha.d)))
+        while top * abs(alpha.b) * math.sqrt(alpha.d) >= 2e9:
+            top -= 1
+        for lo, hi in ((top - 300, top), (-top + 1, -top + 300)):
+            floors = [alpha.floor_mul(n) for n in range(lo - 1, hi + 1)]
+            expect = np.diff(floors) == 1
+            assert np.array_equal(alpha.membership_range(lo, hi), expect)
+        with pytest.raises(ResourceError):
+            alpha.membership_range(top - 10, top + 1)
+        with pytest.raises(ResourceError):
+            alpha.membership_range(-top, -top + 10)
+
+    def test_membership_refuses_int64_overflow_of_n_a(self):
+        alpha = AlphaValue.rational(10**12, 10**12 + 1)
+        floors = [alpha.floor_mul(n) for n in range(-6, 6)]
+        assert np.array_equal(alpha.membership_range(-5, 5), np.diff(floors) == 1)
+        with pytest.raises(ResourceError):
+            alpha.membership_range(5 * 10**6, 5 * 10**6 + 10)
+
     def test_inv_floor(self):
         assert HALF.inv_floor() == 2
         assert FIB.inv_floor() == 1

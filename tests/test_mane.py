@@ -9,6 +9,7 @@ from fklab import (
     EnvPoint,
     GridSpec,
     InsufficientDataError,
+    ResourceError,
     calibrate_window,
     circle_model,
     cocycle_defects,
@@ -43,7 +44,7 @@ def phi_closed_form_zero_potential(lam, t, n_cap=400):
 class TestManeTable:
     def test_zero_potential_closed_forms(self):
         m = circle_model(0.0, 1.0)
-        t = mane_table(m, CIRCLE, 0.0, 2.0, 0.5, 6)
+        t = mane_table(m, CIRCLE, 0.0, 2.0, 0.5)
         assert phi_lookup(t, 2.0) == pytest.approx(0.0, abs=1e-12)
         assert phi_lookup(t, 0.5) == pytest.approx(0.125, abs=1e-12)
         assert phi_lookup(t, 0.0) == pytest.approx(0.5, abs=1e-12)
@@ -54,7 +55,7 @@ class TestManeTable:
     @pytest.mark.parametrize("K", [0.0, 1.0])
     def test_matches_exhaustive_enumeration(self, K):
         m = circle_model(K, 0.5)
-        table = mane_table(m, CIRCLE, 0.0, 2.0, 0.5, 6)
+        table = mane_table(m, CIRCLE, 0.0, 2.0, 0.5)
         for sign in (1.0, -1.0):
             nodes = sign * 0.5 * np.arange(5)
             for j in range(1, 5):
@@ -63,32 +64,46 @@ class TestManeTable:
 
     def test_one_step_bound(self):
         m = circle_model(1.0, 0.5)
-        t = mane_table(m, CIRCLE, 0.01, 2.0, 0.1, 40)
+        t = mane_table(m, CIRCLE, 0.01, 2.0, 0.1)
         for tt, ph in zip(t.targets, t.phi):
             assert ph <= energy(m, CIRCLE, 0.0, float(tt)) - 0.01 + 1e-9
 
-    def test_monotone_in_n_max(self):
-        m = circle_model(1.0, 0.5)
-        t1 = mane_table(m, CIRCLE, 0.0, 2.0, 0.1, 20)
-        t2 = mane_table(m, CIRCLE, 0.0, 2.0, 0.1, 40)
-        assert np.all(t2.phi <= t1.phi + 1e-12)
-
     def test_grid_sensitivity_bounded(self):
         m = circle_model(1.0, 0.5)
-        rep = grid_sensitivity(m, mane_table(m, CIRCLE, 0.0, 2.0, 0.1, 40))
+        rep = grid_sensitivity(m, mane_table(m, CIRCLE, 0.0, 2.0, 0.1))
         assert rep["max_change"] <= rep["bound_Ch"]
 
     def test_preconditions(self):
         m = circle_model(0.0, 0.0)
         with pytest.raises(DomainError):
-            mane_table(m, CIRCLE, 0.0, 2.0, 0.5, 1000)
+            mane_table(m, CIRCLE, 0.0, 2.0, 0.0)
+        with pytest.raises(DomainError):
+            mane_table(m, CIRCLE, 0.0, -1.0, 0.5)
+
+    def test_node_cap(self):
+        # 2049 nodes per side is the largest DP; 2050 raises before allocating
+        m = circle_model(0.0, 0.0)
+        assert mane_table(m, CIRCLE, 0.0, 2048.0, 1.0).n_max == 2048
+        with pytest.raises(ResourceError):
+            mane_table(m, CIRCLE, 0.0, 2049.0, 1.0)
+
+    def test_long_chains_are_not_capped(self):
+        # with no potential and drift 0.1, Phi(0 -> 2) is reached only by 20
+        # steps of 0.1: every chain of fewer steps costs more
+        m = circle_model(0.0, 0.1)
+        t = mane_table(m, CIRCLE, 0.0, 2.0, 0.1)
+        j = int(np.argmin(np.abs(t.targets - 2.0)))
+        assert t.n_steps[j] == 20
+        assert t.phi[j] == pytest.approx(0.0, abs=1e-12)
+        assert t.n_max == 20
+        assert np.diff(t.chains[j]) == pytest.approx(np.full(20, 0.1), abs=1e-12)
 
 
 class TestCocycleDefects:
     def test_circle_suite(self):
         m = circle_model(1.0, 0.5)
         est = ground_energy(m, CIRCLE, [4, 8, 16], GridSpec(h=0.05))
-        table = mane_table(m, CIRCLE, est.lower_bound, 2.0, 0.05, 120)
+        table = mane_table(m, CIRCLE, est.lower_bound, 2.0, 0.05)
         d = cocycle_defects(m, table, samples=12, seed=0)
         assert d["subadd_max"] <= 10.0 * 0.05 * d["lip_bound"]
         assert d["one_step_max"] <= 1e-9
@@ -99,7 +114,7 @@ class TestCocycleDefects:
         # the convex closed form makes the ratio computable independently;
         # negative displacements dominate because they fight the drift
         m = circle_model(0.0, 1.0)
-        table = mane_table(m, CIRCLE, 0.0, 2.0, 0.25, 16)
+        table = mane_table(m, CIRCLE, 0.0, 2.0, 0.25)
         d = cocycle_defects(m, table, samples=10, seed=0)
         expect = max(
             abs(phi_closed_form_zero_potential(1.0, float(t))) / (1.0 + abs(float(t)))
