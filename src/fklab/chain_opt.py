@@ -62,10 +62,10 @@ def make_chain(model: LagrangianSpec, env: EnvPoint, positions) -> Chain:
 class MinimizeResult:
     """A refined chain and its DP start.
 
-    ``converged`` is True on every returned result (a refinement that does not
-    converge raises NumericalFailure).  ``sweeps`` counts the Newton steps of
-    the refinement and ``polish_used`` is always False; both keep their names
-    only because the benchmark's tracer reads them.
+    Every returned result is converged: a refinement that does not converge
+    raises NumericalFailure.  ``sweeps`` counts the Newton steps of the
+    refinement and ``polish_used`` is always False; both keep their names only
+    because the benchmark's tracer reads them.
     """
 
     chain: Chain
@@ -73,7 +73,6 @@ class MinimizeResult:
     dp_positions: np.ndarray
     dp_energy: float
     sweeps: int
-    converged: bool
     polish_used: bool
 
 
@@ -318,7 +317,6 @@ def minimize_fixed(
         dp_positions=dp_pos,
         dp_energy=dp_energy,
         sweeps=steps,
-        converged=True,
         polish_used=False,
     )
 
@@ -361,7 +359,6 @@ def minimize_free(
         dp_positions=dp_pos,
         dp_energy=dp_energy,
         sweeps=steps,
-        converged=True,
         polish_used=False,
     )
 
@@ -372,7 +369,6 @@ def ground_energy(
     n_list: Sequence[int],
     grid: GridSpec,
     seed: int = 0,
-    threads: int = 1,
 ) -> GroundEnergyEstimate:
     """Per-n free minima, the certified lower bound max m_n/n, and a 1/n fit."""
     n_list = tuple(int(n) for n in n_list)
@@ -381,17 +377,7 @@ def ground_energy(
     if n_list[-1] > 64:
         raise DomainError("chain lengths above 64 are out of the desk-scale budget")
     R = grid.jump_cap(model)
-
-    def solve(n):
-        return minimize_free(model, env, n, h=grid.h, R_max=R).energy
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            m_values = tuple(ex.map(solve, n_list))
-    else:
-        m_values = tuple(solve(n) for n in n_list)
+    m_values = tuple(minimize_free(model, env, n, h=grid.h, R_max=R).energy for n in n_list)
     per_site = [m / n for m, n in zip(m_values, n_list)]
     lower = max(per_site)
     top = max(2, len(n_list) // 2 + len(n_list) % 2)

@@ -2,11 +2,15 @@
 
 Subcommands: ground-energy, mane, calibrate, tower, lp, env-report.  Configs
 are INI files with sections [environment], [lagrangian], [grid], [lp],
-[output]; unknown sections or keys are rejected.  Every output file carries
+[output]; unknown sections or keys are rejected.  ``load_config`` builds the
+model and environment once through the catalog constructors, whose rules
+decide which springs and potentials combine.  Each command returns its CSV
+tables and summary results, and ``main`` writes them all into ``--out``
+(default: the config's ``[output] directory``).  Every output file carries
 the config hash (CSV header line, JSON field) and is byte-identical across
 reruns with the same config and seed.  Exit codes: 0 ok, 2 config error
-(including a ``DomainError`` or ``ResourceError`` raised by a solver on the
-configured sizes), 3 numerical failure (``NumericalFailure``,
+(including a ``DomainError`` or ``ResourceError`` raised by the catalog or a
+solver on the configured sizes), 3 numerical failure (``NumericalFailure``,
 ``InsufficientDataError``).
 """
 
@@ -20,7 +24,7 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 
@@ -28,7 +32,6 @@ from . import chain_opt, holonomic_lp, mane, towers
 from .environments import (
     EnvPoint,
     canonical_point_section,
-    cylinder_at,
     hull_distance,
     translate_env,
     transverse_frequency,
@@ -44,47 +47,21 @@ _ALLOWED_KEYS = {
     # length); it is still accepted so that existing configs keep loading
     "grid": {"h", "x", "n_max", "n_outer", "w", "n_list", "r_max"},
     "lp": {"n", "t_max"},
-    "output": {"directory", "formats"},
+    "output": {"directory"},
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
-    variant: str
-    alpha: Optional[AlphaValue]
-    offset: float
-    phase: float
-    w1: float
-    w2: float
+    model: LagrangianSpec
+    env: EnvPoint
     seeds: int
-    spring: str
-    lam: float
-    K: float
-    K1: float
-    K2: float
-    a0: float
-    a1: float
     grid: chain_opt.GridSpec
     n_list: List[int]
     lp_N: int
     lp_T_max: float
     out_dir: str
-    formats: List[str]
     config_hash: str
-
-    def env(self) -> EnvPoint:
-        if self.variant == "circle":
-            return EnvPoint.circle(self.phase)
-        if self.variant == "torus":
-            return EnvPoint.torus(self.w1, self.w2)
-        return EnvPoint.quasicrystal(self.alpha, self.offset)
-
-    def model(self) -> LagrangianSpec:
-        if self.variant == "circle":
-            return circle_model(self.K, self.lam, self.spring)
-        if self.variant == "torus":
-            return torus_model(self.K1, self.K2, self.lam, self.spring)
-        return sturm_model(self.alpha, self.a0, self.a1, self.lam)
 
 
 def _get(cp, section, key, conv, default=None, lo=None, hi=None):
@@ -97,9 +74,10 @@ def _get(cp, section, key, conv, default=None, lo=None, hi=None):
         val = conv(raw)
     except (ValueError, FKError) as exc:
         raise ConfigError(f"bad value for [{section}] {key}: {raw!r} ({exc})") from exc
-    if lo is not None and val < lo:
+    # negated comparisons, so that a NaN fails every bound
+    if lo is not None and not val >= lo:
         raise ConfigError(f"[{section}] {key} = {val} below minimum {lo}")
-    if hi is not None and val > hi:
+    if hi is not None and not val <= hi:
         raise ConfigError(f"[{section}] {key} = {val} above maximum {hi}")
     return val
 
@@ -123,14 +101,29 @@ def load_config(path: str) -> RunConfig:
     variant = _get(cp, "environment", "variant", str)
     if variant not in ("circle", "torus", "quasicrystal"):
         raise ConfigError(f"unknown environment variant {variant!r}")
-    alpha = None
-    if variant == "quasicrystal":
-        alpha = _get(cp, "environment", "alpha", AlphaValue.parse)
     spring = _get(cp, "lagrangian", "spring", str, default="quadratic")
-    if spring not in ("quadratic", "quartic"):
-        raise ConfigError(f"unknown spring {spring!r}")
-    if spring == "quartic" and variant == "quasicrystal":
-        raise ConfigError("the quartic spring needs a circle or torus environment")
+    lam = _get(cp, "lagrangian", "lambda", float, default=0.0, lo=-32.0, hi=32.0)
+    amp = {
+        k: _get(cp, "lagrangian", k, float, default=0.0, lo=0.0, hi=1e4)
+        for k in ("k", "k1", "k2", "a0", "a1")
+    }
+    pos = {
+        k: _get(cp, "environment", k, float, default=0.0) for k in ("offset", "phase", "w1", "w2")
+    }
+    alpha = _get(cp, "environment", "alpha", AlphaValue.parse) if variant == "quasicrystal" else None
+    try:
+        if variant == "circle":
+            env, model = EnvPoint.circle(pos["phase"]), circle_model(amp["k"], lam, spring)
+        elif variant == "torus":
+            env = EnvPoint.torus(pos["w1"], pos["w2"])
+            model = torus_model(amp["k1"], amp["k2"], lam, spring)
+        else:
+            env = EnvPoint.quasicrystal(alpha, pos["offset"])
+            model = sturm_model(alpha, amp["a0"], amp["a1"], lam, spring)
+    except (ValueError, OverflowError) as exc:
+        # a catalog DomainError (unknown spring, quartic spring off the circle
+        # and torus) or an offset no exact fraction represents (inf, nan)
+        raise ConfigError(str(exc)) from exc
     n_list_raw = _get(cp, "grid", "n_list", str, default="4,8,16,32")
     try:
         n_list = [int(s) for s in n_list_raw.split(",") if s.strip()]
@@ -138,40 +131,27 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(f"bad n_list {n_list_raw!r}") from exc
     if not n_list or any(b <= a for a, b in zip(n_list, n_list[1:])) or n_list[-1] > 64:
         raise ConfigError("n_list must be strictly increasing with max <= 64")
-    r_max = _get(cp, "grid", "r_max", float, default=-1.0, lo=-1.0, hi=64.0)
+    r_max = None  # unset: the solvers' default jump cap |lambda| + 3
+    if cp.has_option("grid", "r_max"):
+        r_max = _get(cp, "grid", "r_max", float, hi=64.0)
+        if not r_max > 0:
+            raise ConfigError(f"[grid] r_max = {r_max} must be positive")
     grid = chain_opt.GridSpec(
         h=_get(cp, "grid", "h", float, default=0.05, lo=1e-4, hi=1.0),
         X=_get(cp, "grid", "x", float, default=2.0, lo=0.1, hi=100.0),
         N_outer=_get(cp, "grid", "n_outer", int, default=64, lo=4, hi=4096),
         W=_get(cp, "grid", "w", int, default=8, lo=1, hi=64),
-        R_max=None if r_max < 0 else r_max,
+        R_max=r_max,
     )
-    fmts = _get(cp, "output", "formats", str, default="csv,json")
-    formats = [f.strip() for f in fmts.split(",") if f.strip()]
-    for f in formats:
-        if f not in ("csv", "json"):
-            raise ConfigError(f"unknown output format {f!r}")
     return RunConfig(
-        variant=variant,
-        alpha=alpha,
-        offset=_get(cp, "environment", "offset", float, default=0.0),
-        phase=_get(cp, "environment", "phase", float, default=0.0),
-        w1=_get(cp, "environment", "w1", float, default=0.0),
-        w2=_get(cp, "environment", "w2", float, default=0.0),
+        model=model,
+        env=env,
         seeds=_get(cp, "environment", "seeds", int, default=3, lo=1, hi=64),
-        spring=spring,
-        lam=_get(cp, "lagrangian", "lambda", float, default=0.0, lo=-32.0, hi=32.0),
-        K=_get(cp, "lagrangian", "k", float, default=0.0, lo=0.0, hi=1e4),
-        K1=_get(cp, "lagrangian", "k1", float, default=0.0, lo=0.0, hi=1e4),
-        K2=_get(cp, "lagrangian", "k2", float, default=0.0, lo=0.0, hi=1e4),
-        a0=_get(cp, "lagrangian", "a0", float, default=0.0, lo=0.0, hi=1e4),
-        a1=_get(cp, "lagrangian", "a1", float, default=0.0, lo=0.0, hi=1e4),
         grid=grid,
         n_list=n_list,
         lp_N=_get(cp, "lp", "n", int, default=32, lo=8, hi=512),
         lp_T_max=_get(cp, "lp", "t_max", float, default=2.0, lo=0.1, hi=64.0),
         out_dir=_get(cp, "output", "directory", str, default="out"),
-        formats=formats,
         config_hash=hashlib.sha256(raw).hexdigest()[:16],
     )
 
@@ -208,13 +188,13 @@ def read_csv(path) -> Dict[str, object]:
     return {"config_hash": cfg_hash, "header": header, "rows": rows}
 
 
-def write_summary(path: Path, command: str, cfg: RunConfig, seed: int, results, warnings):
+def write_summary(path: Path, command: str, config_hash: str, seed: int, results) -> None:
     payload = {
         "command": command,
-        "config_hash": cfg.config_hash,
+        "config_hash": config_hash,
         "seed": seed,
         "results": results,
-        "warnings": warnings,
+        "warnings": [],
     }
     path.write_text(
         json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n",
@@ -223,104 +203,67 @@ def write_summary(path: Path, command: str, cfg: RunConfig, seed: int, results, 
 
 
 # -- commands ----------------------------------------------------------------------
+# Each command maps (cfg, seed) to ({csv name: (header, rows)}, summary name,
+# results); main writes the files.
 
 
-def cmd_ground_energy(cfg: RunConfig, out: Path, seed: int, threads: int) -> List[str]:
-    est = chain_opt.ground_energy(
-        cfg.model(), cfg.env(), cfg.n_list, cfg.grid, seed=seed, threads=threads
-    )
+def cmd_ground_energy(cfg: RunConfig, seed: int):
+    est = chain_opt.ground_energy(cfg.model, cfg.env, cfg.n_list, cfg.grid, seed=seed)
     rows = [(n, m, m / n) for n, m in zip(est.n_list, est.m_values)]
-    if "csv" in cfg.formats:
-        write_csv(out / "ground_energy.csv", cfg.config_hash, ["n", "m_n", "m_n_over_n"], rows)
-    if "json" in cfg.formats:
-        write_summary(
-            out / "ground_energy_summary.json",
-            "ground-energy",
-            cfg,
-            seed,
-            {
-                "lower_bound": est.lower_bound,
-                "extrapolated": est.extrapolated,
-                "inf_pair_sampled": est.inf_pair_sampled,
-                "inf_diag_sampled": est.inf_diag_sampled,
-                "h": est.h,
-            },
-            [],
-        )
-    return []
+    results = {
+        "lower_bound": est.lower_bound,
+        "extrapolated": est.extrapolated,
+        "inf_pair_sampled": est.inf_pair_sampled,
+        "inf_diag_sampled": est.inf_diag_sampled,
+        "h": est.h,
+    }
+    csvs = {"ground_energy.csv": (["n", "m_n", "m_n_over_n"], rows)}
+    return csvs, "ground_energy_summary.json", results
 
 
-def cmd_mane(cfg: RunConfig, out: Path, seed: int, threads: int) -> List[str]:
-    est = chain_opt.ground_energy(
-        cfg.model(), cfg.env(), cfg.n_list, cfg.grid, seed=seed, threads=threads
-    )
-    table = mane.mane_table(cfg.model(), cfg.env(), est.lower_bound, cfg.grid.X, cfg.grid.h)
-    defects = mane.cocycle_defects(cfg.model(), table, samples=12, seed=seed)
-    sens = mane.grid_sensitivity(cfg.model(), table)
+def cmd_mane(cfg: RunConfig, seed: int):
+    model, env, X, h = cfg.model, cfg.env, cfg.grid.X, cfg.grid.h
+    est = chain_opt.ground_energy(model, env, cfg.n_list, cfg.grid, seed=seed)
+    table = mane.mane_table(model, env, est.lower_bound, X, h)
     # defect sensitivity to the Ebar choice: rerun key defects at the extrapolated value
-    table_x = mane.mane_table(cfg.model(), cfg.env(), est.extrapolated, cfg.grid.X, cfg.grid.h)
-    if "csv" in cfg.formats:
-        rows = list(zip(table.targets, table.phi, table.n_steps))
-        write_csv(out / "mane_potential.csv", cfg.config_hash, ["t", "phi", "n_steps"], rows)
-    if "json" in cfg.formats:
-        write_summary(
-            out / "mane_summary.json",
-            "mane",
-            cfg,
-            seed,
-            {
-                "ebar_lower_bound": est.lower_bound,
-                "ebar_extrapolated": est.extrapolated,
-                "cocycle_defects": defects,
-                "grid_sensitivity": sens,
-                "phi_shift_between_ebar_choices": float(
-                    np.max(np.abs(table.phi - table_x.phi))
-                ),
-            },
-            [],
-        )
-    return []
+    table_x = mane.mane_table(model, env, est.extrapolated, X, h)
+    results = {
+        "ebar_lower_bound": est.lower_bound,
+        "ebar_extrapolated": est.extrapolated,
+        "cocycle_defects": mane.cocycle_defects(model, table, samples=12, seed=seed),
+        "grid_sensitivity": mane.grid_sensitivity(model, table),
+        "phi_shift_between_ebar_choices": float(np.max(np.abs(table.phi - table_x.phi))),
+    }
+    rows = list(zip(table.targets, table.phi, table.n_steps))
+    return {"mane_potential.csv": (["t", "phi", "n_steps"], rows)}, "mane_summary.json", results
 
 
-def cmd_calibrate(cfg: RunConfig, out: Path, seed: int, threads: int) -> List[str]:
-    est = chain_opt.ground_energy(
-        cfg.model(), cfg.env(), cfg.n_list, cfg.grid, seed=seed, threads=threads
-    )
+def cmd_calibrate(cfg: RunConfig, seed: int):
+    est = chain_opt.ground_energy(cfg.model, cfg.env, cfg.n_list, cfg.grid, seed=seed)
     report = mane.calibrate_window(
-        cfg.model(), cfg.env(), est.lower_bound, cfg.grid.N_outer, cfg.grid.W, cfg.grid
+        cfg.model, cfg.env, est.lower_bound, cfg.grid.N_outer, cfg.grid.W, cfg.grid
     )
-    if "csv" in cfg.formats:
-        rows = [(int(m), int(n), d) for m, n, d in report.defects]
-        write_csv(out / "calibration.csv", cfg.config_hash, ["m", "n", "defect"], rows)
-    if "json" in cfg.formats:
-        write_summary(
-            out / "calibrate_summary.json",
-            "calibrate",
-            cfg,
-            seed,
-            {
-                "max_defect": report.max_defect,
-                "rotation": report.rotation,
-                "max_jump": report.max_jump,
-                "min_jump": report.min_jump,
-                "strictly_monotone": report.strictly_monotone,
-                "ebar": report.ebar,
-                "window": list(report.window),
-            },
-            [],
-        )
-    return []
+    rows = [(int(m), int(n), d) for m, n, d in report.defects]
+    results = {
+        "max_defect": report.max_defect,
+        "rotation": report.rotation,
+        "max_jump": report.max_jump,
+        "min_jump": report.min_jump,
+        "strictly_monotone": report.strictly_monotone,
+        "ebar": report.ebar,
+        "window": list(report.window),
+    }
+    return {"calibration.csv": (["m", "n", "defect"], rows)}, "calibrate_summary.json", results
 
 
-def cmd_tower(cfg: RunConfig, out: Path, seed: int, threads: int) -> List[str]:
-    if cfg.variant != "quasicrystal":
+def cmd_tower(cfg: RunConfig, seed: int):
+    if cfg.env.kind != "quasicrystal":
         raise ConfigError("tower command needs a quasicrystal environment")
-    window = max(100_000.0, 2000.0 * cfg.alpha.max_gap())
-    t0 = towers.level0_tower(cfg.alpha, window)
-    t1, m01 = towers.induce_tower(t0, cfg.alpha, window)
-    t2, m12 = towers.induce_tower(t1, cfg.alpha, window)
-    res01 = towers.tower_measure_residual(t0, t1, m01)
-    res12 = towers.tower_measure_residual(t1, t2, m12)
+    alpha = cfg.model.alpha
+    window = max(100_000.0, 2000.0 * alpha.max_gap())
+    t0 = towers.level0_tower(alpha, window)
+    t1, m01 = towers.induce_tower(t0, alpha, window)
+    t2, m12 = towers.induce_tower(t1, alpha, window)
     floor_rows = []
     for tw in (t0, t1, t2):
         for i, (lab, hgt) in enumerate(zip(tw.labels, tw.heights)):
@@ -332,122 +275,81 @@ def cmd_tower(cfg: RunConfig, out: Path, seed: int, threads: int) -> List[str]:
         for a in range(m.entries.shape[0]):
             for b in range(m.entries.shape[1]):
                 hom_rows.append((lvl, a, b, int(m.entries[a, b])))
-    if "csv" in cfg.formats:
-        write_csv(
-            out / "tower_floors.csv",
-            cfg.config_hash,
-            ["level", "floor", "label", "height", "nu"],
-            floor_rows,
-        )
-        write_csv(
-            out / "tower_homology.csv",
-            cfg.config_hash,
-            ["lower_level", "row", "col", "count"],
-            hom_rows,
-        )
-    if "json" in cfg.formats:
-        write_summary(
-            out / "tower_summary.json",
-            "tower",
-            cfg,
-            seed,
-            {
-                "window": window,
-                "residual_01": res01,
-                "residual_12": res12,
-                "mass_level0": t0.measure_mass(),
-                "periodic": t0.periodic,
-                "floors": [len(t0.labels), len(t1.labels), len(t2.labels)],
-            },
-            [],
-        )
-    return []
+    csvs = {
+        "tower_floors.csv": (["level", "floor", "label", "height", "nu"], floor_rows),
+        "tower_homology.csv": (["lower_level", "row", "col", "count"], hom_rows),
+    }
+    results = {
+        "window": window,
+        "residual_01": towers.tower_measure_residual(t0, t1, m01),
+        "residual_12": towers.tower_measure_residual(t1, t2, m12),
+        "mass_level0": t0.measure_mass(),
+        "periodic": t0.periodic,
+        "floors": [len(t0.labels), len(t1.labels), len(t2.labels)],
+    }
+    return csvs, "tower_summary.json", results
 
 
-def cmd_lp(cfg: RunConfig, out: Path, seed: int, threads: int) -> List[str]:
-    if cfg.variant != "circle":
+def cmd_lp(cfg: RunConfig, seed: int):
+    if cfg.env.kind != "circle":
         raise ConfigError("lp command needs a circle environment")
-    lp = holonomic_lp.discretize_circle(cfg.model(), cfg.lp_N, cfg.lp_T_max)
+    lp = holonomic_lp.discretize_circle(cfg.model, cfg.lp_N, cfg.lp_T_max)
     measure, primal = holonomic_lp.solve_primal(lp)
     dual = holonomic_lp.solve_dual(lp, measure)
     support = holonomic_lp.mather_support(measure)
-    if "csv" in cfg.formats:
-        rows = [
-            (j, k, k / lp.N, float(measure.weights[j, k + (lp.jumps.size - 1) // 2]))
-            for j, k in support
-        ]
-        write_csv(out / "lp_support.csv", cfg.config_hash, ["j", "k", "t", "weight"], rows)
-    if "json" in cfg.formats:
-        write_summary(
-            out / "lp_summary.json",
-            "lp",
-            cfg,
-            seed,
-            {
-                "N": lp.N,
-                "T_max": cfg.lp_T_max,
-                "primal": primal,
-                "dual": dual.value,
-                "gap": primal - dual.value,
-                "support_size": len(support),
-                "projection": holonomic_lp.support_projection(support),
-            },
-            [],
-        )
-    return []
+    rows = [
+        (j, k, k / lp.N, float(measure.weights[j, k + (lp.jumps.size - 1) // 2]))
+        for j, k in support
+    ]
+    results = {
+        "N": lp.N,
+        "T_max": cfg.lp_T_max,
+        "primal": primal,
+        "dual": dual.value,
+        "gap": primal - dual.value,
+        "support_size": len(support),
+        "projection": holonomic_lp.support_projection(support),
+    }
+    return {"lp_support.csv": (["j", "k", "t", "weight"], rows)}, "lp_summary.json", results
 
 
-def cmd_env_report(cfg: RunConfig, out: Path, seed: int, threads: int) -> List[str]:
-    env = cfg.env()
-    results: Dict[str, object] = {"variant": cfg.variant}
-    rows = []
-    if cfg.variant == "quasicrystal":
-        alpha = cfg.alpha
-        N = 100_000
-        pts = env.pset.points_in(0.0, float(N))
-        gaps = np.diff(pts)
-        letters, counts = np.unique(np.rint(gaps).astype(int), return_counts=True)
-        rows = list(zip(letters, counts, counts / gaps.size))
-        count_law = int(np.count_nonzero(alpha.membership_range(1, N)))
-        floor_law = alpha.floor_mul(N)
-        if count_law != floor_law:
-            # the vectorized membership test disagrees with the scalar exact floor
-            raise NumericalFailure(
-                f"count law violated: {count_law} Beatty points in 1..{N}, "
-                f"floor(N alpha) = {floor_law}"
-            )
-        freq = transverse_frequency(env, canonical_point_section(env), 2000.0)
-        rng = np.random.default_rng(seed)
-        dists = []
-        for _ in range(cfg.seeds):
-            off = float(rng.uniform(0.0, 10.0))
-            dists.append(hull_distance(env, translate_env(env, off), 16.0))
-        results.update(
-            {
-                "alpha": str(alpha),
-                "alpha_value": alpha.value,
-                "inv_floor": alpha.inv_floor(),
-                "count_in_1_to_N": count_law,
-                "floor_N_alpha": floor_law,
-                "point_frequency": freq,
-                "hull_distance_samples": dists,
-            }
+def cmd_env_report(cfg: RunConfig, seed: int):
+    env, model = cfg.env, cfg.model
+    results: Dict[str, object] = {"variant": env.kind}
+    if env.kind != "quasicrystal":
+        results["sample_energy_origin"] = energy(model, env, 0.0, model.lam)
+        results["phase"] = env.phase if env.kind == "circle" else [env.w1, env.w2]
+        return {}, "env_report.json", results
+    alpha = model.alpha
+    N = 100_000
+    gaps = np.diff(env.pset.points_in(0.0, float(N)))
+    letters, counts = np.unique(np.rint(gaps).astype(int), return_counts=True)
+    count_law = int(np.count_nonzero(alpha.membership_range(1, N)))
+    floor_law = alpha.floor_mul(N)
+    if count_law != floor_law:
+        # the vectorized membership test disagrees with the scalar exact floor
+        raise NumericalFailure(
+            f"count law violated: {count_law} Beatty points in 1..{N}, "
+            f"floor(N alpha) = {floor_law}"
         )
-    else:
-        model = cfg.model()
-        results.update(
-            {
-                "sample_energy_origin": energy(model, env, 0.0, model.lam),
-                "phase": cfg.phase if cfg.variant == "circle" else [cfg.w1, cfg.w2],
-            }
-        )
-    if "csv" in cfg.formats and rows:
-        write_csv(
-            out / "env_gaps.csv", cfg.config_hash, ["gap", "count", "frequency"], rows
-        )
-    if "json" in cfg.formats:
-        write_summary(out / "env_report.json", "env-report", cfg, seed, results, [])
-    return []
+    rng = np.random.default_rng(seed)
+    dists = []
+    for _ in range(cfg.seeds):
+        off = float(rng.uniform(0.0, 10.0))
+        dists.append(hull_distance(env, translate_env(env, off), 16.0))
+    results.update(
+        {
+            "alpha": str(alpha),
+            "alpha_value": alpha.value,
+            "inv_floor": alpha.inv_floor(),
+            "count_in_1_to_N": count_law,
+            "floor_N_alpha": floor_law,
+            "point_frequency": transverse_frequency(env, canonical_point_section(env), 2000.0),
+            "hull_distance_samples": dists,
+        }
+    )
+    rows = list(zip(letters, counts, counts / gaps.size))
+    return {"env_gaps.csv": (["gap", "count", "frequency"], rows)}, "env_report.json", results
 
 
 _COMMANDS = {
@@ -468,16 +370,19 @@ def main(argv=None) -> int:
     )
     parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("--config", required=True, help="path to the INI run config")
-    parser.add_argument("--out", default="./out", help="output directory (default ./out)")
+    parser.add_argument(
+        "--out", help="output directory (default: the config's [output] directory, else ./out)"
+    )
     parser.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
-    parser.add_argument("--threads", type=int, default=1, help="worker threads for sweeps")
+    # obsolete and ignored: still parsed so that existing command lines keep working
+    parser.add_argument("--threads", type=int, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     t0 = time.perf_counter()
     try:
         cfg = load_config(args.config)
-        out = Path(args.out)
+        out = Path(args.out if args.out is not None else cfg.out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        warnings = _COMMANDS[args.command](cfg, out, args.seed, max(1, args.threads))
+        csvs, summary, results = _COMMANDS[args.command](cfg, args.seed)
     except (ConfigError, DomainError, ResourceError) as exc:
         # arguments outside a solver's domain or over a size cap come from the config
         print(f"config error: {exc}", file=sys.stderr)
@@ -490,9 +395,12 @@ def main(argv=None) -> int:
             msg += f" (best iterate: {len(best)} sites, energy {best.energy:.12g})"
         print(f"numerical failure: {msg}", file=sys.stderr)
         return 3
+    for name, (header, rows) in csvs.items():
+        write_csv(out / name, cfg.config_hash, header, rows)
+    write_summary(out / summary, args.command, cfg.config_hash, args.seed, results)
     elapsed = time.perf_counter() - t0
     # wall time goes to the console only; output files stay byte-reproducible
-    print(f"{args.command}: ok in {elapsed:.2f}s ({len(warnings)} warning(s))")
+    print(f"{args.command}: ok in {elapsed:.2f}s")
     return 0
 
 

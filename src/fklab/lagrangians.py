@@ -67,9 +67,11 @@ def torus_model(K1: float, K2: float, lam: float, spring: str = "quadratic") -> 
     return LagrangianSpec(spring, float(lam), "torus_double_cosine", K1=float(K1), K2=float(K2))
 
 
-def sturm_model(alpha: AlphaValue, a0: float, a1: float, lam: float) -> LagrangianSpec:
+def sturm_model(
+    alpha: AlphaValue, a0: float, a1: float, lam: float, spring: str = "quadratic"
+) -> LagrangianSpec:
     return LagrangianSpec(
-        "quadratic", float(lam), "quasicrystal_bumps", a0=float(a0), a1=float(a1), alpha=alpha
+        spring, float(lam), "quasicrystal_bumps", a0=float(a0), a1=float(a1), alpha=alpha
     )
 
 

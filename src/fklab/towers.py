@@ -30,10 +30,6 @@ class Tower:
     span: float
     periodic: bool
 
-    @property
-    def base_label(self) -> Tuple[int, ...]:
-        return self.labels[self.base_index]
-
     def measure_mass(self) -> float:
         """sum_a nu_a H_a, which approximates 1 for long windows."""
         return float(np.dot(self.nu, self.heights))

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from fklab import AlphaValue, chain_opt
-from fklab.cli import main, read_csv
+from fklab.cli import load_config, main, read_csv
 
 CIRCLE_K0 = """
 [environment]
@@ -89,18 +89,37 @@ def run(tmp_path, config_text, command, name="run.ini", seed=0):
 
 class TestConfig:
     @pytest.mark.parametrize(
-        "line",
-        ["wibble = 3", "max_sweeps = 0", "newton_polish = false"],
-        ids=["wibble", "max_sweeps", "newton_polish"],
+        "section, line",
+        [
+            ("grid", "wibble = 3"),
+            ("grid", "max_sweeps = 0"),
+            ("grid", "newton_polish = false"),
+            ("output", "formats = json"),
+        ],
+        ids=["wibble", "max_sweeps", "newton_polish", "output-formats"],
     )
-    def test_unknown_key_rejected(self, tmp_path, line):
-        config = CIRCLE_K0.replace("[grid]\n", f"[grid]\n{line}\n")
+    def test_unknown_key_rejected(self, tmp_path, section, line):
+        config = CIRCLE_K0.replace(f"[{section}]\n", f"[{section}]\n{line}\n")
         code, _ = run(tmp_path, config, "ground-energy")
         assert code == 2
 
     def test_unknown_section_rejected(self, tmp_path):
         code, _ = run(tmp_path, CIRCLE_K0 + "\n[banana]\nx = 1\n", "ground-energy")
         assert code == 2
+
+    def test_output_directory_is_the_default_out(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(CIRCLE_K1.replace("directory = out", "directory = results"), "utf-8")
+        assert main(["ground-energy", "--config", str(cfg)]) == 0
+        assert (tmp_path / "results" / "ground_energy.csv").is_file()
+        assert not (tmp_path / "out").exists()
+        # --out still takes precedence over the configured directory
+        assert main(["ground-energy", "--config", str(cfg), "--out", "flag"]) == 0
+        assert sorted(p.name for p in (tmp_path / "flag").iterdir()) == [
+            "ground_energy.csv",
+            "ground_energy_summary.json",
+        ]
 
     def test_missing_file(self, tmp_path):
         assert main(["ground-energy", "--config", str(tmp_path / "nope.ini")]) == 2
@@ -109,9 +128,43 @@ class TestConfig:
         code, _ = run(tmp_path, CIRCLE_K0.replace("h = 0.05", "h = 50"), "ground-energy")
         assert code == 2
 
-    def test_quartic_spring_needs_periodic_potential(self, tmp_path):
-        quartic = QC_CONFIG.replace("spring = quadratic", "spring = quartic")
-        code, _ = run(tmp_path, quartic, "ground-energy")
+    @pytest.mark.parametrize("key, value", [("h", "0.05"), ("lambda", "1.0"), ("t_max", "2.0")])
+    def test_nan_is_out_of_range(self, tmp_path, key, value):
+        code, _ = run(tmp_path, CIRCLE_K0.replace(f"{key} = {value}", f"{key} = nan"), "lp")
+        assert code == 2
+
+    @pytest.mark.parametrize(
+        "config, spring, message",
+        [
+            (QC_CONFIG, "quartic", "quartic spring is only cataloged with circle/torus"),
+            (CIRCLE_K0, "banana", "unknown spring 'banana'"),
+        ],
+        ids=["quartic-on-quasicrystal", "unknown-spring"],
+    )
+    def test_catalog_rule_is_config_error(self, tmp_path, capsys, config, spring, message):
+        # the catalog's DomainError surfaces as a config error from load_config
+        config = config.replace("spring = quadratic", f"spring = {spring}")
+        code, _ = run(tmp_path, config, "ground-energy")
+        assert code == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["-0.5", "0", "nan", "64.5"])
+    def test_r_max_must_be_positive(self, tmp_path, value):
+        config = CIRCLE_K1.replace("[grid]\n", f"[grid]\nr_max = {value}\n")
+        code, _ = run(tmp_path, config, "ground-energy")
+        assert code == 2
+
+    def test_r_max_reaches_the_grid(self, tmp_path):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(CIRCLE_K1, encoding="utf-8")
+        assert load_config(str(cfg)).grid.R_max is None  # the solvers' |lambda| + 3
+        cfg.write_text(CIRCLE_K1.replace("[grid]\n", "[grid]\nr_max = 2.5\n"), "utf-8")
+        assert load_config(str(cfg)).grid.R_max == 2.5
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_unrepresentable_offset_is_config_error(self, tmp_path, value):
+        config = QC_CONFIG.replace("offset = 0.0", f"offset = {value}")
+        code, _ = run(tmp_path, config, "ground-energy")
         assert code == 2
 
     @pytest.mark.parametrize(
@@ -165,6 +218,7 @@ class TestGroundEnergyCommand:
         assert abs(e1 - e2) <= 2e-3
 
     def test_threads_flag_same_output(self, tmp_path):
+        # --threads is obsolete: still accepted, and it changes nothing
         cfg = tmp_path / "cfg.ini"
         cfg.write_text(CIRCLE_K1, encoding="utf-8")
         out1, out2 = tmp_path / "o1", tmp_path / "o2"

@@ -10,13 +10,11 @@ from fklab import (
     AlphaValue,
     DomainError,
     EnvPoint,
-    GridSpec,
     chain_energy,
     circle_model,
     coercivity_probe,
     energy,
     equivariant_potential,
-    ground_energy,
     return_times,
     cylinder_at,
     sturm_model,
@@ -74,6 +72,8 @@ class TestEnergy:
     def test_quartic_needs_periodic_potential(self):
         with pytest.raises(DomainError):
             LagrangianSpec("quartic", 1.0, "quasicrystal_bumps", a0=1.0, a1=1.0, alpha=FIB)
+        with pytest.raises(DomainError):
+            sturm_model(FIB, 1.0, 1.0, 1.0, spring="quartic")
 
 
 class TestBumpPotential:
@@ -223,15 +223,6 @@ class TestTabulatedBumps:
             assert all(np.array_equal(v, want[j]) for v in vals)
         lo, hi, ns = environments._TABLES[FIB]
         assert np.array_equal(ns, PointSet(FIB).raw_indices_in(lo, hi))
-
-    def test_threads_share_the_table(self):
-        env = EnvPoint.quasicrystal(FIB, Fraction(37, 16))
-        grid = GridSpec(h=0.08)
-        one = ground_energy(self.M, env, [4, 8, 16, 32], grid, threads=1)
-        environments._TABLES.clear()
-        two = ground_energy(self.M, env, [4, 8, 16, 32], grid, threads=2)
-        assert one.m_values == two.m_values
-        assert one.extrapolated == two.extrapolated
 
 
 class TestChainEnergy:
