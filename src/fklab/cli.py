@@ -20,6 +20,7 @@ import argparse
 import configparser
 import hashlib
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -110,6 +111,9 @@ def load_config(path: str) -> RunConfig:
     pos = {
         k: _get(cp, "environment", k, float, default=0.0) for k in ("offset", "phase", "w1", "w2")
     }
+    for k, v in pos.items():
+        if not math.isfinite(v):
+            raise ConfigError(f"[environment] {k} = {v} must be finite")
     alpha = _get(cp, "environment", "alpha", AlphaValue.parse) if variant == "quasicrystal" else None
     try:
         if variant == "circle":
@@ -120,9 +124,9 @@ def load_config(path: str) -> RunConfig:
         else:
             env = EnvPoint.quasicrystal(alpha, pos["offset"])
             model = sturm_model(alpha, amp["a0"], amp["a1"], lam, spring)
-    except (ValueError, OverflowError) as exc:
+    except ValueError as exc:
         # a catalog DomainError (unknown spring, quartic spring off the circle
-        # and torus) or an offset no exact fraction represents (inf, nan)
+        # and torus)
         raise ConfigError(str(exc)) from exc
     n_list_raw = _get(cp, "grid", "n_list", str, default="4,8,16,32")
     try:

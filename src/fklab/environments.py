@@ -25,6 +25,7 @@ SQRT2 = math.sqrt(2.0)
 MATCH_TOL = 1e-9  # absolute tolerance for pattern / point matching
 _MAX_WINDOW_POINTS = 10_000_000  # hard cap on materialized points
 _MAX_RETURN_WINDOW = 1_000_000.0
+_RETURN_BLOCK = 1 << 16  # return-time candidates matched per gather
 _TABLE_SPAN = 1 << 16  # integers one slope's index table may span (~330 kB of indices)
 _TABLE_MARGIN = 64  # extra integers tabulated on each side a table grows
 
@@ -294,17 +295,31 @@ def return_times(env: EnvPoint, section: CylinderSpec, window: Sequence[float]) 
     cand = (master[:, None] - anchor[None, :]).ravel()
     cand = cand[(cand >= t_lo - MATCH_TOL) & (cand <= t_hi + MATCH_TOL)]
     cand = np.unique(np.round(cand, 9))
-    out = []
-    for t in cand:
-        lo_i = np.searchsorted(master, t - rho - MATCH_TOL, side="left")
-        hi_i = np.searchsorted(master, t + rho + MATCH_TOL, side="right")
-        local = master[lo_i:hi_i] - t
-        local = local[np.abs(local) <= rho + MATCH_TOL]
-        if local.size == anchor.size and (
-            local.size == 0 or np.max(np.abs(local - anchor)) <= MATCH_TOL
-        ):
-            out.append(float(t))
-    return np.asarray(sorted(out))
+    hit = np.zeros(cand.size, dtype=bool)
+    for start in range(0, cand.size, _RETURN_BLOCK):
+        block = cand[start : start + _RETURN_BLOCK]
+        hit[start : start + _RETURN_BLOCK] = _matches_anchor(master, block, anchor, rho)
+    return cand[hit]
+
+
+def _matches_anchor(master: np.ndarray, cand: np.ndarray, anchor: np.ndarray, rho: float):
+    """Whether (master - t) within the closed rho-ball equals the anchor, per t in cand.
+
+    Each candidate's window of master points is gathered into one row of a
+    (candidates) x (widest window) array.  The points kept by the ball test
+    are contiguous in a row, so the anchor is compared from the first kept one.
+    """
+    lo = np.searchsorted(master, cand - rho - MATCH_TOL, side="left")
+    hi = np.searchsorted(master, cand + rho + MATCH_TOL, side="right")
+    last = master.size - 1
+    # at least one column, so argmax is defined when no window holds a point
+    pos = lo[:, None] + np.arange(max(int(np.max(hi - lo)), 1))
+    local = master[np.minimum(pos, last)] - cand[:, None]
+    kept = (pos < hi[:, None]) & (np.abs(local) <= rho + MATCH_TOL)
+    at = lo + np.argmax(kept, axis=1)
+    at = np.minimum(at[:, None] + np.arange(anchor.size), last)
+    ok = np.count_nonzero(kept, axis=1) == anchor.size
+    return ok & (np.max(np.abs(master[at] - cand[:, None] - anchor), axis=1) <= MATCH_TOL)
 
 
 def transverse_frequency(env: EnvPoint, section: CylinderSpec, T: float) -> float:

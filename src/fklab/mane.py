@@ -362,13 +362,9 @@ def equidistribution_counts(chain, env: EnvPoint, section: CylinderSpec, R: floa
     if rts.size < 3:
         raise InsufficientDataError("section returns fewer than 3 times inside the span")
     xs_sorted = np.sort(xs)
-    counts = []
-    exceptional = 0
-    for a in rts:
-        if a - R >= lo - 1e-9 and a + R <= hi + 1e-9:
-            i0 = np.searchsorted(xs_sorted, a - R, side="right")
-            i1 = np.searchsorted(xs_sorted, a + R, side="left")
-            counts.append(int(i1 - i0))
-        else:
-            exceptional += 1
-    return np.asarray(counts, dtype=int), exceptional
+    inner = (rts - R >= lo - 1e-9) & (rts + R <= hi + 1e-9)
+    a = rts[inner]
+    counts = np.searchsorted(xs_sorted, a + R, side="left") - np.searchsorted(
+        xs_sorted, a - R, side="right"
+    )
+    return counts, int(rts.size - np.count_nonzero(inner))

@@ -68,6 +68,12 @@ def level0_tower(alpha: AlphaValue, window_length: float) -> Tower:
 def induce_tower(t: Tower, alpha: AlphaValue, window_length: float) -> Tuple[Tower, HomologyMatrix]:
     """Induce on the base floor: new floors are the distinct return words.
 
+    The window is cut at the base occurrences into one row per return word,
+    padded with -1 to the longest word, so the array is (return words) x
+    (longest word) integers.  Equal rows are grouped by a lexsort over the
+    columns; only the few distinct words are ordered in Python, by their
+    concatenated lower labels and then by their floor indices.
+
     Heights are computed through the homology matrix, so the column identity
     sum_a M[a, b] H_a = H_b holds exactly.  If only one return word shows up
     the splitting trick (split the base by its follower letter) is attempted;
@@ -82,19 +88,29 @@ def induce_tower(t: Tower, alpha: AlphaValue, window_length: float) -> Tuple[Tow
     if occ.size < 100:
         raise DomainError("base floor must occur at least 100 times in the window")
 
-    words = [tuple(int(v) for v in seq[occ[i] : occ[i + 1]]) for i in range(occ.size - 1)]
-    distinct = sorted(set(words), key=lambda w: (tuple(t.labels[i] for i in w), w))
+    lengths = np.diff(occ)
+    cols = np.arange(int(lengths.max()))
+    pos = occ[:-1, None] + cols
+    rows = np.where(cols < lengths[:, None], seq[np.minimum(pos, occ[-1])], -1)
+    order = np.lexsort(rows.T[::-1])
+    srt = rows[order]
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = np.any(srt[1:] != srt[:-1], axis=1)
+    group = np.empty(order.size, dtype=np.intp)
+    group[order] = np.cumsum(first) - 1
+    words = [tuple(int(v) for v in r[r >= 0]) for r in srt[first]]
     # A single return word means the sequence is periodic.  The splitting
     # trick (split the base by the follower letter) cannot separate anything
     # then, because the unique word forces a unique follower; the general
     # construction below still yields the correct one-floor induced tower.
-    counts = {w: 0 for w in distinct}
-    for w in words:
-        counts[w] += 1
-    shallow = [w for w in distinct if counts[w] < 2]
+    distinct = sorted(words, key=lambda w: (tuple(t.labels[i] for i in w), w))
+    rank = np.array([distinct.index(w) for w in words], dtype=np.int32)
+    seq1 = rank[group]
+    counts_arr = np.bincount(seq1, minlength=len(distinct)).astype(float)
+    shallow = int(np.count_nonzero(counts_arr < 2))
     if shallow:
         raise InsufficientDataError(
-            f"{len(shallow)} return word(s) observed fewer than twice; lengthen the window"
+            f"{shallow} return word(s) observed fewer than twice; lengthen the window"
         )
 
     n_lower = len(t.labels)
@@ -104,9 +120,6 @@ def induce_tower(t: Tower, alpha: AlphaValue, window_length: float) -> Tuple[Tow
             M[i, b] += 1
     heights = M.T.astype(float) @ t.heights
     labels = tuple(sum((t.labels[i] for i in w), ()) for w in distinct)
-    word_id = {w: b for b, w in enumerate(distinct)}
-    seq1 = np.array([word_id[w] for w in words], dtype=np.int32)
-    counts_arr = np.bincount(seq1, minlength=len(distinct)).astype(float)
     span1 = float(np.sum(counts_arr * heights))
     base1 = min(range(len(labels)), key=lambda b: labels[b])
     tower1 = Tower(

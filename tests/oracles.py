@@ -2,8 +2,8 @@
 
 Everything here recomputes results by a route different from the library:
 high-precision floors via mpmath, exhaustive enumeration for chain problems,
-plain loops for the two DP kernels, and Karp's algorithm for the minimum mean
-cycle.
+plain loops for the two DP kernels, for tower induction and for return times,
+and Karp's algorithm for the minimum mean cycle.
 """
 
 import itertools
@@ -11,7 +11,10 @@ import itertools
 import mpmath as mp
 import numpy as np
 
+from fklab.environments import MATCH_TOL
+from fklab.errors import DomainError, InsufficientDataError
 from fklab.lagrangians import chain_energy, energy
+from fklab.towers import HomologyMatrix, Tower
 
 
 def floor_mul_mp(alpha, n: int) -> int:
@@ -174,3 +177,71 @@ def lp_edges(lp):
         for m, k in enumerate(lp.jumps):
             out.append((j, (j + int(k)) % lp.N, float(lp.cost[j, m])))
     return out
+
+
+def induce_tower_loop(t, alpha, window_length):
+    """Word-by-word version of ``towers.induce_tower`` (same errors, same floors)."""
+    if window_length > 1.05 * t.span + 100.0:
+        raise DomainError("tower was built over a much shorter window than requested")
+    seq = t.sequence
+    occ = np.flatnonzero(seq == t.base_index)
+    if occ.size < 100:
+        raise DomainError("base floor must occur at least 100 times in the window")
+    words = [tuple(int(v) for v in seq[occ[i] : occ[i + 1]]) for i in range(occ.size - 1)]
+    distinct = sorted(set(words), key=lambda w: (tuple(t.labels[i] for i in w), w))
+    counts = {w: 0 for w in distinct}
+    for w in words:
+        counts[w] += 1
+    shallow = [w for w in distinct if counts[w] < 2]
+    if shallow:
+        raise InsufficientDataError(
+            f"{len(shallow)} return word(s) observed fewer than twice; lengthen the window"
+        )
+    M = np.zeros((len(t.labels), len(distinct)), dtype=np.int64)
+    for b, w in enumerate(distinct):
+        for i in w:
+            M[i, b] += 1
+    heights = M.T.astype(float) @ t.heights
+    labels = tuple(sum((t.labels[i] for i in w), ()) for w in distinct)
+    word_id = {w: b for b, w in enumerate(distinct)}
+    seq1 = np.array([word_id[w] for w in words], dtype=np.int32)
+    counts_arr = np.bincount(seq1, minlength=len(distinct)).astype(float)
+    span1 = float(np.sum(counts_arr * heights))
+    base1 = min(range(len(labels)), key=lambda b: labels[b])
+    tower1 = Tower(
+        level=t.level + 1,
+        labels=labels,
+        heights=heights,
+        base_index=base1,
+        nu=counts_arr / span1,
+        sequence=seq1,
+        span=span1,
+        periodic=t.periodic,
+    )
+    return tower1, HomologyMatrix(entries=M, row_labels=t.labels, col_labels=labels)
+
+
+def return_times_loop(env, section, window):
+    """Candidate-by-candidate version of ``environments.return_times``."""
+    t_lo, t_hi = float(window[0]), float(window[1])
+    if t_hi < t_lo:
+        return np.empty(0)
+    anchor = np.asarray(section.anchor.points)
+    rho = section.radius
+    master = env.pset.points_in(t_lo - rho - 2.0, t_hi + rho + 2.0)
+    if master.size == 0:
+        return np.empty(0)
+    cand = (master[:, None] - anchor[None, :]).ravel()
+    cand = cand[(cand >= t_lo - MATCH_TOL) & (cand <= t_hi + MATCH_TOL)]
+    cand = np.unique(np.round(cand, 9))
+    out = []
+    for t in cand:
+        lo_i = np.searchsorted(master, t - rho - MATCH_TOL, side="left")
+        hi_i = np.searchsorted(master, t + rho + MATCH_TOL, side="right")
+        local = master[lo_i:hi_i] - t
+        local = local[np.abs(local) <= rho + MATCH_TOL]
+        if local.size == anchor.size and (
+            local.size == 0 or np.max(np.abs(local - anchor)) <= MATCH_TOL
+        ):
+            out.append(float(t))
+    return np.asarray(sorted(out))

@@ -170,6 +170,20 @@ class TestConfig:
     @pytest.mark.parametrize(
         "config, old, new, command",
         [
+            (CIRCLE_K1, "phase = 0.0", "phase = inf", "ground-energy"),
+            (CIRCLE_K1, "phase = 0.0", "phase = nan", "env-report"),
+            (TORUS_CONFIG, "w1 = 0.0", "w1 = inf", "ground-energy"),
+        ],
+        ids=["circle-phase-inf", "circle-phase-nan", "torus-w1-inf"],
+    )
+    def test_nonfinite_position_is_config_error(self, tmp_path, capsys, config, old, new, command):
+        code, _ = run(tmp_path, config.replace(old, new), command)
+        assert code == 2
+        assert "must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "config, old, new, command",
+        [
             (TORUS_CONFIG, "n_outer = 32", "n_outer = 16", "calibrate"),
         ],
         ids=["calibrate-n_outer-below-4w"],

@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from fklab import (
     AlphaValue,
+    CylinderSpec,
     DomainError,
     EnvPoint,
     Pattern,
@@ -21,11 +23,18 @@ from fklab import (
     translate_env,
     transverse_frequency,
 )
+from fklab.environments import _MAX_RETURN_WINDOW
 
-from oracles import beatty_indices_mp, floor_mul_mp
+from oracles import beatty_indices_mp, floor_mul_mp, return_times_loop
 
 FIB = AlphaValue.fibonacci()
 HALF = AlphaValue.rational(1, 2)
+ALPHAS = [FIB, AlphaValue.rational(2, 5), AlphaValue.quadratic(0, 1, 2, 2)]
+SECTIONS = {
+    "canonical": canonical_point_section,
+    "cylinder-10-3": lambda env: cylinder_at(env, 10.0, 3.0),
+    "cylinder-m7.25-6": lambda env: cylinder_at(env, -7.25, 6.0),
+}
 
 
 class TestAlphaValue:
@@ -251,6 +260,36 @@ class TestReturnTimes:
         env = EnvPoint.quasicrystal(HALF)
         with pytest.raises(DomainError):
             return_times(env, type(cylinder_at(env, 2.0, 2.0))(Pattern(0.3, ()), 0.3), (0, 4))
+
+    @pytest.mark.parametrize("section", SECTIONS)
+    @pytest.mark.parametrize("offset", [0, 0.125, 3.5])
+    @pytest.mark.parametrize("alpha", ALPHAS, ids=str)
+    def test_matches_loop_oracle(self, alpha, offset, section):
+        env = EnvPoint.quasicrystal(alpha, offset)
+        sec = SECTIONS[section](env)
+        got = return_times(env, sec, (-1000.0, 1000.0))
+        expect = return_times_loop(env, sec, (-1000.0, 1000.0))
+        assert got.size > 0
+        assert np.array_equal(got, expect)
+        assert got.dtype == expect.dtype
+
+    def test_anchor_outside_its_ball_never_matches(self):
+        # no candidate window holds a set point, so nothing is gathered
+        env = EnvPoint.quasicrystal(FIB)
+        sec = CylinderSpec(Pattern(0.3, (0.5,)), 0.3)
+        got = return_times(env, sec, (0.0, 100.0))
+        assert got.size == 0
+        assert np.array_equal(got, return_times_loop(env, sec, (0.0, 100.0)))
+
+    @pytest.mark.parametrize("section", ["canonical", "cylinder-10-3"])
+    def test_window_at_the_cap_is_fast(self, section):
+        # the size cap stands for a time: a window at the cap takes under 2 s
+        env = EnvPoint.quasicrystal(FIB, 0.125)
+        sec = SECTIONS[section](env)
+        t0 = time.perf_counter()
+        rt = return_times(env, sec, (0.0, _MAX_RETURN_WINDOW))
+        assert time.perf_counter() - t0 < 2.0
+        assert rt.size > 0
 
 
 class TestTransverseFrequency:

@@ -11,12 +11,13 @@ from fklab import (
     level0_tower,
     tower_measure_residual,
 )
-from fklab.towers import HomologyMatrix
+from fklab.towers import HomologyMatrix, Tower
 
-from oracles import beatty_indices_mp
+from oracles import beatty_indices_mp, induce_tower_loop
 
 FIB = AlphaValue.fibonacci()
 HALF = AlphaValue.rational(1, 2)
+ALPHAS = [FIB, AlphaValue.rational(2, 5), AlphaValue.quadratic(0, 1, 2, 2)]
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
 
@@ -93,6 +94,40 @@ class TestInduction:
             t = t0
             for _ in range(8):
                 t, _ = induce_tower(t, FIB, 2500.0)
+
+    def test_shallow_word_is_insufficient_data(self):
+        # 121 base occurrences: the word (0, 1) is seen 120 times, (0, 1, 1) once
+        seq = np.array([0, 1] * 120 + [0, 1, 1, 0])
+        t = Tower(
+            level=0,
+            labels=((1,), (2,)),
+            heights=np.array([1.0, 2.0]),
+            base_index=0,
+            nu=np.array([0.5, 0.25]),
+            sequence=seq,
+            span=1000.0,
+            periodic=False,
+        )
+        with pytest.raises(InsufficientDataError, match=r"^1 return word\(s\) observed"):
+            induce_tower(t, FIB, 1000.0)
+
+    @pytest.mark.parametrize("alpha", ALPHAS, ids=str)
+    def test_matches_loop_oracle_at_two_levels(self, alpha):
+        fast = slow = level0_tower(alpha, 1e5)
+        for _ in range(2):
+            (fast, m_fast), (slow, m_slow) = (
+                induce_tower(fast, alpha, 1e5),
+                induce_tower_loop(slow, alpha, 1e5),
+            )
+            assert fast.labels == slow.labels
+            assert np.array_equal(fast.heights, slow.heights)
+            assert np.array_equal(m_fast.entries, m_slow.entries)
+            assert m_fast.col_labels == m_slow.col_labels
+            assert np.array_equal(fast.sequence, slow.sequence)
+            assert fast.sequence.dtype == slow.sequence.dtype
+            assert np.array_equal(fast.nu, slow.nu)
+            assert fast.span == slow.span
+            assert fast.base_index == slow.base_index
 
 
 class TestMeasureRelation:
