@@ -105,10 +105,6 @@ class GroundEnergyEstimate:
     inf_diag_sampled: float
     h: float
 
-    @property
-    def per_site(self) -> Tuple[float, ...]:
-        return tuple(m / n for m, n in zip(self.m_values, self.n_list))
-
 
 @dataclass(frozen=True)
 class RepairResult:
@@ -311,9 +307,10 @@ def minimize_fixed(
     start = dp_pos.copy()
     start[0], start[-1] = x_start, x_end  # exact endpoints (DP snaps x_end to the grid)
     xs, steps = _refine(model, env, start, True)
+    chain = make_chain(model, env, xs)
     return MinimizeResult(
-        chain=make_chain(model, env, xs),
-        energy=chain_energy(model, env, xs),
+        chain=chain,
+        energy=chain.energy,
         dp_positions=dp_pos,
         dp_energy=dp_energy,
         sweeps=steps,
@@ -353,9 +350,10 @@ def minimize_free(
     else:
         dp_pos, dp_energy = pos_up, e_up
     xs, steps = _refine(model, env, dp_pos, False)
+    chain = make_chain(model, env, xs)
     return MinimizeResult(
-        chain=make_chain(model, env, xs),
-        energy=chain_energy(model, env, xs),
+        chain=chain,
+        energy=chain.energy,
         dp_positions=dp_pos,
         dp_energy=dp_energy,
         sweeps=steps,

@@ -181,14 +181,11 @@ def solve_dual(lp: LPProblem, measure: DiscreteMeasure) -> DualPotential:
     return DualPotential(u=u, value=value)
 
 
-def mather_support(measure: DiscreteMeasure, threshold: float = 1e-6) -> List[Tuple[int, int]]:
-    """Arcs carrying weight above threshold * max weight, as (j, k) pairs."""
-    if not (0.0 < threshold < 1.0):
-        raise DomainError("threshold must lie in (0, 1)")
+def mather_support(measure: DiscreteMeasure) -> List[Tuple[int, int]]:
+    """Arcs carrying weight, as (j, k) pairs; the primal is uniform on one cycle."""
     w = measure.weights
-    cut = threshold * float(w.max())
     half = (w.shape[1] - 1) // 2
-    return [(int(j), int(m) - half) for j, m in np.argwhere(w > cut)]
+    return [(int(j), int(m) - half) for j, m in np.argwhere(w > 0.0)]
 
 
 def support_projection(support: List[Tuple[int, int]]) -> List[int]:

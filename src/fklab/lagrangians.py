@@ -78,6 +78,8 @@ def sturm_model(
 def _check_variant(model: LagrangianSpec, env: EnvPoint):
     if model.env_kind != env.kind:
         raise DomainError(f"model binds {model.env_kind!r} environments, got {env.kind!r}")
+    if model.alpha is not None and model.alpha != env.pset.alpha:
+        raise DomainError("the bump model and the point set have different slopes alpha")
 
 
 # -- spring ------------------------------------------------------------------

@@ -4,17 +4,18 @@ Phi(omega, t) is approximated by a shortest-path DP over strictly monotone
 chains of any length on a position grid: monotone steps between ordered nodes
 form a DAG, so one pass over the nodes gives the infimum (the monotone
 reduction justifies the restriction for twist models; t = 0 uses the closed
-form E(0,0) - Ebar).
-Calibration defects of a long free minimizer are measured against tables whose
-node set is augmented by the chain's own points, so the tested sub-chain is
-always inside the search space and defects stay nonnegative up to roundoff.
+form E(0,0) - Ebar).  One helper, ``_phi_to``, runs that DP toward a set of
+targets; the Mane table, the subadditivity check and the calibration defects
+all read Phi from it.  Its nodes are the targets themselves plus the h-ladder
+points clear of them, so in calibration the tested sub-chain is always inside
+the search space and defects stay nonnegative up to roundoff.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -35,7 +36,7 @@ from .lagrangians import (
 
 @dataclass(frozen=True)
 class ManeTable:
-    """Phi over the grid targets, with each target's step count and chain.
+    """Phi over the grid targets {k h : |k| <= K}, with each target's step count.
 
     ``n_max`` is K = floor(X / h), the most steps a chain on the table's nodes
     can take; nothing in the library reads it, and it keeps its name only
@@ -47,10 +48,9 @@ class ManeTable:
     X: float
     h: float
     n_max: int
-    targets: np.ndarray  # grid values, ascending, 0 included
+    targets: np.ndarray  # k h for k = -K..K, ascending
     phi: np.ndarray
     n_steps: np.ndarray
-    chains: Tuple[np.ndarray, ...]
 
 
 @dataclass(frozen=True)
@@ -97,16 +97,33 @@ def _phi_over_nodes(model, env, nodes, ebar):
     return _kernels.phi_dp(cost)
 
 
-def _chains(nodes, back):
-    """The optimal chain 0 -> nodes[j] of every node j >= 1, from the DP's back-pointers.
+def _phi_to(model, env, rel, h, ebar):
+    """Phi-hat(0 -> r) and its optimal step count for each r in ``rel``, aligned with it.
 
-    Every step cost is finite, so every node is reached and back[j] < j: each
-    chain is an earlier node's chain plus one step.
+    Each sign of ``rel`` runs one DP over node 0, that sign's exact targets and
+    the h-ladder points that lie clear of every target, up to the farthest
+    target.  |r| <= 1e-12 takes the closed form E(0, 0) - Ebar with one step.
     """
-    idx = [np.zeros(1, dtype=np.int64)]
-    for j in range(1, nodes.size):
-        idx.append(np.append(idx[back[j]], j))
-    return [nodes[i] for i in idx[1:]]
+    rel = np.asarray(rel, dtype=float)
+    phi = np.full(rel.shape, energy(model, env, 0.0, 0.0) - ebar)
+    n_steps = np.ones(rel.shape, dtype=np.int64)
+    for direction in (-1.0, 1.0):
+        side = direction * rel > 1e-12
+        if not side.any():
+            continue
+        anchors = np.unique(rel[side])
+        top = float(np.max(np.abs(anchors)))
+        ladder = direction * h * np.arange(1, int(math.ceil(top / h + 1e-9)) + 1)
+        ladder = ladder[np.abs(ladder) <= top + 1e-12]
+        pos = np.searchsorted(anchors, ladder)
+        near_hi = np.abs(anchors[np.clip(pos, 0, anchors.size - 1)] - ladder) <= 1e-9
+        near_lo = np.abs(anchors[np.clip(pos - 1, 0, anchors.size - 1)] - ladder) <= 1e-9
+        # nodes in the order of the chain: keys ascend, nodes move away from 0
+        keys = np.sort(direction * np.concatenate([[0.0], anchors, ladder[~(near_hi | near_lo)]]))
+        side_phi, side_steps, _ = _phi_over_nodes(model, env, direction * keys, ebar)
+        j = np.searchsorted(keys, direction * rel[side])
+        phi[side], n_steps[side] = side_phi[j], side_steps[j]
+    return phi, n_steps
 
 
 def mane_table(
@@ -120,33 +137,17 @@ def mane_table(
     if h <= 0 or X <= 0:
         raise DomainError("X and h must be positive")
     K = int(math.floor(X / h + 1e-9))
-    targets: List[float] = []
-    phis: List[float] = []
-    nsteps: List[int] = []
-    chains: List[np.ndarray] = []
-    for sign in (-1.0, 1.0):
-        nodes = sign * h * np.arange(K + 1)
-        phi, ns, back = _phi_over_nodes(model, env, nodes, ebar)
-        targets.extend(nodes[1:].tolist())
-        phis.extend(phi[1:].tolist())
-        nsteps.extend(ns[1:].tolist())
-        chains.extend(_chains(nodes, back))
-    # closed form at t = 0: the one-step loop (0, 0)
-    targets.append(0.0)
-    phis.append(energy(model, env, 0.0, 0.0) - ebar)
-    nsteps.append(1)
-    chains.append(np.array([0.0, 0.0]))
-    order = np.argsort(np.asarray(targets))
+    targets = h * np.arange(-K, K + 1)
+    phi, n_steps = _phi_to(model, env, targets, h, ebar)
     return ManeTable(
         env=env,
         ebar=float(ebar),
         X=float(X),
         h=float(h),
         n_max=K,
-        targets=np.asarray(targets)[order],
-        phi=np.asarray(phis)[order],
-        n_steps=np.asarray(nsteps, dtype=int)[order],
-        chains=tuple(chains[i] for i in order),
+        targets=targets,
+        phi=phi,
+        n_steps=n_steps,
     )
 
 
@@ -174,14 +175,15 @@ def cocycle_defects(
 ) -> Dict[str, float]:
     """Empirical defects of the cocycle inequalities on sampled grid pairs.
 
-    Subadditivity needs Phi at the shifted environment; one table per distinct
-    sampled shift is built on demand and cached.
+    Subadditivity needs Phi(tau_s omega, t), read from one DP toward t at the
+    shifted environment.  A monotone chain 0 -> t visits only nodes between 0
+    and t, so that value equals the entry of a full shifted table.
     """
     if samples < 10:
         raise DomainError("need at least 10 sampled pairs")
     env = table.env
     targets = table.targets
-    grid_idx = {int(round(float(t) / table.h)): i for i, t in enumerate(targets)}
+    mid = (targets.size - 1) // 2  # targets[mid + k] = k h
     rng = np.random.default_rng(seed)
     K = int(round(table.X / table.h))
     pairs = []
@@ -190,17 +192,14 @@ def cocycle_defects(
         guard += 1
         s = int(rng.integers(-K, K + 1))
         t = int(rng.integers(-K, K + 1))
-        if s != 0 and s in grid_idx and t in grid_idx and (s + t) in grid_idx:
+        if s != 0 and max(abs(s), abs(t), abs(s + t)) <= mid:
             pairs.append((s, t))
-    cache: Dict[int, ManeTable] = {}
     subadd = -np.inf
     for s, t in pairs:
-        if s not in cache:
-            cache[s] = mane_table(
-                model, translate_env(env, s * table.h), table.ebar, table.X, table.h
-            )
-        lhs = table.phi[grid_idx[s + t]]
-        rhs = table.phi[grid_idx[s]] + cache[s].phi[grid_idx[t]]
+        env_s = translate_env(env, s * table.h)
+        phi_t, _ = _phi_to(model, env_s, targets[mid + t : mid + t + 1], table.h, table.ebar)
+        lhs = table.phi[mid + s + t]
+        rhs = table.phi[mid + s] + phi_t[0]
         subadd = max(subadd, float(lhs - rhs))
     one_step = np.asarray([energy(model, env, 0.0, float(t)) - table.ebar for t in targets])
     one_step_max = float(np.max(table.phi - one_step))
@@ -230,33 +229,6 @@ def grid_sensitivity(model: LagrangianSpec, coarse: ManeTable) -> Dict[str, floa
     return {"max_change": delta, "h": h, "bound_Ch": lipschitz_bound(model, env, X) * h}
 
 
-def _phi_to_targets(model, env_at_start, rel_targets, h, ebar):
-    """Monotone DP values Phi-hat(0 -> r) for each r in rel_targets.
-
-    Nodes are the h-ladder toward the farthest target, augmented with the
-    exact target offsets so tested sub-chains stay inside the search space.
-    All rel_targets must share one strict sign.
-    """
-    rel = np.asarray(rel_targets, dtype=float)
-    direction = 1.0 if rel[0] > 0 else -1.0
-    top = float(np.max(np.abs(rel)))
-    K = int(math.ceil(top / h + 1e-9))
-    ladder = direction * h * np.arange(1, K + 1)
-    ladder = ladder[np.abs(ladder) <= top + 1e-12]
-    anchors = np.unique(rel)
-    # keep only ladder points clear of every target; targets enter exactly
-    if anchors.size:
-        pos = np.searchsorted(anchors, ladder)
-        near_hi = np.abs(anchors[np.clip(pos, 0, anchors.size - 1)] - ladder) <= 1e-9
-        near_lo = np.abs(anchors[np.clip(pos - 1, 0, anchors.size - 1)] - ladder) <= 1e-9
-        ladder = ladder[~(near_hi | near_lo)]
-    nodes = np.concatenate([[0.0], anchors, ladder])
-    nodes = nodes[np.argsort(direction * nodes)]
-    phi, _, _ = _phi_over_nodes(model, env_at_start, nodes, ebar)
-    lookup = {float(nodes[j]): float(phi[j]) for j in range(nodes.size)}
-    return {float(t): lookup[float(t)] for t in rel}
-
-
 def calibrate_window(
     model: LagrangianSpec,
     env: EnvPoint,
@@ -267,9 +239,8 @@ def calibrate_window(
 ) -> CalibrationReport:
     """Defects E(x_m..x_n) - (n-m) Ebar - S(x_m, x_n) over the middle window.
 
-    S is evaluated from a Mane DP centered at x_m.  A zero displacement uses
-    the t = 0 closed form; otherwise the DP runs toward x_n with the chain's
-    own offsets as extra nodes.
+    S(x_m, x_n) is Phi(tau_{x_m} omega, x_n - x_m), from one ``_phi_to`` call
+    per m whose targets are the chain's own offsets.
     """
     if N_outer < 4 * W:
         raise DomainError("N_outer must be at least 4 W")
@@ -279,21 +250,9 @@ def calibrate_window(
     lo, hi = mid - W, mid + W
     rows = []
     for m in range(lo, hi):
-        top = min(m + W, hi)
-        rel = xs[m + 1 : top + 1] - xs[m]
-        if rel.size == 0:
-            continue
-        env_m = translate_env(env, xs[m])
-        pos = rel[rel > 1e-12]
-        neg = rel[rel < -1e-12]
-        svals: Dict[float, float] = {}
-        if pos.size:
-            svals.update(_phi_to_targets(model, env_m, pos, grid.h, ebar))
-        if neg.size:
-            svals.update(_phi_to_targets(model, env_m, neg, grid.h, ebar))
-        zero_val = energy(model, env_m, 0.0, 0.0) - ebar
-        for n_i, r in enumerate(rel, start=m + 1):
-            s_val = zero_val if abs(r) <= 1e-12 else svals[float(r)]
+        rel = xs[m + 1 : min(m + W, hi) + 1] - xs[m]
+        s_vals, _ = _phi_to(model, translate_env(env, xs[m]), rel, grid.h, ebar)
+        for n_i, s_val in enumerate(s_vals, start=m + 1):
             e_val = chain_energy(model, env, xs[m : n_i + 1]) - (n_i - m) * ebar
             rows.append((m, n_i, e_val - s_val))
     arr = np.asarray(rows)

@@ -3,7 +3,8 @@
 Everything here recomputes results by a route different from the library:
 high-precision floors via mpmath, exhaustive enumeration for chain problems,
 plain loops for the two DP kernels, for tower induction and for return times,
-and Karp's algorithm for the minimum mean cycle.
+full shifted Mane tables for the subadditivity check, and Karp's algorithm for
+the minimum mean cycle.
 """
 
 import itertools
@@ -11,9 +12,10 @@ import itertools
 import mpmath as mp
 import numpy as np
 
-from fklab.environments import MATCH_TOL
+from fklab.environments import MATCH_TOL, translate_env
 from fklab.errors import DomainError, InsufficientDataError
 from fklab.lagrangians import chain_energy, energy
+from fklab.mane import mane_table
 from fklab.towers import HomologyMatrix, Tower
 
 
@@ -78,6 +80,35 @@ def brute_force_phi(model, env, nodes, target_idx, ebar, n_max):
 
     extend([0], 0.0, 0)
     return best
+
+
+def subadditivity_loop(model, table, samples, seed):
+    """Largest Phi(s+t) - Phi(s) - Phi(tau_s omega, t) over the sampled pairs.
+
+    Draws the pairs as ``cocycle_defects`` does and reads Phi(tau_s omega, t)
+    from a full Mane table at each shifted environment.
+    """
+    h = table.h
+    grid_idx = {int(round(float(t) / h)): i for i, t in enumerate(table.targets)}
+    rng = np.random.default_rng(seed)
+    K = int(round(table.X / h))
+    pairs = []
+    guard = 0
+    while len(pairs) < samples and guard < 100 * samples:
+        guard += 1
+        s = int(rng.integers(-K, K + 1))
+        t = int(rng.integers(-K, K + 1))
+        if s != 0 and s in grid_idx and t in grid_idx and (s + t) in grid_idx:
+            pairs.append((s, t))
+    shifted = {}
+    subadd = -np.inf
+    for s, t in pairs:
+        if s not in shifted:
+            shifted[s] = mane_table(model, translate_env(table.env, s * h), table.ebar, table.X, h)
+        lhs = table.phi[grid_idx[s + t]]
+        rhs = table.phi[grid_idx[s]] + shifted[s].phi[grid_idx[t]]
+        subadd = max(subadd, float(lhs - rhs))
+    return subadd
 
 
 def brute_force_repair(model, env, xs):

@@ -15,6 +15,7 @@ from fklab import (
     coercivity_probe,
     energy,
     equivariant_potential,
+    minimize_free,
     return_times,
     cylinder_at,
     sturm_model,
@@ -56,6 +57,16 @@ class TestEnergy:
     def test_variant_mismatch(self):
         with pytest.raises(DomainError):
             energy(circle_model(1.0, 0.0), TORUS, 0.0, 0.0)
+
+    def test_slope_mismatch(self):
+        # a bump model reads its gap types from its own alpha, so a point set
+        # of another slope would be classified wrongly
+        m = sturm_model(FIB, 0.5, 1.0, PHI)
+        env = EnvPoint.quasicrystal(AlphaValue.rational(2, 5))
+        with pytest.raises(DomainError):
+            energy(m, env, 0.3, 1.9)
+        with pytest.raises(DomainError):
+            minimize_free(m, env, 8, h=0.1)
 
     @pytest.mark.parametrize("model,env", CATALOG)
     def test_equivariance(self, model, env):

@@ -195,13 +195,6 @@ class TestMatherSupport:
         assert proj == [int(jstar)]
         assert int(lp.jumps[mstar]) == 0
 
-    def test_threshold_guard(self):
-        m = circle_model(1.0, 0.5)
-        lp = discretize_circle(m, 16, 2.0)
-        measure, _ = solve_primal(lp)
-        with pytest.raises(DomainError):
-            mather_support(measure, threshold=2.0)
-
 
 class TestChainConsistency:
     def test_primal_brackets_chain_estimate(self):

@@ -27,7 +27,7 @@ from fklab import (
     torus_model,
 )
 
-from oracles import brute_force_phi
+from oracles import brute_force_phi, subadditivity_loop
 
 CIRCLE = EnvPoint.circle(0.0)
 FIB = AlphaValue.fibonacci()
@@ -50,7 +50,6 @@ class TestManeTable:
         assert phi_lookup(t, 0.0) == pytest.approx(0.5, abs=1e-12)
         j = int(np.argmin(np.abs(t.targets - 2.0)))
         assert t.n_steps[j] == 2
-        assert t.chains[j] == pytest.approx([0.0, 1.0, 2.0], abs=1e-12)
 
     @pytest.mark.parametrize("K", [0.0, 1.0])
     def test_matches_exhaustive_enumeration(self, K):
@@ -96,7 +95,6 @@ class TestManeTable:
         assert t.n_steps[j] == 20
         assert t.phi[j] == pytest.approx(0.0, abs=1e-12)
         assert t.n_max == 20
-        assert np.diff(t.chains[j]) == pytest.approx(np.full(20, 0.1), abs=1e-12)
 
 
 class TestCocycleDefects:
@@ -109,6 +107,18 @@ class TestCocycleDefects:
         assert d["one_step_max"] <= 1e-9
         assert d["lower_bound_max"] <= 1e-9
         assert np.isfinite(d["sublinearity_ratio"])
+
+    @pytest.mark.parametrize("case", ["circle", "quasicrystal"])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_subadditivity_matches_shifted_tables(self, case, seed):
+        # one DP toward t per pair gives exactly the full shifted table's entry
+        if case == "circle":
+            m, env, ebar, h = circle_model(1.0, 0.5), CIRCLE, 0.02, 0.1
+        else:
+            m, env, ebar, h = sturm_model(FIB, 0.5, 1.0, PHI), EnvPoint.quasicrystal(FIB), 0.05, 0.08
+        table = mane_table(m, env, ebar, 2.0, h)
+        d = cocycle_defects(m, table, samples=12, seed=seed)
+        assert d["subadd_max"] == subadditivity_loop(m, table, 12, seed)
 
     def test_zero_potential_ratio_matches_closed_form(self):
         # the convex closed form makes the ratio computable independently;
