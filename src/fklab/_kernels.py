@@ -3,7 +3,8 @@
 ``chain_dp_backward_np`` is the banded chain DP behind ground energies and
 minimizers (``chain_opt._dp_solve``); ``phi_dp`` is the Mane DP behind Phi
 and the calibration defects (``mane._phi_over_nodes``), one pass over the DAG
-of monotone steps, so chains of any length are searched.  The holonomic LP
+of monotone steps, so chains of any length are searched; it returns Phi and
+the optimal step counts, not the chains.  The holonomic LP
 has no kernel: its policy iteration (``holonomic_lp._howard``) walks each
 policy graph once in Python and improves it in one numpy pass.
 
@@ -59,26 +60,22 @@ def chain_dp_backward_np(V, Wd, n, dlo, end_idx):
 def phi_dp(cost):
     """One-pass DAG DP from node 0 over the strict upper triangle of ``cost``.
 
-    phi[j] = min_{i<j} phi[i] + cost[i, j] with phi[0] = 0 (0 steps); ties go
-    to the smallest step count, then to the smallest i.  Returns (phi,
-    n_steps, back); back[j] is the predecessor of j on its chain, -1 at node 0
-    and at unreachable nodes.
+    phi[j] = min_{i<j} phi[i] + cost[i, j] with phi[0] = 0 (0 steps).  Returns
+    (phi, n_steps); n_steps[j] is the fewest steps over the optimal chains
+    0 -> j, one more than the least n_steps among j's tied best predecessors
+    (0 at node 0 and at unreachable nodes).
     """
     G = cost.shape[0]
     phi = np.full(G, np.inf)
     n_steps = np.zeros(G, dtype=np.int64)
-    back = np.full(G, -1, dtype=np.int64)
     phi[0] = 0.0
     for j in range(1, G):
         s = phi[:j] + cost[:j, j]
         best = s.min()
         if best == np.inf:
             continue
-        tied = np.flatnonzero(s == best)
-        i = tied[np.argmin(n_steps[tied])]  # argmin keeps the smallest i among equals
         phi[j] = best
-        n_steps[j] = n_steps[i] + 1
-        back[j] = i
-    return phi, n_steps, back
+        n_steps[j] = n_steps[:j][s == best].min() + 1
+    return phi, n_steps
 
 

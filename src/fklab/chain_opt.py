@@ -201,7 +201,7 @@ def _ldl_solve(d, l, rhs):
 
 
 def _refine(model, env, xs, fixed_ends):
-    """Safeguarded Newton on the whole chain; returns (positions, Newton steps).
+    """Safeguarded Newton on the whole chain; returns (positions, Newton steps, energy).
 
     Each step factors the tridiagonal Hessian H = L D L^T.  With every pivot
     positive it takes the Newton step; otherwise it shifts the diagonal by x4
@@ -225,7 +225,7 @@ def _refine(model, env, xs, fixed_ends):
         d, l = _ldl(diag, off, tiny)
         definite = len(d) == len(diag) and d[-1] > tiny
         if g_max <= 1e-11 and (definite or d[-1] >= -tiny):
-            return xs, it
+            return xs, it, e_cur
         if it == MAX_ITER:
             break
         if definite:
@@ -262,15 +262,39 @@ def _refine(model, env, xs, fixed_ends):
             t *= 0.5
         if t * size < 1e-13:
             if g_max <= 1e-8:
-                return xs, it
+                return xs, it, e_cur
             break
     raise NumericalFailure(
         f"refinement did not converge in {MAX_ITER} Newton steps",
-        best=make_chain(model, env, xs),
+        best=Chain(xs, e_cur, env),
     )
 
 
 # -- public solvers --------------------------------------------------------------
+
+
+def _minimize(model, env, grid, n, h, bands, start_idx=-1, end_idx=-1, ends=None):
+    """Grid DP over each jump band (dlo, dhi), then Newton refinement.
+
+    The first band with the lowest DP energy wins.  ``ends`` pins the refined
+    chain's endpoints exactly (the DP snaps them to the grid).
+    """
+    dp_pos, dp_energy = min(
+        (_dp_solve(model, env, grid, n, dlo, dhi, h, start_idx, end_idx) for dlo, dhi in bands),
+        key=lambda dp: dp[1],
+    )
+    start = dp_pos.copy()
+    if ends is not None:
+        start[0], start[-1] = ends
+    xs, steps, e = _refine(model, env, start, ends is not None)
+    return MinimizeResult(
+        chain=Chain(xs, e, env),
+        energy=e,
+        dp_positions=dp_pos,
+        dp_energy=dp_energy,
+        sweeps=steps,
+        polish_used=False,
+    )
 
 
 def minimize_fixed(
@@ -300,22 +324,10 @@ def minimize_fixed(
     end_idx = int(round((x_end - x_start) / h)) - n_lo
     end_idx = max(0, min(grid.size - 1, end_idx))
     if abs(x_end - x_start) > 1e-12:
-        dlo, dhi = (0, B) if x_end > x_start else (-B, 0)
+        band = (0, B) if x_end > x_start else (-B, 0)
     else:
-        dlo, dhi = -B, B
-    dp_pos, dp_energy = _dp_solve(model, env, grid, n, dlo, dhi, h, start_idx, end_idx)
-    start = dp_pos.copy()
-    start[0], start[-1] = x_start, x_end  # exact endpoints (DP snaps x_end to the grid)
-    xs, steps = _refine(model, env, start, True)
-    chain = make_chain(model, env, xs)
-    return MinimizeResult(
-        chain=chain,
-        energy=chain.energy,
-        dp_positions=dp_pos,
-        dp_energy=dp_energy,
-        sweeps=steps,
-        polish_used=False,
-    )
+        band = (-B, B)
+    return _minimize(model, env, grid, n, h, [band], start_idx, end_idx, (x_start, x_end))
 
 
 def minimize_free(
@@ -339,26 +351,8 @@ def minimize_free(
         raise DomainError("window shorter than n * R_max")
     B = int(math.ceil(R / h))
     grid = lo + h * np.arange(int(math.ceil((hi - lo) / h)) + 1)
-
-    def run(dlo, dhi):
-        return _dp_solve(model, env, grid, n, dlo, dhi, h, -1, -1)
-
-    pos_up, e_up = run(0, B)
-    if model.lam < 0:
-        pos_dn, e_dn = run(-B, 0)
-        dp_pos, dp_energy = (pos_dn, e_dn) if e_dn < e_up else (pos_up, e_up)
-    else:
-        dp_pos, dp_energy = pos_up, e_up
-    xs, steps = _refine(model, env, dp_pos, False)
-    chain = make_chain(model, env, xs)
-    return MinimizeResult(
-        chain=chain,
-        energy=chain.energy,
-        dp_positions=dp_pos,
-        dp_energy=dp_energy,
-        sweeps=steps,
-        polish_used=False,
-    )
+    bands = [(0, B), (-B, 0)] if model.lam < 0 else [(0, B)]
+    return _minimize(model, env, grid, n, h, bands)
 
 
 def ground_energy(
@@ -426,15 +420,16 @@ def aubry_exchange_repair(model: LagrangianSpec, env: EnvPoint, chain: Chain) ->
     if _strictly_monotone(xs):
         return RepairResult(chain=chain, kept=np.arange(n + 1), energy=chain.energy)
     sgn = 1.0 if xs[n] > xs[0] else -1.0
-    diag = np.array([energy(model, env, x, x) for x in xs])
+    diag = energy(model, env, xs, xs)
     prefix = np.concatenate([[0.0], np.cumsum(diag)])  # prefix[i] = sum(diag[:i])
     best = np.full(n + 1, np.inf)
     bp = np.full(n + 1, -1, dtype=int)
     best[0] = 0.0
     for j in range(1, n + 1):
+        into_j = energy(model, env, xs[:j], xs[j])  # E(x_k, x_j) for k < j
         for k in range(j - 1, -1, -1):
             if np.isfinite(best[k]) and sgn * (xs[j] - xs[k]) > 1e-15:
-                cand = best[k] + energy(model, env, xs[k], xs[j]) + (prefix[j] - prefix[k + 1])
+                cand = best[k] + into_j[k] + (prefix[j] - prefix[k + 1])
                 if cand < best[j] - 1e-15:
                     best[j] = cand
                     bp[j] = k
@@ -464,26 +459,22 @@ def structure_report(chain: Chain, model: LagrangianSpec, env: EnvPoint, R: floa
     xs = np.asarray(chain.positions, dtype=float)
     jumps = np.abs(np.diff(xs))
     max_jump = float(jumps.max()) if jumps.size else 0.0
-    offs = np.concatenate(
-        [np.linspace(-0.25, 0.25, 41), [-1e-2, -1e-3, -1e-4, 1e-4, 1e-3, 1e-2]]
-    )
     defect = 0.0
-    for k in range(1, xs.size - 1):
-        cand = xs[k] + offs
-        phi = (
-            np.asarray(spring_value(model, cand - xs[k - 1]))
-            + np.asarray(spring_value(model, xs[k + 1] - cand))
-            + np.atleast_1d(potential_values(model, env, cand))
+    if xs.size > 2:  # the bump potential cannot be evaluated on no sites
+        # column 0 is each interior site itself, the rest its trial moves
+        offs = np.concatenate(
+            [[0.0], np.linspace(-0.25, 0.25, 41), [-1e-2, -1e-3, -1e-4, 1e-4, 1e-3, 1e-2]]
         )
-        base = (
-            float(spring_value(model, xs[k] - xs[k - 1]))
-            + float(spring_value(model, xs[k + 1] - xs[k]))
-            + float(potential_values(model, env, xs[k]))
+        cand = xs[1:-1, None] + offs
+        local = (
+            spring_value(model, cand - xs[:-2, None])
+            + spring_value(model, xs[2:, None] - cand)
+            + potential_values(model, env, cand)
         )
-        defect = max(defect, base - float(phi.min()))
+        defect = float(np.max(local[:, 0] - local.min(axis=1)))
     return StructureReport(
         strictly_monotone=_strictly_monotone(xs),
         max_jump=max_jump,
         within_R=max_jump <= R + 1e-9,
-        defect=float(max(0.0, defect)),
+        defect=defect,
     )

@@ -90,7 +90,10 @@ def spring_value(model, t):
     u = t - model.lam
     if model.spring == "quadratic":
         return 0.5 * u * u
-    return 0.25 * u ** 4
+    # products, not u ** 4: numpy's array power can differ from the scalar
+    # power in the last bit, and an energy must not depend on the input shape
+    u2 = u * u
+    return 0.25 * u2 * u2
 
 
 def spring_d1(model, t):
@@ -184,10 +187,16 @@ def equivariant_potential(model: LagrangianSpec, env: EnvPoint, x: float) -> flo
 # -- energies -----------------------------------------------------------------
 
 
-def energy(model: LagrangianSpec, env: EnvPoint, x: float, y: float) -> float:
-    """E_omega(x, y) = W(y - x) + V(tau_x omega)."""
+def energy(
+    model: LagrangianSpec, env: EnvPoint, x: float | np.ndarray, y: float | np.ndarray
+) -> float | np.ndarray:
+    """E_omega(x, y) = W(y - x) + V(tau_x omega), broadcast over array x and y.
+
+    V is evaluated once per entry of x; scalar x and y give a float.
+    """
     _check_variant(model, env)
-    return float(spring_value(model, y - x)) + float(potential_values(model, env, x))
+    e = spring_value(model, np.subtract(y, x)) + potential_values(model, env, x)
+    return e if np.ndim(e) else float(e)
 
 
 def chain_energy(model: LagrangianSpec, env: EnvPoint, positions) -> float:

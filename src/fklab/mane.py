@@ -25,7 +25,6 @@ from .environments import CylinderSpec, EnvPoint, return_times, translate_env
 from .errors import DomainError, InsufficientDataError, ResourceError
 from .lagrangians import (
     LagrangianSpec,
-    chain_energy,
     energy,
     potential_d1,
     potential_values,
@@ -82,9 +81,8 @@ _MAX_NODES = 2049
 def _phi_over_nodes(model, env, nodes, ebar):
     """Monotone DAG DP over the ordered node array (nodes[0] == 0).
 
-    Returns (phi, n_steps, back): phi[j] is the best value over chains
-    0 -> nodes[j] through earlier nodes, n_steps[j] the smallest optimal step
-    count, back[j] the predecessor on that chain.
+    Returns (phi, n_steps): phi[j] is the best value over chains 0 -> nodes[j]
+    through earlier nodes, n_steps[j] the smallest optimal step count.
     """
     G = nodes.size
     if G > _MAX_NODES:
@@ -120,7 +118,7 @@ def _phi_to(model, env, rel, h, ebar):
         near_lo = np.abs(anchors[np.clip(pos - 1, 0, anchors.size - 1)] - ladder) <= 1e-9
         # nodes in the order of the chain: keys ascend, nodes move away from 0
         keys = np.sort(direction * np.concatenate([[0.0], anchors, ladder[~(near_hi | near_lo)]]))
-        side_phi, side_steps, _ = _phi_over_nodes(model, env, direction * keys, ebar)
+        side_phi, side_steps = _phi_over_nodes(model, env, direction * keys, ebar)
         j = np.searchsorted(keys, direction * rel[side])
         phi[side], n_steps[side] = side_phi[j], side_steps[j]
     return phi, n_steps
@@ -201,9 +199,9 @@ def cocycle_defects(
         lhs = table.phi[mid + s + t]
         rhs = table.phi[mid + s] + phi_t[0]
         subadd = max(subadd, float(lhs - rhs))
-    one_step = np.asarray([energy(model, env, 0.0, float(t)) - table.ebar for t in targets])
+    one_step = energy(model, env, 0.0, targets) - table.ebar
     one_step_max = float(np.max(table.phi - one_step))
-    back_step = np.asarray([energy(model, env, float(t), 0.0) for t in targets])
+    back_step = energy(model, env, targets, 0.0)
     lower_bound_max = float(np.max((table.ebar - back_step) - table.phi))
     ratio = float(np.max(np.abs(table.phi) / (1.0 + np.abs(targets))))
     return {
@@ -248,12 +246,16 @@ def calibrate_window(
     xs = np.asarray(res.chain.positions)
     mid = N_outer // 2
     lo, hi = mid - W, mid + W
+    # the chain's pair terms, evaluated once; each sub-chain energy sums its
+    # slice as chain_energy does (springs, then potentials)
+    w = spring_value(model, np.diff(xs))
+    v = potential_values(model, env, xs[:-1])
     rows = []
     for m in range(lo, hi):
         rel = xs[m + 1 : min(m + W, hi) + 1] - xs[m]
         s_vals, _ = _phi_to(model, translate_env(env, xs[m]), rel, grid.h, ebar)
         for n_i, s_val in enumerate(s_vals, start=m + 1):
-            e_val = chain_energy(model, env, xs[m : n_i + 1]) - (n_i - m) * ebar
+            e_val = float(np.sum(w[m:n_i]) + np.sum(v[m:n_i])) - (n_i - m) * ebar
             rows.append((m, n_i, e_val - s_val))
     arr = np.asarray(rows)
     jumps = np.diff(xs)

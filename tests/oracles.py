@@ -2,9 +2,10 @@
 
 Everything here recomputes results by a route different from the library:
 high-precision floors via mpmath, exhaustive enumeration for chain problems,
-plain loops for the two DP kernels, for tower induction and for return times,
-full shifted Mane tables for the subadditivity check, and Karp's algorithm for
-the minimum mean cycle.
+plain loops for the two DP kernels, for the Aubry repair and the structure
+report (scalar energies, one pair or site at a time), for tower induction and
+for return times, full shifted Mane tables for the subadditivity check, and
+Karp's algorithm for the minimum mean cycle.
 """
 
 import itertools
@@ -12,9 +13,10 @@ import itertools
 import mpmath as mp
 import numpy as np
 
+from fklab.chain_opt import RepairResult, StructureReport, _strictly_monotone, make_chain
 from fklab.environments import MATCH_TOL, translate_env
 from fklab.errors import DomainError, InsufficientDataError
-from fklab.lagrangians import chain_energy, energy
+from fklab.lagrangians import chain_energy, energy, potential_values, spring_value
 from fklab.mane import mane_table
 from fklab.towers import HomologyMatrix, Tower
 
@@ -130,6 +132,67 @@ def brute_force_repair(model, env, xs):
     return best
 
 
+def repair_loop(model, env, chain):
+    """Pair-by-pair version of ``chain_opt.aubry_exchange_repair``.
+
+    One scalar ``energy`` call per pair (k, j); same tie rules, same result.
+    """
+    xs = np.asarray(chain.positions, dtype=float)
+    n = xs.size - 1
+    if _strictly_monotone(xs):
+        return RepairResult(chain=chain, kept=np.arange(n + 1), energy=chain.energy)
+    sgn = 1.0 if xs[n] > xs[0] else -1.0
+    diag = np.array([energy(model, env, x, x) for x in xs])
+    prefix = np.concatenate([[0.0], np.cumsum(diag)])
+    best = np.full(n + 1, np.inf)
+    bp = np.full(n + 1, -1, dtype=int)
+    best[0] = 0.0
+    for j in range(1, n + 1):
+        for k in range(j - 1, -1, -1):
+            if np.isfinite(best[k]) and sgn * (xs[j] - xs[k]) > 1e-15:
+                cand = best[k] + energy(model, env, xs[k], xs[j]) + (prefix[j] - prefix[k + 1])
+                if cand < best[j] - 1e-15:
+                    best[j] = cand
+                    bp[j] = k
+    kept = [n]
+    j = n
+    while j > 0:
+        j = bp[j]
+        kept.append(j)
+    kept = np.asarray(kept[::-1])
+    return RepairResult(chain=make_chain(model, env, xs[kept]), kept=kept, energy=float(best[n]))
+
+
+def structure_report_loop(chain, model, env, R):
+    """Site-by-site version of ``chain_opt.structure_report``."""
+    xs = np.asarray(chain.positions, dtype=float)
+    jumps = np.abs(np.diff(xs))
+    max_jump = float(jumps.max()) if jumps.size else 0.0
+    offs = np.concatenate(
+        [np.linspace(-0.25, 0.25, 41), [-1e-2, -1e-3, -1e-4, 1e-4, 1e-3, 1e-2]]
+    )
+    defect = 0.0
+    for k in range(1, xs.size - 1):
+        cand = xs[k] + offs
+        phi = (
+            np.asarray(spring_value(model, cand - xs[k - 1]))
+            + np.asarray(spring_value(model, xs[k + 1] - cand))
+            + np.atleast_1d(potential_values(model, env, cand))
+        )
+        base = (
+            float(spring_value(model, xs[k] - xs[k - 1]))
+            + float(spring_value(model, xs[k + 1] - xs[k]))
+            + float(potential_values(model, env, xs[k]))
+        )
+        defect = max(defect, base - float(phi.min()))
+    return StructureReport(
+        strictly_monotone=_strictly_monotone(xs),
+        max_jump=max_jump,
+        within_R=max_jump <= R + 1e-9,
+        defect=float(max(0.0, defect)),
+    )
+
+
 def chain_dp_backward_loop(V, Wd, n, dlo, end_idx):
     """Cell-by-cell loop version of ``_kernels.chain_dp_backward_np``."""
     G = V.shape[0]
@@ -151,29 +214,19 @@ def chain_dp_backward_loop(V, Wd, n, dlo, end_idx):
 
 
 def phi_dp_loop(cost, n_max):
-    """Layered DP, one layer per step count: D[m, j] = best m-step cost (first argmin on ties).
+    """Layered DP, one layer per step count: D[m, j] = best m-step cost.
 
-    ``_kernels.phi_dp`` must match min over m >= 1 of D[:, j], the first such m
-    and the backtrack from (m, j) through ``back``.
+    ``_kernels.phi_dp`` must match min over m >= 1 of D[:, j] and the first
+    such m.
     """
     G = cost.shape[0]
     D = np.full((n_max + 1, G), np.inf)
-    back = np.full((n_max + 1, G), -1, dtype=np.int32)
     D[0, 0] = 0.0
     for m in range(1, n_max + 1):
         for j in range(G):
-            best = np.inf
-            bi = -1
             for i in range(G):
-                if D[m - 1, i] < np.inf:
-                    v = D[m - 1, i] + cost[i, j]
-                    if v < best:
-                        best = v
-                        bi = i
-            if bi >= 0:
-                D[m, j] = best
-                back[m, j] = bi
-    return D, back
+                D[m, j] = min(D[m, j], D[m - 1, i] + cost[i, j])
+    return D
 
 
 def min_mean_cycle(n_nodes: int, edges) -> float:

@@ -27,7 +27,13 @@ from fklab import (
 from fklab import chain_opt
 from fklab.lagrangians import potential_d1, spring_d1
 
-from oracles import brute_force_fixed_chain, brute_force_free_chain, brute_force_repair
+from oracles import (
+    brute_force_fixed_chain,
+    brute_force_free_chain,
+    brute_force_repair,
+    repair_loop,
+    structure_report_loop,
+)
 
 CIRCLE = EnvPoint.circle(0.0)
 FIB = AlphaValue.fibonacci()
@@ -146,9 +152,10 @@ class TestRefinement:
         m = circle_model(8.0, 0.5)
         start = np.linspace(0.0, 4.0, 9)
         assert np.max(np.abs(chain_gradient(m, CIRCLE, start)[1:-1])) <= 1e-11
-        xs, _ = chain_opt._refine(m, CIRCLE, start, True)
+        xs, _, e = chain_opt._refine(m, CIRCLE, start, True)
+        assert e == chain_energy(m, CIRCLE, xs)
         assert np.max(np.abs(chain_gradient(m, CIRCLE, xs)[1:-1])) <= 1e-7
-        assert chain_energy(m, CIRCLE, xs) < chain_energy(m, CIRCLE, start)
+        assert e < chain_energy(m, CIRCLE, start)
 
     def test_indefinite_start_stays_in_its_wells(self):
         # lam = 0 pins the monotone DP chain at x = 0.1, on the concave flank of
@@ -265,6 +272,18 @@ class TestRepair:
             rr = aubry_exchange_repair(self.M, CIRCLE, make_chain(self.M, CIRCLE, xs))
             assert rr.energy == pytest.approx(brute_force_repair(self.M, CIRCLE, xs), abs=1e-12)
 
+    @pytest.mark.parametrize("model,env", REFINE_CASES, ids=REFINE_IDS)
+    def test_matches_pair_loop_exactly(self, model, env):
+        rng = np.random.default_rng(11)
+        for n in [1, 1, 2, 3, 5, 8, 12, 12]:
+            xs = rng.uniform(-2, 2, size=n + 1)
+            ch = make_chain(model, env, xs)
+            got, ref = aubry_exchange_repair(model, env, ch), repair_loop(model, env, ch)
+            assert np.array_equal(got.kept, ref.kept)
+            assert got.energy == ref.energy
+            assert np.array_equal(got.chain.positions, ref.chain.positions)
+            assert got.chain.energy == ref.chain.energy
+
     def test_equal_endpoints_rejected(self):
         ch = make_chain(self.M, CIRCLE, [0.0, 1.0, 0.0])
         with pytest.raises(DomainError):
@@ -322,6 +341,29 @@ class TestStructureReport:
         xs[8] += 0.1
         rep = structure_report(make_chain(m, CIRCLE, xs), m, CIRCLE, 3.5)
         assert rep.defect > 1e-6
+
+    @pytest.mark.parametrize("model,env", REFINE_CASES, ids=REFINE_IDS)
+    def test_matches_site_loop_exactly(self, model, env):
+        # small kicks off a minimizer put each site's best trial move inside
+        # the offset grid; random chains exercise the grid's ends
+        rng = np.random.default_rng(13)
+        xs = minimize_free(model, env, 16, h=0.05).chain.positions
+        kicks = [rng.normal(0.0, s, xs.size) for s in (0.0, 0.02, 0.1)]
+        chains = [make_chain(model, env, xs + kick) for kick in kicks]
+        for n in [1, 2, 5, 16]:
+            xs = np.sort(rng.uniform(-3, 3, size=n + 1)) + rng.normal(0.0, 0.05, size=n + 1)
+            chains.append(make_chain(model, env, xs))
+        for ch in chains:
+            want = structure_report_loop(ch, model, env, 2.0)
+            assert structure_report(ch, model, env, 2.0) == want
+
+    def test_two_point_quasicrystal_chain(self):
+        # no interior sites: the bump potential would raise on an empty array
+        m, env = REFINE_CASES[2]
+        ch = make_chain(m, env, [0.3, 1.9])
+        rep = structure_report(ch, m, env, 2.0)
+        assert rep == structure_report_loop(ch, m, env, 2.0)
+        assert rep.defect == 0.0
 
 
 class TestChainType:

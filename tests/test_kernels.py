@@ -1,6 +1,10 @@
 """The numpy DP kernels against their plain-loop oracles."""
 
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -29,16 +33,25 @@ class TestKernelPairs:
                 cost[iu] = rng.integers(-2, 3, iu[0].size)
             else:
                 cost[iu] = rng.uniform(-1, 1, iu[0].size)
-            phi, n_steps, back = _kernels.phi_dp(cost)
-            D, layer_back = phi_dp_loop(cost, G - 1)
+            phi, n_steps = _kernels.phi_dp(cost)
+            D = phi_dp_loop(cost, G - 1)
             assert np.array_equal(phi[1:], D[1:, 1:].min(axis=0))
             assert np.array_equal(n_steps[1:], D[1:, 1:].argmin(axis=0) + 1)
-            for j in range(1, G):
-                dag = [j]
-                while back[dag[-1]] >= 0:
-                    dag.append(int(back[dag[-1]]))
-                layered, m = [j], int(n_steps[j])
-                while m > 0:
-                    layered.append(int(layer_back[m, layered[-1]]))
-                    m -= 1
-                assert dag == layered
+
+
+def test_bench_kernels_smoke():
+    """The kernel benchmark still runs against the current kernels."""
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, str(root / "benchmarks" / "bench_kernels.py"), "--repeat", "1"],
+        env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    header, *rows = proc.stdout.strip().splitlines()
+    assert header.split() == ["kernel", "time", "cells", "ns/cell"]
+    assert [r.split("(")[0].strip() for r in rows] == ["chain DP", "Mane phi DP"]
+    for r in rows:
+        assert int(r.split()[-2]) > 0 and float(r.split()[-1]) > 0

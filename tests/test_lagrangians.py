@@ -80,6 +80,24 @@ class TestEnergy:
             rhs = energy(model, translate_env(env, t), x, y)
             assert lhs == pytest.approx(rhs, abs=1e-12)
 
+    @pytest.mark.parametrize("model,env", CATALOG)
+    def test_broadcast_matches_scalar_loop(self, model, env):
+        rng = np.random.default_rng(4)
+        xs = rng.uniform(-6, 6, size=37)
+        ys = xs + rng.uniform(-3, 3, size=37)
+
+        def loop(xx, yy):
+            xx, yy = np.broadcast_arrays(xx, yy)
+            pairs = zip(xx.ravel(), yy.ravel())
+            scalar = [energy(model, env, float(a), float(b)) for a, b in pairs]
+            return np.array(scalar).reshape(xx.shape)
+
+        assert isinstance(energy(model, env, 0.3, 1.1), float)
+        for xx, yy in [(xs, ys), (0.0, ys), (xs, 0.0), (xs, xs), (xs[:5, None], ys[None, :])]:
+            got = energy(model, env, xx, yy)
+            assert isinstance(got, np.ndarray)
+            assert np.array_equal(got, loop(xx, yy))
+
     def test_quartic_needs_periodic_potential(self):
         with pytest.raises(DomainError):
             LagrangianSpec("quartic", 1.0, "quasicrystal_bumps", a0=1.0, a1=1.0, alpha=FIB)
