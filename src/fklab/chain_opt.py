@@ -97,6 +97,13 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class GroundEnergyEstimate:
+    """Found n-chain minima m_n and two estimates of Ebar drawn from them.
+
+    ``lower_bound`` is max m_n/n, a lower estimate of Ebar rather than a
+    certified bound: a found chain never has less energy than the true
+    minimum, so m_n/n can exceed the true ratio.
+    """
+
     n_list: Tuple[int, ...]
     m_values: Tuple[float, ...]
     lower_bound: float
@@ -200,13 +207,14 @@ def _ldl_solve(d, l, rhs):
     return np.asarray(x[::-1])
 
 
-def _refine(model, env, xs, fixed_ends):
+def _refine(model, env, xs, fixed_ends, e_cur):
     """Safeguarded Newton on the whole chain; returns (positions, Newton steps, energy).
 
-    Each step factors the tridiagonal Hessian H = L D L^T.  With every pivot
-    positive it takes the Newton step; otherwise it shifts the diagonal by x4
-    steps, from -min(diag), until H factors and takes the shifted step; at a
-    stationary point with a negative pivot k (a saddle) it steps along the
+    The start chain ``xs`` has energy ``e_cur``.  Each step factors the
+    tridiagonal Hessian H = L D L^T.  With every pivot positive it takes the
+    Newton step; otherwise it shifts the diagonal by x4 steps, from
+    -min(diag), until H factors and takes the shifted step; at a stationary
+    point with a negative pivot k (a saddle) it steps along the
     negative-curvature vector v, L^T v = e_k, signed so that g.v <= 0.  Steps
     are scaled down to move no site by more than STEP_CAP and then halved
     until the energy falls; a Newton step is also kept when it raises the
@@ -216,7 +224,6 @@ def _refine(model, env, xs, fixed_ends):
     """
     xs = xs.copy()
     inner = slice(1, -1) if fixed_ends else slice(None)
-    e_cur = chain_energy(model, env, xs)
     for it in range(MAX_ITER + 1):
         g, diag, off = _grad_hess(model, env, xs, fixed_ends)
         g_max = float(np.max(np.abs(g)))
@@ -283,10 +290,12 @@ def _minimize(model, env, grid, n, h, bands, start_idx=-1, end_idx=-1, ends=None
         (_dp_solve(model, env, grid, n, dlo, dhi, h, start_idx, end_idx) for dlo, dhi in bands),
         key=lambda dp: dp[1],
     )
-    start = dp_pos.copy()
+    start, e_start = dp_pos, dp_energy
     if ends is not None:
+        start = dp_pos.copy()
         start[0], start[-1] = ends
-    xs, steps, e = _refine(model, env, start, ends is not None)
+        e_start = chain_energy(model, env, start)
+    xs, steps, e = _refine(model, env, start, ends is not None, e_start)
     return MinimizeResult(
         chain=Chain(xs, e, env),
         energy=e,
@@ -362,7 +371,7 @@ def ground_energy(
     grid: GridSpec,
     seed: int = 0,
 ) -> GroundEnergyEstimate:
-    """Per-n free minima, the certified lower bound max m_n/n, and a 1/n fit."""
+    """Per-n free minima, the lower estimate max m_n/n, and a 1/n fit."""
     n_list = tuple(int(n) for n in n_list)
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise DomainError("n_list must be strictly increasing")

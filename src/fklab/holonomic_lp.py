@@ -36,7 +36,6 @@ class LPProblem:
     N: int
     jumps: np.ndarray  # integer multiples of 1/N
     cost: np.ndarray  # (N, |jumps|)
-    model: LagrangianSpec
 
 
 @dataclass(frozen=True)
@@ -75,7 +74,7 @@ def discretize_circle(model: LagrangianSpec, N: int, T_max: float) -> LPProblem:
     v = np.atleast_1d(potential_values(model, env, grid))
     w = np.asarray(spring_value(model, jumps / N))
     cost = v[:, None] + w[None, :]
-    return LPProblem(N=N, jumps=jumps, cost=cost, model=model)
+    return LPProblem(N=N, jumps=jumps, cost=cost)
 
 
 def _heads(lp: LPProblem) -> np.ndarray:

@@ -103,8 +103,11 @@ def _phi_to(model, env, rel, h, ebar):
     target.  |r| <= 1e-12 takes the closed form E(0, 0) - Ebar with one step.
     """
     rel = np.asarray(rel, dtype=float)
-    phi = np.full(rel.shape, energy(model, env, 0.0, 0.0) - ebar)
+    phi = np.zeros(rel.shape)
     n_steps = np.ones(rel.shape, dtype=np.int64)
+    zero = np.abs(rel) <= 1e-12
+    if zero.any():
+        phi[zero] = energy(model, env, 0.0, 0.0) - ebar
     for direction in (-1.0, 1.0):
         side = direction * rel > 1e-12
         if not side.any():

@@ -152,10 +152,22 @@ class TestRefinement:
         m = circle_model(8.0, 0.5)
         start = np.linspace(0.0, 4.0, 9)
         assert np.max(np.abs(chain_gradient(m, CIRCLE, start)[1:-1])) <= 1e-11
-        xs, _, e = chain_opt._refine(m, CIRCLE, start, True)
+        xs, _, e = chain_opt._refine(m, CIRCLE, start, True, chain_energy(m, CIRCLE, start))
         assert e == chain_energy(m, CIRCLE, xs)
         assert np.max(np.abs(chain_gradient(m, CIRCLE, xs)[1:-1])) <= 1e-7
         assert e < chain_energy(m, CIRCLE, start)
+
+    def test_free_solve_evaluates_the_dp_chain_once(self, monkeypatch):
+        # the DP returns its chain's energy, and the refinement starts from it
+        seen = []
+
+        def recording(model, env, positions):
+            seen.append(np.array(positions, dtype=float))
+            return chain_energy(model, env, positions)
+
+        monkeypatch.setattr(chain_opt, "chain_energy", recording)
+        res = minimize_free(circle_model(1.0, 0.5), CIRCLE, 8, h=0.05)
+        assert sum(np.array_equal(xs, res.dp_positions) for xs in seen) == 1
 
     def test_indefinite_start_stays_in_its_wells(self):
         # lam = 0 pins the monotone DP chain at x = 0.1, on the concave flank of

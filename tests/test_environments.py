@@ -107,13 +107,14 @@ class TestAlphaValue:
 class TestBeattyPoints:
     def test_alpha_half_window(self):
         # floor(n/2) - floor((n-1)/2) = 1 exactly at even n, including 0
-        ps = beatty_points(HALF, (0, 10))
-        assert ps.window == (0, 2, 4, 6, 8, 10)
+        ns = beatty_points(HALF, (0, 10))
+        assert ns.dtype == np.int64 and not ns.flags.writeable
+        assert ns.tolist() == [0, 2, 4, 6, 8, 10]
 
     def test_fibonacci_count_equals_floor(self):
-        ps = beatty_points(FIB, (1, 20))
-        assert len(ps.window) == FIB.floor_mul(20) == 12
-        assert list(ps.window) == beatty_indices_mp(FIB, 1, 20)
+        ns = beatty_points(FIB, (1, 20))
+        assert len(ns) == FIB.floor_mul(20) == 12
+        assert ns.tolist() == beatty_indices_mp(FIB, 1, 20)
 
     @pytest.mark.parametrize("alpha", [FIB, AlphaValue.rational(2, 5), AlphaValue.quadratic(0, 1, 2, 2)])
     def test_gap_law(self, alpha):

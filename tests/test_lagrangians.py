@@ -171,16 +171,16 @@ class TestBumpPotential:
 
 
 class TestTabulatedBumps:
-    """The slope's shared index table reproduces a fresh per-point materialization."""
+    """The slope's memoized index blocks reproduce a fresh per-point materialization."""
 
     M = sturm_model(FIB, 0.5, 1.0, PHI)
     FUNCS = (potential_values, potential_d1, potential_d2)
 
     @pytest.fixture(autouse=True)
-    def fresh_tables(self):
-        environments._TABLES.clear()
+    def fresh_blocks(self):
+        environments._block.cache_clear()
         yield
-        environments._TABLES.clear()
+        environments._block.cache_clear()
 
     def _per_point(self, monkeypatch, env, xs):
         # one call per x, each locating its gap through PointSet.points_in
@@ -204,16 +204,14 @@ class TestTabulatedBumps:
         on_points = env.pset.points_in(-20.0, 20.0)
         self._assert_bit_identical(monkeypatch, env, np.concatenate([xs, on_points]))
 
-    def test_far_windows_grow_the_table(self, monkeypatch):
+    def test_far_windows_and_block_edges(self, monkeypatch):
         env = EnvPoint.quasicrystal(FIB, Fraction(7, 4))
         rng = np.random.default_rng(22)
-        for centre in (0.0, 3.0e3, -2.5e4, 3.0e5, -1.0e6):
+        # block edges sit at multiples of 1024; the offset moves them to -7/4 in x
+        for centre in (0.0, 1022.25, -1025.75, 2046.25, 3.0e3, -2.5e4, 3.0e5, -1.0e6):
             xs = centre + rng.uniform(-30.0, 30.0, size=20)
             on_points = env.pset.points_in(centre - 5.0, centre + 5.0)
             self._assert_bit_identical(monkeypatch, env, np.concatenate([xs, on_points]))
-            lo, hi, _ = environments._TABLES[FIB]
-            assert lo <= centre - 30.0 and centre + 30.0 <= hi
-            assert hi - lo <= environments._TABLE_SPAN
 
     def test_window_wider_than_table(self, monkeypatch):
         env = EnvPoint.quasicrystal(FIB, Fraction(1, 2))
@@ -221,11 +219,11 @@ class TestTabulatedBumps:
         self._assert_bit_identical(monkeypatch, env, xs)
 
     def test_concurrent_growth(self):
-        # more threads than cores, switching often, each growing and rebuilding
-        # the shared table in its own order
+        # more threads than cores, switching often, each filling the shared
+        # blocks in its own order
         env = EnvPoint.quasicrystal(FIB, Fraction(5, 8))
         rng = np.random.default_rng(23)
-        centres = (0.0, 4.0e3, -9.0e3, 2.0e4, -3.0e5, 5.0e5, 70.0, -70.0)
+        centres = (0.0, 4.0e3, -9.0e3, 2.0e4, -3.0e5, 5.0e5, 70.0, -70.0, 1024.0, -2048.0)
         windows = [c + rng.uniform(-20.0, 20.0, size=16) for c in centres]
         want = [potential_values(self.M, env, xs) for xs in windows]
         got = {}
@@ -238,7 +236,7 @@ class TestTabulatedBumps:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            environments._TABLES.clear()
+            environments._block.cache_clear()
             threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
             for th in threads:
                 th.start()
@@ -250,9 +248,23 @@ class TestTabulatedBumps:
         assert len(got) == 4 * len(windows)
         for (_, j), vals in got.items():
             assert all(np.array_equal(v, want[j]) for v in vals)
-        lo, hi, ns = environments._TABLES[FIB]
-        assert np.array_equal(ns, PointSet(FIB).raw_indices_in(lo, hi))
-
+        # the blocks the windows touch, widened as tabulated_points widens them;
+        # all of them are still cached, and each must equal a fresh materialization
+        B, pad, off = environments._BLOCK, FIB.max_gap() + 1.0, 5 / 8
+        ks = {
+            k
+            for xs in windows
+            for k in range(
+                (math.floor(xs.min() - pad + off) - 1) // B,
+                (math.ceil(xs.max() + pad + off) + 1) // B + 1,
+            )
+        }
+        assert environments._block.cache_info().currsize == len(ks)
+        for k in sorted(ks):
+            hits = environments._block.cache_info().hits
+            ns = environments._block(FIB, k)
+            assert environments._block.cache_info().hits == hits + 1
+            assert np.array_equal(ns, PointSet(FIB).raw_indices_in(k * B, (k + 1) * B - 1))
 
 class TestChainEnergy:
     def test_constant_chain_zero(self):

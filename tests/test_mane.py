@@ -26,6 +26,7 @@ from fklab import (
     sturm_model,
     torus_model,
 )
+from fklab import mane
 
 from oracles import brute_force_phi, subadditivity_loop
 
@@ -95,6 +96,19 @@ class TestManeTable:
         assert t.n_steps[j] == 20
         assert t.phi[j] == pytest.approx(0.0, abs=1e-12)
         assert t.n_max == 20
+
+    def test_nonzero_targets_skip_the_closed_form(self, monkeypatch):
+        # E(0, 0) - Ebar serves only a target at 0, so without one it is never evaluated
+        m = circle_model(1.0, 0.5)
+        rel = np.array([-0.5, 0.25, 1.0])
+        want = mane._phi_to(m, CIRCLE, rel, 0.05, 0.01)
+
+        def no_energy(*args):
+            raise AssertionError("energy evaluated")
+
+        monkeypatch.setattr(mane, "energy", no_energy)
+        got = mane._phi_to(m, CIRCLE, rel, 0.05, 0.01)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 class TestCocycleDefects:
