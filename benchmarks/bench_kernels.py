@@ -3,8 +3,10 @@
 
 Runs each kernel on a representative workload and prints the best time, the
 number of DP cells it relaxes and the time per cell.  Workload sizes mirror
-the acceptance-scale runs (length-64 free chains, a Mane table); the Mane
-DP relaxes each of its G(G-1)/2 monotone steps once.
+the acceptance-scale runs (length-64 free chains, a Mane table).  The chain
+DP's cells are G times the (layer, offset) pairs its band pruning relaxed,
+as the kernel counts them, out of n * G * (B + 1) nominal cells; the Mane DP
+relaxes each of its G(G-1)/2 monotone steps once.
 
 Usage:
     PYTHONPATH=src python3 benchmarks/bench_kernels.py [--repeat 5]
@@ -33,7 +35,8 @@ def bench_chain_dp(repeat):
     V = rng.uniform(0.0, 0.03, G)
     Wd = 0.5 * (0.08 * np.arange(0, B + 1) - 1.618) ** 2
     t = timeit(lambda: _kernels.chain_dp_backward_np(V, Wd, n, 0, -1), repeat)
-    return "chain DP (G=4000, B=60, n=64)", t, n * G * Wd.size
+    _, relaxed = _kernels.chain_dp_backward_np(V, Wd, n, 0, -1)
+    return "chain DP (G=4000, B=60, n=64)", t, relaxed * G
 
 
 def bench_phi_dp(repeat):

@@ -1,17 +1,24 @@
 """The two dynamic-programming kernels, in numpy.
 
 ``chain_dp_backward_np`` is the banded chain DP behind ground energies and
-minimizers (``chain_opt._dp_solve``); ``phi_dp`` is the Mane DP behind Phi
-and the calibration defects (``mane._phi_over_nodes``), one pass over the DAG
-of monotone steps, so chains of any length are searched; it returns Phi and
-the optimal step counts, not the chains.  The holonomic LP
-has no kernel: its policy iteration (``holonomic_lp._howard``) walks each
-policy graph once in Python and improves it in one numpy pass.
+minimizers (``chain_opt._dp_solve``).  Each layer relaxes only a run of jump
+offsets around the cheapest spring and stops when a certificate shows that
+no other offset can lower any row: the least spring cost beyond the run plus
+a suffix or prefix minimum of the next layer bounds every skipped candidate
+from below, and float addition rounds monotonically, so a bound above a
+row's best value proves that the full band gives the same bits.  ``phi_dp``
+is the Mane DP behind Phi and the calibration defects
+(``mane._phi_over_nodes``), one pass over the DAG of monotone steps, so
+chains of any length are searched; it returns Phi and the optimal step
+counts, not the chains.  The holonomic LP has no kernel: its policy
+iteration (``holonomic_lp._howard``) walks each policy graph once in Python
+and improves it in one numpy pass.
 
 Each kernel has this one definition; ``tests/oracles.py`` holds plain-loop
-versions that the tests compare against.  The ``_np`` suffix of the chain DP
-stays because ``fkbench/tracer.py`` keys its ``kernels.chain_dp_*`` counters
-on that name.  ``benchmarks/bench_kernels.py`` times both kernels.
+versions that the tests compare against bit for bit.  The ``_np`` suffix of
+the chain DP stays because ``fkbench/tracer.py`` keys its
+``kernels.chain_dp_*`` counters on that name.  ``benchmarks/bench_kernels.py``
+times both kernels.
 """
 
 from __future__ import annotations
@@ -23,11 +30,50 @@ import numpy as np
 # --------------------------------------------------------------------------
 
 
+def _relax(best, nxt, w, delta):
+    """best[j] = min(best[j], w + nxt[j + delta]) over the rows with j + delta on the grid."""
+    G = best.shape[0]
+    if delta >= 0:
+        if delta < G:
+            np.minimum(best[: G - delta], w + nxt[delta:], out=best[: G - delta])
+    elif -delta < G:
+        np.minimum(best[-delta:], w + nxt[: G + delta], out=best[-delta:])
+
+
+def _cleared(w, m, cap, s):
+    """Whether w + m[max(j + s, 0)] > cap[j] for every row j with j + s < G.
+
+    Rows with j + s >= G have no candidate beyond the run and pass.
+    """
+    G = cap.shape[0]
+    if s >= G:
+        return True
+    if s >= 0:
+        return bool((w + m[s:] > cap[: G - s]).all())
+    if -s >= G:
+        return bool(w + m[0] > cap.max())
+    return bool(w + m[0] > cap[:-s].max()) and bool((w + m[: G + s] > cap[-s:]).all())
+
+
 def chain_dp_backward_np(V, Wd, n, dlo, end_idx):
     """Backward cost-to-go table C[k, j] for an n-step chain on the grid.
 
     Step cost j -> j+delta is V[j] + Wd[delta - dlo].  end_idx >= 0 pins the
-    final point, end_idx == -1 leaves it free.
+    final point, end_idx == -1 leaves it free.  Returns (C, relaxed), where
+    relaxed counts the (layer, offset) pairs the DP relaxed; the full band
+    has n * len(Wd).
+
+    Each layer relaxes a run [a, b] of offsets and stops once no other offset
+    can lower any row: an offset d > b reaches row j only through nxt[i] with
+    i >= j + dlo + b + 1, so every such candidate is at least
+    min Wd[b+1:] + min nxt[j+dlo+b+1:], and offsets below a likewise.  Float
+    addition rounds monotonically, so when that bound exceeds best[j] (or is
+    +inf) each skipped candidate does too and a full-band minimum would have
+    kept best[j]: the table is the full-band table, bit for bit, whatever Wd
+    is.  A NaN bound fails the test, so the run widens instead.  The run
+    starts at argmin Wd and carries over to the next layer, widening by two
+    offsets on each side whose bound fails; for the convex springs of the
+    catalog it stays a fraction of the band.
     """
     G = V.shape[0]
     D = Wd.shape[0]
@@ -37,19 +83,41 @@ def chain_dp_backward_np(V, Wd, n, dlo, end_idx):
         C[n, end_idx] = 0.0
     else:
         C[n] = 0.0
+    # least spring cost right of offset b and left of offset a
+    right = np.append(np.minimum.accumulate(Wd[::-1])[::-1][1:], np.inf)
+    left = np.concatenate(([np.inf], np.minimum.accumulate(Wd)[:-1]))
+    big = np.finfo(np.float64).max
+    a = b = int(np.argmin(Wd))
+    relaxed = 0
     for k in range(n - 1, -1, -1):
-        best = np.full(G, np.inf)
         nxt = C[k + 1]
-        for di in range(D):
-            delta = dlo + di
-            if delta >= 0:
-                if delta < G:
-                    np.minimum(best[: G - delta], Wd[di] + nxt[delta:], out=best[: G - delta])
-            else:
-                if -delta < G:
-                    np.minimum(best[-delta:], Wd[di] + nxt[: G + delta], out=best[-delta:])
+        best = np.full(G, np.inf)
+        for di in range(a, b + 1):
+            _relax(best, nxt, Wd[di], dlo + di)
+        grow_r, grow_l = b < D - 1, a > 0
+        if grow_r:
+            suf = np.minimum.accumulate(nxt[::-1])[::-1]
+        if grow_l:
+            pre_r = np.minimum.accumulate(nxt)[::-1]  # the suffix minimum of nxt reversed
+        while grow_r or grow_l:
+            # best capped to the largest finite float: a finite bound never clears
+            # an infinite best, an infinite bound clears every row
+            cap = np.minimum(best, big)
+            grow_r = grow_r and not _cleared(right[b], suf, cap, dlo + b + 1)
+            grow_l = grow_l and not _cleared(left[a], pre_r, cap[::-1], 1 - dlo - a)
+            if grow_r:
+                for di in range(b + 1, min(b + 3, D)):
+                    _relax(best, nxt, Wd[di], dlo + di)
+                b = min(b + 2, D - 1)
+                grow_r = b < D - 1
+            if grow_l:
+                for di in range(max(a - 2, 0), a):
+                    _relax(best, nxt, Wd[di], dlo + di)
+                a = max(a - 2, 0)
+                grow_l = a > 0
+        relaxed += b - a + 1
         C[k] = V + best
-    return C
+    return C, relaxed
 
 
 # --------------------------------------------------------------------------

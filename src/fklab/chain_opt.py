@@ -21,7 +21,7 @@ import numpy as np
 
 from . import _kernels
 from .environments import EnvPoint
-from .errors import DomainError, NumericalFailure
+from .errors import DomainError, NumericalFailure, ResourceError
 from .lagrangians import (
     LagrangianSpec,
     chain_energy,
@@ -38,6 +38,11 @@ MAX_ITER = 200
 # largest site move of one refinement step; the catalog's potentials vary on
 # unit length scales, so a capped step stays near the well the DP chose
 STEP_CAP = 0.25
+# chain DP size caps: 4e9 nominal cells take about 3 s even when the band
+# pruning skips nothing (0.75-0.8 ns per cell on a large grid), and the
+# cost-to-go table that the backtrack reads stays under 512 MB
+_MAX_DP_CELLS = 4_000_000_000
+_MAX_DP_BYTES = 512 << 20
 
 
 @dataclass(frozen=True)
@@ -133,11 +138,17 @@ class StructureReport:
 
 def _dp_solve(model, env, grid, n, dlo, dhi, h, start_idx, end_idx):
     """Backward DP over the uniform grid; returns (positions, dp_energy)."""
+    G = grid.size
+    cells, table_bytes = n * G * (dhi - dlo + 1), (n + 1) * G * 8
+    if cells > _MAX_DP_CELLS or table_bytes > _MAX_DP_BYTES:
+        raise ResourceError(
+            f"chain DP of {cells} cells with a {table_bytes}-byte table exceeds the caps "
+            f"of {_MAX_DP_CELLS} cells and {_MAX_DP_BYTES} bytes"
+        )
     V = np.atleast_1d(potential_values(model, env, grid))
     deltas = np.arange(dlo, dhi + 1)
     Wd = np.asarray(spring_value(model, deltas * h), dtype=float)
-    C = _kernels.chain_dp_backward_np(V, Wd, n, int(dlo), int(end_idx))
-    G = grid.size
+    C, _ = _kernels.chain_dp_backward_np(V, Wd, n, int(dlo), int(end_idx))
     if start_idx >= 0:
         j = start_idx
     else:

@@ -326,16 +326,28 @@ def cmd_env_report(cfg: RunConfig, seed: int):
         return {}, "env_report.json", results
     alpha = model.alpha
     N = 100_000
-    gaps = np.diff(env.pset.points_in(0.0, float(N)))
-    letters, counts = np.unique(np.rint(gaps).astype(int), return_counts=True)
-    count_law = int(np.count_nonzero(alpha.membership_range(1, N)))
-    floor_law = alpha.floor_mul(N)
-    if count_law != floor_law:
-        # the vectorized membership test disagrees with the scalar exact floor
+    # the gap table's integers and the count law's 1..N, each tested once: one
+    # membership test over their union when the two windows meet
+    g_lo, g_hi = env.pset.index_window(0.0, float(N))
+    if g_lo <= N + 1 and g_hi >= 0:
+        u_lo = min(g_lo, 1)
+        member = alpha.membership_range(u_lo, max(g_hi, N))
+        in_gaps, in_count = member[g_lo - u_lo : g_hi - u_lo + 1], member[1 - u_lo : N + 1 - u_lo]
+    else:
+        in_gaps, in_count = alpha.membership_range(g_lo, g_hi), alpha.membership_range(1, N)
+    # the count law #{lo..hi} = floor(hi alpha) - floor((lo - 1) alpha) on both
+    # windows: the vectorized membership test against the scalar exact floor
+    count_law, floor_law = int(np.count_nonzero(in_count)), alpha.floor_mul(N)
+    gap_count = int(np.count_nonzero(in_gaps))
+    gap_law = alpha.floor_mul(g_hi) - alpha.floor_mul(g_lo - 1)
+    if count_law != floor_law or gap_count != gap_law:
         raise NumericalFailure(
             f"count law violated: {count_law} Beatty points in 1..{N}, "
-            f"floor(N alpha) = {floor_law}"
+            f"floor(N alpha) = {floor_law}; {gap_count} in {g_lo}..{g_hi}, "
+            f"floor({g_hi} alpha) - floor({g_lo - 1} alpha) = {gap_law}"
         )
+    gaps = np.diff((g_lo + np.flatnonzero(in_gaps)).astype(np.float64) - float(env.pset.offset))
+    letters, counts = np.unique(np.rint(gaps).astype(int), return_counts=True)
     rng = np.random.default_rng(seed)
     dists = []
     for _ in range(cfg.seeds):

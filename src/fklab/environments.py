@@ -27,9 +27,10 @@ _MAX_WINDOW_POINTS = 10_000_000  # hard cap on materialized points
 _MAX_RETURN_WINDOW = 1_000_000.0
 _RETURN_BLOCK = 1 << 16  # return-time candidates matched per gather
 _BLOCK = 1 << 10  # integers per memoized block of Beatty indices
+_MAX_BLOCKS = 64  # memoized blocks, over all slopes
 
 
-@functools.lru_cache(maxsize=64)
+@functools.lru_cache(maxsize=_MAX_BLOCKS)
 def _block(alpha: AlphaValue, k: int) -> np.ndarray:
     """Raw Beatty indices of alpha in [k B, (k+1) B), B = ``_BLOCK``, read-only.
 
@@ -57,13 +58,18 @@ class PointSet:
             raise ResourceError(f"window of {hi - lo} integers exceeds the materialization cap")
         return lo + np.flatnonzero(self.alpha.membership_range(lo, hi))
 
+    def index_window(self, lo: float, hi: float):
+        """The integers (n_lo, n_hi) whose points n - offset lie in [lo, hi], exactly."""
+        return (
+            math.ceil(Fraction(float(lo)) + self.offset),
+            math.floor(Fraction(float(hi)) + self.offset),
+        )
+
     def points_in(self, lo: float, hi: float) -> np.ndarray:
         """Sorted points of the represented set inside [lo, hi]."""
         if hi < lo:
             return np.empty(0)
-        n_lo = math.ceil(Fraction(float(lo)) + self.offset)
-        n_hi = math.floor(Fraction(float(hi)) + self.offset)
-        ns = self.raw_indices_in(n_lo, n_hi)
+        ns = self.raw_indices_in(*self.index_window(lo, hi))
         return ns.astype(np.float64) - float(self.offset)
 
     def tabulated_points(self, lo: float, hi: float) -> np.ndarray:
@@ -72,13 +78,14 @@ class PointSet:
         The window is located in floats and widened by one integer each way,
         so the result holds every point of :meth:`points_in` over the same
         window, with the same values ``n - float(offset)``, and possibly one
-        more point at each end.
+        more point at each end.  A window touching more blocks than the memo
+        keeps is materialized once instead, leaving the memo as it was.
         """
         off = float(self.offset)
         n_lo, n_hi = math.floor(lo + off) - 1, math.ceil(hi + off) + 1
-        if n_hi - n_lo > _MAX_WINDOW_POINTS:
-            raise ResourceError(f"window of {n_hi - n_lo} integers exceeds the materialization cap")
         blocks = range(n_lo // _BLOCK, n_hi // _BLOCK + 1)
+        if len(blocks) > _MAX_BLOCKS:
+            return self.raw_indices_in(n_lo, n_hi).astype(np.float64) - off
         ns = np.concatenate([_block(self.alpha, k) for k in blocks])
         ns = ns[np.searchsorted(ns, n_lo) : np.searchsorted(ns, n_hi, side="right")]
         return ns.astype(np.float64) - off

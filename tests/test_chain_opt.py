@@ -9,6 +9,7 @@ from fklab import (
     EnvPoint,
     GridSpec,
     NumericalFailure,
+    ResourceError,
     aubry_exchange_repair,
     chain_energy,
     circle_model,
@@ -24,7 +25,7 @@ from fklab import (
     translate_env,
 )
 
-from fklab import chain_opt
+from fklab import _kernels, chain_opt
 from fklab.lagrangians import potential_d1, spring_d1
 
 from oracles import (
@@ -124,6 +125,49 @@ REFINE_CASES = [
     (sturm_model(FIB, 0.5, 1.0, PHI), translate_env(EnvPoint.quasicrystal(FIB), 0.375)),
 ]
 REFINE_IDS = ["circle", "torus", "quasicrystal"]
+
+
+class TestDPSizeCap:
+    """The chain DP refuses sizes over its cell and table caps before it allocates."""
+
+    M = circle_model(1.0, 0.5)
+
+    def _sizes(self, monkeypatch):
+        """(cells, table bytes) of a small free solve, read from the kernel's arguments."""
+        seen = []
+        kernel = _kernels.chain_dp_backward_np
+
+        def spy(V, Wd, n, dlo, end_idx):
+            seen.append((n * V.size * Wd.size, (n + 1) * V.size * 8))
+            return kernel(V, Wd, n, dlo, end_idx)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(_kernels, "chain_dp_backward_np", spy)
+            minimize_free(self.M, CIRCLE, 3, h=0.25)
+        [sizes] = seen
+        return sizes
+
+    @pytest.mark.parametrize("cap", ["_MAX_DP_CELLS", "_MAX_DP_BYTES"])
+    def test_boundary(self, monkeypatch, cap):
+        cells, table_bytes = self._sizes(monkeypatch)
+        size = cells if cap == "_MAX_DP_CELLS" else table_bytes
+        monkeypatch.setattr(chain_opt, cap, size)
+        at_cap = minimize_free(self.M, CIRCLE, 3, h=0.25)
+        monkeypatch.setattr(chain_opt, cap, size - 1)
+        with pytest.raises(ResourceError) as err:
+            minimize_free(self.M, CIRCLE, 3, h=0.25)
+        assert f"{cells} cells" in str(err.value) and f"{table_bytes}-byte" in str(err.value)
+        monkeypatch.undo()
+        assert at_cap.energy == minimize_free(self.M, CIRCLE, 3, h=0.25).energy
+
+    def test_refused_before_the_potential_is_evaluated(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("potential evaluated for an over-cap DP")
+
+        monkeypatch.setattr(chain_opt, "potential_values", unreachable)
+        monkeypatch.setattr(chain_opt, "_MAX_DP_CELLS", 0)
+        with pytest.raises(ResourceError):
+            minimize_free(self.M, CIRCLE, 3, h=0.25)
 
 
 class TestRefinement:

@@ -3,6 +3,7 @@ import math
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fklab import AlphaValue, chain_opt
@@ -201,6 +202,23 @@ class TestConfig:
         assert time.perf_counter() - t0 < 1.0
 
 
+    @pytest.mark.parametrize(
+        "old, new, command",
+        [
+            ("n_list = 4,8,16", "n_list = 4,8,16\nn_outer = 4096", "calibrate"),
+            ("h = 0.05", "h = 1e-4", "ground-energy"),
+        ],
+        ids=["calibrate-n_outer-4096", "ground-energy-h-1e-4"],
+    )
+    def test_chain_dp_cap_is_config_error(self, tmp_path, capsys, old, new, command):
+        # 8e10 and 3e10 cells: refused before the cost-to-go table is allocated
+        t0 = time.perf_counter()
+        code, _ = run(tmp_path, CIRCLE_K1.replace(old, new), command)
+        assert code == 2
+        assert time.perf_counter() - t0 < 1.0
+        assert "chain DP of " in capsys.readouterr().err
+
+
 class TestGroundEnergyCommand:
     def test_zero_potential_rows(self, tmp_path):
         code, out = run(tmp_path, CIRCLE_K0, "ground-energy")
@@ -337,6 +355,17 @@ class TestOtherCommands:
         res = summary["results"]
         assert res["count_in_1_to_N"] == res["floor_N_alpha"]
         assert abs(res["alpha_value"] - (math.sqrt(5) - 1) / 2) < 1e-15
+
+    @pytest.mark.parametrize("offset", ["0.0", "3.5625", "-7.25", "250000.5"])
+    def test_env_report_gap_table(self, tmp_path, offset):
+        # the last offset puts the gap window clear of 1..N
+        code, out = run(tmp_path, QC_CONFIG.replace("offset = 0.0", f"offset = {offset}"), "env-report")
+        assert code == 0
+        env = load_config(tmp_path / "run.ini").env
+        gaps = np.rint(np.diff(env.pset.points_in(0.0, 100_000.0))).astype(int)
+        letters, counts = np.unique(gaps, return_counts=True)
+        rows = read_csv(out / "env_gaps.csv")["rows"]
+        assert [(int(r[0]), int(r[1])) for r in rows] == list(zip(letters, counts))
 
     def test_env_report_certifies_count_law(self, tmp_path, monkeypatch):
         exact_range = AlphaValue.membership_range

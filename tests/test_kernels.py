@@ -9,19 +9,70 @@ from pathlib import Path
 import numpy as np
 
 from fklab import _kernels
+from fklab.chain_opt import minimize_free
+from fklab.environments import EnvPoint
+from fklab.lagrangians import circle_model
 
 from oracles import chain_dp_backward_loop, phi_dp_loop
 
 
+def _spring_table(kind, D, rng):
+    if kind == "convex":
+        return 0.5 * (0.3 * np.arange(D) - rng.uniform(0.0, 0.3 * D)) ** 2
+    if kind == "nonconvex":
+        return rng.uniform(-1.0, 2.0, D)
+    return rng.integers(-2, 3, D).astype(float)  # integer costs: exact ties everywhere
+
+
 class TestKernelPairs:
     def test_chain_dp_pair(self):
-        rng = np.random.default_rng(0)
-        V = rng.uniform(0, 1, 40)
-        Wd = rng.uniform(0, 2, 9)
-        for end in (-1, 17):
-            a = _kernels.chain_dp_backward_np(V, Wd, 6, -4, end)
-            b = chain_dp_backward_loop(V, Wd, 6, -4, end)
-            assert np.allclose(a, b, atol=1e-12, equal_nan=True)
+        """The pruned band gives the full-band table bit for bit.
+
+        Bands reaching down to -D+1, straddling 0 and starting at 0; free and
+        pinned ends; convex, non-convex and integer-tie springs; G < D; n = 1.
+        """
+        shapes = [(40, 9, 6), (5, 9, 4), (40, 9, 1)]
+        for (G, D, n), dlo, end, kind in itertools.product(
+            shapes, (-8, -4, 0), ("free", "pinned"), ("convex", "nonconvex", "integer")
+        ):
+            rng = np.random.default_rng([G, D, n, dlo + 8])
+            V = rng.integers(-2, 3, G).astype(float) if kind == "integer" else rng.uniform(0, 1, G)
+            Wd = _spring_table(kind, D, rng)
+            end_idx = -1 if end == "free" else G // 2
+            C, relaxed = _kernels.chain_dp_backward_np(V, Wd, n, dlo, end_idx)
+            case = (G, D, n, dlo, end, kind)
+            assert C.tobytes() == chain_dp_backward_loop(V, Wd, n, dlo, end_idx).tobytes(), case
+            assert 1 <= relaxed <= n * D, case
+
+    def test_chain_dp_random_sweep(self):
+        rng = np.random.default_rng(12)
+        for _ in range(150):
+            G, D, n = (int(v) for v in rng.integers(1, (30, 14, 6)))
+            dlo = int(rng.integers(-D - 2, 3))
+            V = rng.uniform(-1, 1, G)
+            Wd = _spring_table(rng.choice(["convex", "nonconvex", "integer"]), D, rng)
+            if rng.random() < 0.2:
+                Wd[rng.integers(D)] = np.inf  # a forbidden offset
+            end_idx = int(rng.integers(-1, G))
+            C, relaxed = _kernels.chain_dp_backward_np(V, Wd, n, dlo, end_idx)
+            assert C.tobytes() == chain_dp_backward_loop(V, Wd, n, dlo, end_idx).tobytes()
+            assert 1 <= relaxed <= n * D
+
+    def test_chain_dp_prunes_the_circle_band(self, monkeypatch):
+        """A circle-workload free solve relaxes at most half of its band."""
+        calls = []
+
+        def spy(V, Wd, n, dlo, end_idx):
+            C, relaxed = kernel(V, Wd, n, dlo, end_idx)
+            calls.append((V.size, Wd.size, n, relaxed))
+            return C, relaxed
+
+        kernel = _kernels.chain_dp_backward_np
+        monkeypatch.setattr(_kernels, "chain_dp_backward_np", spy)
+        minimize_free(circle_model(1.0, 0.5), EnvPoint.circle(0.0), 32, h=0.05)
+        [(G, D, n, relaxed)] = calls
+        assert (G, D, n) == (2381, 71, 32)
+        assert relaxed <= 0.5 * n * D
 
     def test_phi_dp_pair(self):
         # integer costs are full of exact ties, which exercise the tie rules

@@ -218,6 +218,26 @@ class TestTabulatedBumps:
         xs = np.array([-4.0e4, -1.25, 0.0, 17.5, 4.0e4 + 0.25])
         self._assert_bit_identical(monkeypatch, env, xs)
 
+    def test_window_wider_than_the_memo_leaves_it_alone(self):
+        env = EnvPoint.quasicrystal(FIB, Fraction(3, 8))
+        pset = env.pset
+        cached = pset.tabulated_points(-30.0, 3000.0)  # fills blocks -1..2
+        ks = range(-1, 3)
+        blocks = [environments._block(FIB, k) for k in ks]
+        info = environments._block.cache_info()
+        got = pset.tabulated_points(-5.0e4, 5.0e4)
+        assert environments._block.cache_info() == info
+        assert all(environments._block(FIB, k) is blk for k, blk in zip(ks, blocks))
+        # the same points as joining every block the window touches
+        B, off = environments._BLOCK, 3 / 8
+        n_lo, n_hi = math.floor(-5.0e4 + off) - 1, math.ceil(5.0e4 + off) + 1
+        ns = np.concatenate(
+            [environments._block.__wrapped__(FIB, k) for k in range(n_lo // B, n_hi // B + 1)]
+        )
+        ns = ns[np.searchsorted(ns, n_lo) : np.searchsorted(ns, n_hi, side="right")]
+        assert got.tobytes() == (ns.astype(np.float64) - off).tobytes()
+        assert np.array_equal(cached, got[(got >= cached[0]) & (got <= cached[-1])])
+
     def test_concurrent_growth(self):
         # more threads than cores, switching often, each filling the shared
         # blocks in its own order
