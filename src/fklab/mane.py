@@ -20,6 +20,7 @@ from typing import Dict, Sequence, Tuple
 import numpy as np
 
 from . import _kernels
+from ._rng import Rng
 from .chain_opt import GridSpec, minimize_free
 from .environments import CylinderSpec, EnvPoint, return_times, translate_env
 from .errors import DomainError, InsufficientDataError, ResourceError
@@ -185,14 +186,14 @@ def cocycle_defects(
     env = table.env
     targets = table.targets
     mid = (targets.size - 1) // 2  # targets[mid + k] = k h
-    rng = np.random.default_rng(seed)
+    rng = Rng(seed)
     K = int(round(table.X / table.h))
     pairs = []
     guard = 0
     while len(pairs) < samples and guard < 100 * samples:
         guard += 1
-        s = int(rng.integers(-K, K + 1))
-        t = int(rng.integers(-K, K + 1))
+        s = rng.integers(-K, K + 1)
+        t = rng.integers(-K, K + 1)
         if s != 0 and max(abs(s), abs(t), abs(s + t)) <= mid:
             pairs.append((s, t))
     subadd = -np.inf

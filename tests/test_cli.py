@@ -1,12 +1,16 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fklab import AlphaValue, chain_opt
+from fklab import AlphaValue, chain_opt, cli, mane
+from fklab._rng import Rng
 from fklab.cli import load_config, main, read_csv
 
 CIRCLE_K0 = """
@@ -217,6 +221,60 @@ class TestConfig:
         assert code == 2
         assert time.perf_counter() - t0 < 1.0
         assert "chain DP of " in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    @pytest.mark.parametrize("command", ["lp", "ground-energy"])
+    def test_seed_out_of_range_is_config_error(self, tmp_path, capsys, command, seed):
+        code, out = run(tmp_path, CIRCLE_K1, command, seed=seed)
+        assert code == 2
+        assert "config error: --seed must lie in 0..2**64 - 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_largest_seed_is_accepted(self, tmp_path):
+        assert run(tmp_path, CIRCLE_K1, "lp", seed=2**64 - 1)[0] == 0
+
+
+class TestSampledDraws:
+    def test_commands_never_import_numpy_random(self, tmp_path):
+        # the seeded checks draw from fklab._rng; numpy's random package
+        # costs about 9 ms to import in a fresh command process
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(QC_CONFIG, encoding="utf-8")
+        code = (
+            "import sys, fklab\n"
+            "assert 'numpy.random' not in sys.modules, 'import fklab'\n"
+            "from fklab.cli import main\n"
+            "for c in ('ground-energy', 'mane', 'calibrate', 'env-report'):\n"
+            f"    assert main([c, '--config', {str(cfg)!r}, '--out', {str(tmp_path / 'out')!r},"
+            " '--seed', '5']) == 0, c\n"
+            "    assert 'numpy.random' not in sys.modules, c\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_only_the_sampled_outputs_draw(self, tmp_path, monkeypatch):
+        # calibrate writes no sampled value, so it makes no draw; mane draws
+        # its cocycle pairs and ground-energy its sampled infima
+        made = []
+        for mod in (chain_opt, mane, cli):
+
+            def spy(seed, _name=mod.__name__):
+                made.append(_name)
+                return Rng(seed)
+
+            monkeypatch.setattr(mod, "Rng", spy)
+        for command, want in (
+            ("calibrate", []),
+            ("mane", ["fklab.mane"]),
+            ("ground-energy", ["fklab.chain_opt"]),
+        ):
+            made.clear()
+            assert run(tmp_path, CIRCLE_K1, command)[0] == 0
+            assert made == want, command
 
 
 class TestGroundEnergyCommand:
