@@ -30,6 +30,20 @@ _BLOCK = 1 << 10  # integers per memoized block of Beatty indices
 _MAX_BLOCKS = 64  # memoized blocks, over all slopes
 
 
+def _unique(a) -> np.ndarray:
+    """The sorted distinct values of ``a``, exactly as a plain ``np.unique`` gives them.
+
+    This is numpy's own sort path: a plain ``np.unique`` first asks
+    ``np.ma.is_masked``, which imports ``numpy.ma`` (about 18 ms) in a fresh
+    process.  NaNs sort last and, as under ``equal_nan=True``, only the first
+    is kept.
+    """
+    aux = np.sort(np.ravel(a))
+    keep = np.ones(aux.shape, dtype=bool)
+    keep[1:] = (aux[1:] != aux[:-1]) & ~np.isnan(aux[:-1])
+    return aux[keep]
+
+
 @functools.lru_cache(maxsize=_MAX_BLOCKS)
 def _block(alpha: AlphaValue, k: int) -> np.ndarray:
     """Raw Beatty indices of alpha in [k B, (k+1) B), B = ``_BLOCK``, read-only.
@@ -274,7 +288,7 @@ def return_times(env: EnvPoint, section: CylinderSpec, window: Sequence[float]) 
         return np.empty(0)
     cand = (master[:, None] - anchor[None, :]).ravel()
     cand = cand[(cand >= t_lo - MATCH_TOL) & (cand <= t_hi + MATCH_TOL)]
-    cand = np.unique(np.round(cand, 9))
+    cand = _unique(np.round(cand, 9))
     hit = np.zeros(cand.size, dtype=bool)
     for start in range(0, cand.size, _RETURN_BLOCK):
         block = cand[start : start + _RETURN_BLOCK]

@@ -63,8 +63,8 @@ def discretize_circle(model: LagrangianSpec, N: int, T_max: float) -> LPProblem:
         raise DomainError("only the circle cosine family is discretized")
     if not (8 <= N <= 512):
         raise DomainError("N must lie in [8, 512]")
-    if T_max < model.lam + 1.0:
-        raise DomainError("T_max must be at least lambda + 1")
+    if T_max < abs(model.lam) + 1.0:
+        raise DomainError("T_max must be at least |lambda| + 1")
     M = int(math.floor(T_max * N + 1e-9))
     jumps = np.arange(-M, M + 1, dtype=np.int64)
     if N * jumps.size > _MAX_ARCS:

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .environments import SQRT2, EnvPoint, translate_env
+from .environments import SQRT2, EnvPoint, _unique, translate_env
 from .errors import DomainError
 from .exact import AlphaValue
 
@@ -248,7 +248,7 @@ def coercivity_probe(model: LagrangianSpec, env: EnvPoint, radii: Sequence[float
     if len(radii) < 2:
         raise DomainError("need a ladder of at least two radii")
     extras = np.array([0.0, 0.25, 0.5, 1.0, 2.0, 4.0])
-    master = np.unique(np.concatenate([r + extras for r in radii]))
+    master = _unique(np.concatenate([r + extras for r in radii]))
     master = np.concatenate([master, -master])
     span = 1.0 if model.potential != "quasicrystal_bumps" else float(model.alpha.max_gap() * 8)
     xs = np.linspace(0.0, span, 41)

@@ -22,7 +22,7 @@ import numpy as np
 from . import _kernels
 from ._rng import Rng
 from .chain_opt import GridSpec, minimize_free
-from .environments import CylinderSpec, EnvPoint, return_times, translate_env
+from .environments import CylinderSpec, EnvPoint, _unique, return_times, translate_env
 from .errors import DomainError, InsufficientDataError, ResourceError
 from .lagrangians import (
     LagrangianSpec,
@@ -113,7 +113,7 @@ def _phi_to(model, env, rel, h, ebar):
         side = direction * rel > 1e-12
         if not side.any():
             continue
-        anchors = np.unique(rel[side])
+        anchors = _unique(rel[side])
         top = float(np.max(np.abs(anchors)))
         ladder = direction * h * np.arange(1, int(math.ceil(top / h + 1e-9)) + 1)
         ladder = ladder[np.abs(ladder) <= top + 1e-12]

@@ -236,24 +236,38 @@ class TestConfig:
 
 
 class TestSampledDraws:
-    def test_commands_never_import_numpy_random(self, tmp_path):
-        # the seeded checks draw from fklab._rng; numpy's random package
-        # costs about 9 ms to import in a fresh command process
-        cfg = tmp_path / "run.ini"
-        cfg.write_text(QC_CONFIG, encoding="utf-8")
-        code = (
-            "import sys, fklab\n"
-            "assert 'numpy.random' not in sys.modules, 'import fklab'\n"
-            "from fklab.cli import main\n"
-            "for c in ('ground-energy', 'mane', 'calibrate', 'env-report'):\n"
-            f"    assert main([c, '--config', {str(cfg)!r}, '--out', {str(tmp_path / 'out')!r},"
-            " '--seed', '5']) == 0, c\n"
-            "    assert 'numpy.random' not in sys.modules, c\n"
-        )
+    def test_commands_import_no_numpy_submodule(self, tmp_path):
+        # the seeded checks draw from fklab._rng and the plain uniques go
+        # through environments._unique; in a fresh command process
+        # numpy.random costs about 9 ms to import and numpy.ma about 18 ms
+        runs = [
+            (CIRCLE_K1, "circle.ini", ("ground-energy", "mane", "calibrate", "lp")),
+            (QC_CONFIG, "qc.ini", ("ground-energy", "mane", "calibrate", "tower", "env-report")),
+        ]
+        code = [
+            "import sys, fklab",
+            "assert 'numpy.random' not in sys.modules, 'import fklab'",
+            "assert 'numpy.ma' not in sys.modules, 'import fklab'",
+            "from fklab.cli import main",
+            "before = {m for m in sys.modules if m.startswith('numpy.')}",
+        ]
+        for text, name, commands in runs:
+            cfg = tmp_path / name
+            cfg.write_text(text, encoding="utf-8")
+            for c in commands:
+                args = [c, "--config", str(cfg), "--out", str(tmp_path / "out"), "--seed", "5"]
+                code += [
+                    f"assert main({args!r}) == 0, {c!r}",
+                    "assert 'numpy.random' not in sys.modules, " + repr(f"{c} {name}"),
+                    "new = {m for m in sys.modules if m.startswith('numpy.')} - before",
+                    "assert not new, " + repr(f"{c} {name}: ") + " + ' '.join(sorted(new))",
+                ]
         src = str(Path(__file__).resolve().parents[1] / "src")
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         env = dict(os.environ, PYTHONPATH=path)
-        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        proc = subprocess.run(
+            [sys.executable, "-c", "\n".join(code)], env=env, capture_output=True, text=True
+        )
         assert proc.returncode == 0, proc.stderr
 
     def test_only_the_sampled_outputs_draw(self, tmp_path, monkeypatch):
@@ -393,8 +407,12 @@ class TestOtherCommands:
 
     @pytest.mark.parametrize(
         "old, new",
-        [("t_max = 2.0", "t_max = 1.0"), ("n = 16\nt_max = 2.0", "n = 512\nt_max = 8.0")],
-        ids=["t_max-below-lambda-plus-1", "arcs-over-cap"],
+        [
+            ("t_max = 2.0", "t_max = 1.0"),
+            ("lambda = 0.5\n", "lambda = -1.5\n"),
+            ("n = 16\nt_max = 2.0", "n = 512\nt_max = 8.0"),
+        ],
+        ids=["t_max-below-lambda-plus-1", "t_max-below-abs-lambda-plus-1", "arcs-over-cap"],
     )
     def test_lp_bad_size_is_config_error(self, tmp_path, old, new):
         code, _ = run(tmp_path, CIRCLE_K1.replace(old, new), "lp")

@@ -23,7 +23,7 @@ from fklab import (
     translate_env,
     transverse_frequency,
 )
-from fklab.environments import _MAX_RETURN_WINDOW
+from fklab.environments import _MAX_RETURN_WINDOW, _unique
 
 from oracles import beatty_indices_mp, floor_mul_mp, return_times_loop
 
@@ -35,6 +35,51 @@ SECTIONS = {
     "cylinder-10-3": lambda env: cylinder_at(env, 10.0, 3.0),
     "cylinder-m7.25-6": lambda env: cylinder_at(env, -7.25, 6.0),
 }
+
+
+def _same_unique(a):
+    want, got = np.unique(a), _unique(a)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want, equal_nan=want.dtype.kind == "f")
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+class TestUnique:
+    # numpy's sort path, without the numpy.ma import of a plain np.unique
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [3.0, 1.0, 3.0, 2.0, 1.0],
+            [-0.0, 0.0],
+            [0.0, -0.0],
+            [np.nan, 1.0, np.nan, -np.nan, 0.5, np.nan],
+            [np.inf, -np.inf, np.inf, 0.0, -np.inf],
+            [],
+            [-0.0],
+            [np.nan],
+        ],
+        ids=[
+            "duplicates", "minus-zero-first", "zero-first", "nans", "infs", "empty", "one", "one-nan"
+        ],
+    )
+    def test_small_cases(self, values):
+        _same_unique(np.array(values, dtype=float))
+
+    def test_int64(self):
+        _same_unique(np.array([5, -3, 5, 0, 2**62, -3, 0], dtype=np.int64))
+        _same_unique(np.arange(40, dtype=np.int64)[::-1] % 7)
+
+    def test_long_mixed_arrays(self):
+        # longer than 16 entries, so numpy's sort leaves its insertion-sort path
+        pool = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 1.0, -1.0, 2.5])
+        rng = np.random.default_rng(14)
+        for n in (17, 33, 100, 300):
+            for _ in range(25):
+                a = np.round(rng.normal(size=n), 1)
+                pick = rng.random(n) < 0.3
+                a[pick] = rng.choice(pool, int(pick.sum()))
+                _same_unique(a)
+                _same_unique(rng.choice(pool, n))
 
 
 class TestAlphaValue:
