@@ -3,10 +3,12 @@
 
 Runs each kernel on a representative workload and prints the best time, the
 number of DP cells it relaxes and the time per cell.  Workload sizes mirror
-the acceptance-scale runs (length-64 free chains, a Mane table).  The chain
-DP's cells are G times the (layer, offset) pairs its band pruning relaxed,
-as the kernel counts them, out of n * G * (B + 1) nominal cells; the Mane DP
-relaxes each of its G(G-1)/2 monotone steps once.
+the acceptance-scale runs: a length-64 free chain, and the Mane DPs of the
+quasicrystal workload's ``calibrate`` window, 16 node sets of 22 to 171
+nodes sent in the stacks ``mane._stacks`` forms.  The chain DP's cells are G
+times the (layer, offset) pairs its band pruning relaxed, as the kernel
+counts them, out of n * G * (B + 1) nominal cells; the Mane DP relaxes each
+of a set's g(g-1)/2 monotone steps once.
 
 Usage:
     PYTHONPATH=src python3 benchmarks/bench_kernels.py [--repeat 5]
@@ -17,7 +19,7 @@ import time
 
 import numpy as np
 
-from fklab import _kernels
+from fklab import _kernels, mane
 
 
 def timeit(fn, repeat):
@@ -39,14 +41,25 @@ def bench_chain_dp(repeat):
     return "chain DP (G=4000, B=60, n=64)", t, relaxed * G
 
 
+# node counts of the 16 Mane DPs of the quasicrystal workload's calibrate window
+CALIBRATE_SIZES = (171, 171, 171, 170, 170, 170, 169, 169, 168, 149, 128, 106, 86, 65, 44, 22)
+
+
 def bench_phi_dp(repeat):
     rng = np.random.default_rng(1)
-    G = 240
-    cost = np.full((G, G), np.inf)
-    iu = np.triu_indices(G, k=1)
-    cost[iu] = rng.uniform(-0.2, 1.0, iu[0].size)
-    t = timeit(lambda: _kernels.phi_dp(cost), repeat)
-    return "Mane phi DP (G=240)", t, G * (G - 1) // 2
+    calls = []
+    for batch in mane._stacks(CALIBRATE_SIZES):
+        sizes = [CALIBRATE_SIZES[i] for i in batch]
+        cost = rng.uniform(-0.2, 1.0, (len(sizes), sizes[0], sizes[0]))
+        calls.append((cost, sizes))
+
+    def stage():
+        for cost, sizes in calls:
+            _kernels.phi_dp(cost, sizes)
+
+    t = timeit(stage, repeat)
+    cells = sum(g * (g - 1) // 2 for g in CALIBRATE_SIZES)
+    return f"Mane phi DP ({len(CALIBRATE_SIZES)} sets in {len(calls)} stacks)", t, cells
 
 
 def main():

@@ -9,10 +9,12 @@ from below, and float addition rounds monotonically, so a bound above a
 row's best value proves that the full band gives the same bits.  ``phi_dp``
 is the Mane DP behind Phi and the calibration defects
 (``mane._phi_over_nodes``), one pass over the DAG of monotone steps, so
-chains of any length are searched; it returns Phi and the optimal step
-counts, not the chains.  The holonomic LP has no kernel: its policy
-iteration (``holonomic_lp._howard``) walks each policy graph once in Python
-and improves it in one numpy pass.
+chains of any length are searched; it returns Phi and, when asked, the
+optimal step counts, not the chains.  It runs a stack of independent node
+sets at once, so its Python loop turns once per node position for the whole
+stack rather than once per node of every set.  The holonomic LP has no
+kernel: its policy iteration (``holonomic_lp._howard``) walks each policy
+graph once in Python and improves it in one numpy pass.
 
 Each kernel has this one definition; ``tests/oracles.py`` holds plain-loop
 versions that the tests compare against bit for bit.  The ``_np`` suffix of
@@ -125,25 +127,39 @@ def chain_dp_backward_np(V, Wd, n, dlo, end_idx):
 # --------------------------------------------------------------------------
 
 
-def phi_dp(cost):
-    """One-pass DAG DP from node 0 over the strict upper triangle of ``cost``.
+def phi_dp(cost, sizes, steps=False):
+    """One-pass DAG DP from node 0 over a stack of independent node sets.
 
-    phi[j] = min_{i<j} phi[i] + cost[i, j] with phi[0] = 0 (0 steps).  Returns
-    (phi, n_steps); n_steps[j] is the fewest steps over the optimal chains
-    0 -> j, one more than the least n_steps among j's tied best predecessors
-    (0 at node 0 and at unreachable nodes).
+    ``cost`` is an (M, G, G) stack; set m has ``sizes[m]`` nodes and
+    cost[m, j, i] is the cost of its step i -> j.  Only entries with
+    i < j < sizes[m] are read, so padding and the upper triangle may stay
+    unset.  ``sizes`` must not increase, which makes the sets still running
+    at node j a prefix of the stack: each j is one pass over that prefix,
+    phi[:, j] = min_{i<j} phi[:, i] + cost[:, j, i] with phi[:, 0] = 0.
+
+    Returns (phi, n_steps), both (M, G); entries at j >= sizes[m] are
+    meaningless.  With ``steps``, n_steps[m, j] is the fewest steps over the
+    optimal chains 0 -> j, one more than the least n_steps among j's tied
+    best predecessors (0 at node 0 and at unreachable nodes); without it
+    n_steps is None and the tie work is skipped.  A minimum is exact, so
+    each set gets the bits a DP over that set alone gives.
     """
-    G = cost.shape[0]
-    phi = np.full(G, np.inf)
-    n_steps = np.zeros(G, dtype=np.int64)
-    phi[0] = 0.0
-    for j in range(1, G):
-        s = phi[:j] + cost[:j, j]
-        best = s.min()
-        if best == np.inf:
-            continue
-        phi[j] = best
-        n_steps[j] = n_steps[:j][s == best].min() + 1
+    M, G = cost.shape[0], cost.shape[1]
+    phi = np.full((M, G), np.inf)
+    phi[:, 0] = 0.0
+    n_steps = np.zeros((M, G), dtype=np.int64) if steps else None
+    k = M
+    for j in range(1, max(sizes, default=1)):
+        while sizes[k - 1] <= j:
+            k -= 1
+        s = phi[:k, :j] + cost[:k, j, :j]
+        best = np.minimum.reduce(s, axis=1, out=phi[:k, j])
+        if steps:
+            tied = s == best[:, None]
+            fewest = np.minimum.reduce(n_steps[:k, :j], axis=1, where=tied, initial=G)
+            np.add(fewest, 1, out=n_steps[:k, j])
+    if steps:
+        # an unreachable node ties with every predecessor; no reachable node
+        # ties with it, so its count is reset here rather than in the loop
+        n_steps[phi == np.inf] = 0
     return phi, n_steps
-
-

@@ -4,11 +4,14 @@ Phi(omega, t) is approximated by a shortest-path DP over strictly monotone
 chains of any length on a position grid: monotone steps between ordered nodes
 form a DAG, so one pass over the nodes gives the infimum (the monotone
 reduction justifies the restriction for twist models; t = 0 uses the closed
-form E(0,0) - Ebar).  One helper, ``_phi_to``, runs that DP toward a set of
-targets; the Mane table, the subadditivity check and the calibration defects
-all read Phi from it.  Its nodes are the targets themselves plus the h-ladder
+form E(0,0) - Ebar).  One helper, ``_phi_to``, runs that DP toward sets of
+targets, each at its own shifted environment; the Mane table, the
+subadditivity check and the calibration defects all read Phi from it, and
+each makes one call.  Its nodes are the targets themselves plus the h-ladder
 points clear of them, so in calibration the tested sub-chain is always inside
-the search space and defects stay nonnegative up to roundoff.
+the search space and defects stay nonnegative up to roundoff.  The node sets
+of one call go to the kernel in stacks of at most 2 MB of costs, largest
+first, so small sets share the kernel's Python loop.
 """
 
 from __future__ import annotations
@@ -74,58 +77,114 @@ class RotationReport:
     chains: Tuple[np.ndarray, ...]
 
 
-# Largest Mane node set: its G x G cost matrix is 34 MB, and a mane_table at
-# K = 2000 (two DP passes over 2001 nodes) takes about 0.3 s on a 2-core x86 host.
+# Largest Mane node set: its G x G cost matrix is 34 MB.  On a 2-core x86 host a
+# mane_table at K = 2000 (two DPs over 2001 nodes) takes about 0.2 s, and the
+# largest calibrate_window stage (W = 64, 128 DPs over up to 2039 nodes) about 5.5 s.
 _MAX_NODES = 2049
+# Cells (8 bytes each) of one stack of node sets sent to the kernel together;
+# a set with more cells than this runs alone.
+_BATCH_CELLS = 1 << 18
 
 
-def _phi_over_nodes(model, env, nodes, ebar):
-    """Monotone DAG DP over the ordered node array (nodes[0] == 0).
+def _stacks(sizes):
+    """Indices of node sets of these sizes, largest first, cut into kernel stacks.
 
-    Returns (phi, n_steps): phi[j] is the best value over chains 0 -> nodes[j]
-    through earlier nodes, n_steps[j] the smallest optimal step count.
+    A stack holds at most _BATCH_CELLS cells, counting each set at the size
+    of the stack's first (largest) set; a larger set runs alone.
     """
-    G = nodes.size
-    if G > _MAX_NODES:
-        raise ResourceError(f"Mane DP over {G} nodes exceeds the cap of {_MAX_NODES}")
-    V = np.atleast_1d(potential_values(model, env, nodes))
-    cost = np.full((G, G), np.inf)
-    iu = np.triu_indices(G, k=1)
-    steps = nodes[iu[1]] - nodes[iu[0]]
-    cost[iu] = np.asarray(spring_value(model, steps)) + V[iu[0]] - ebar
-    return _kernels.phi_dp(cost)
+    order = sorted(range(len(sizes)), key=lambda i: -sizes[i])
+    stacks = []
+    while order:
+        per = max(1, _BATCH_CELLS // sizes[order[0]] ** 2)
+        stacks.append(order[:per])
+        order = order[per:]
+    return stacks
 
 
-def _phi_to(model, env, rel, h, ebar):
-    """Phi-hat(0 -> r) and its optimal step count for each r in ``rel``, aligned with it.
+def _phi_over_nodes(model, items, ebar, steps):
+    """Monotone DAG DPs over the ordered node arrays of ``items``, (env, nodes) pairs.
 
-    Each sign of ``rel`` runs one DP over node 0, that sign's exact targets and
-    the h-ladder points that lie clear of every target, up to the farthest
-    target.  |r| <= 1e-12 takes the closed form E(0, 0) - Ebar with one step.
+    Each nodes[0] is 0.  Returns one (phi, n_steps) pair per item: phi[j] is
+    the best value over chains 0 -> nodes[j] through earlier nodes, n_steps[j]
+    the smallest optimal step count (None unless ``steps``).  Every set is
+    checked against the cap before any work starts; the sets then go to the
+    kernel in the stacks of ``_stacks``.
     """
-    rel = np.asarray(rel, dtype=float)
-    phi = np.zeros(rel.shape)
-    n_steps = np.ones(rel.shape, dtype=np.int64)
-    zero = np.abs(rel) <= 1e-12
-    if zero.any():
-        phi[zero] = energy(model, env, 0.0, 0.0) - ebar
-    for direction in (-1.0, 1.0):
-        side = direction * rel > 1e-12
-        if not side.any():
-            continue
-        anchors = _unique(rel[side])
-        top = float(np.max(np.abs(anchors)))
-        ladder = direction * h * np.arange(1, int(math.ceil(top / h + 1e-9)) + 1)
-        ladder = ladder[np.abs(ladder) <= top + 1e-12]
-        pos = np.searchsorted(anchors, ladder)
-        near_hi = np.abs(anchors[np.clip(pos, 0, anchors.size - 1)] - ladder) <= 1e-9
-        near_lo = np.abs(anchors[np.clip(pos - 1, 0, anchors.size - 1)] - ladder) <= 1e-9
-        # nodes in the order of the chain: keys ascend, nodes move away from 0
-        keys = np.sort(direction * np.concatenate([[0.0], anchors, ladder[~(near_hi | near_lo)]]))
-        side_phi, side_steps = _phi_over_nodes(model, env, direction * keys, ebar)
-        j = np.searchsorted(keys, direction * rel[side])
-        phi[side], n_steps[side] = side_phi[j], side_steps[j]
-    return phi, n_steps
+    sizes = [nodes.size for _, nodes in items]
+    for G in sizes:
+        if G > _MAX_NODES:
+            raise ResourceError(f"Mane DP over {G} nodes exceeds the cap of {_MAX_NODES}")
+    out = [None] * len(items)
+    for batch in _stacks(sizes):
+        G = sizes[batch[0]]
+        cost = np.empty((len(batch), G, G))
+        for block, item in zip(cost, batch):
+            env, nodes = items[item]
+            g = nodes.size
+            V = np.atleast_1d(potential_values(model, env, nodes))
+            # cell[j, i] = W(nodes[j] - nodes[i]) + V(nodes[i]) - Ebar, the cost of step i -> j;
+            # the steps are written into the cell first, which saves a G x G temporary
+            cell = block[:g, :g]
+            np.subtract(nodes[:, None], nodes[None, :], out=cell)
+            np.add(spring_value(model, cell), V, out=cell)
+            cell -= ebar
+        phi, n_steps = _kernels.phi_dp(cost, [sizes[item] for item in batch], steps)
+        for b, item in enumerate(batch):
+            g = sizes[item]
+            out[item] = (phi[b, :g], None if n_steps is None else n_steps[b, :g])
+    return out
+
+
+def _phi_to(model, jobs, h, ebar, steps=False):
+    """Phi-hat(0 -> r) at each shifted environment, for a list of (env, rel) jobs.
+
+    Returns one (phi, n_steps) pair per job, aligned with its ``rel``; n_steps
+    is None unless ``steps``.  Each sign of a job's ``rel`` is one DP over
+    node 0, that sign's exact targets and the h-ladder points that lie clear
+    of every target, up to the farthest target; every DP of every job runs
+    in one ``_phi_over_nodes`` call.  |r| <= 1e-12 takes the closed form
+    E(0, 0) - Ebar with one step.
+    """
+    results, items, reads = [], [], []
+    for env, rel in jobs:
+        rel = np.asarray(rel, dtype=float)
+        phi = np.zeros(rel.shape)
+        n_steps = np.ones(rel.shape, dtype=np.int64) if steps else None
+        zero = np.abs(rel) <= 1e-12
+        if zero.any():
+            phi[zero] = energy(model, env, 0.0, 0.0) - ebar
+        results.append((phi, n_steps))
+        for direction in (-1.0, 1.0):
+            side = direction * rel > 1e-12
+            if not side.any():
+                continue
+            anchors = _unique(rel[side])
+            top = float(np.max(np.abs(anchors)))
+            ladder = direction * h * np.arange(1, int(math.ceil(top / h + 1e-9)) + 1)
+            ladder = ladder[np.abs(ladder) <= top + 1e-12]
+            pos = np.searchsorted(anchors, ladder)
+            near_hi = np.abs(anchors[np.clip(pos, 0, anchors.size - 1)] - ladder) <= 1e-9
+            near_lo = np.abs(anchors[np.clip(pos - 1, 0, anchors.size - 1)] - ladder) <= 1e-9
+            # nodes in the order of the chain: keys ascend, nodes move away from 0
+            clear = ladder[~(near_hi | near_lo)]
+            keys = np.sort(direction * np.concatenate([[0.0], anchors, clear]))
+            items.append((env, direction * keys))
+            reads.append((len(results) - 1, side, np.searchsorted(keys, direction * rel[side])))
+    solved = _phi_over_nodes(model, items, ebar, steps)
+    for (k, side, j), (side_phi, side_steps) in zip(reads, solved):
+        phi, n_steps = results[k]
+        phi[side] = side_phi[j]
+        if steps:
+            n_steps[side] = side_steps[j]
+    return results
+
+
+def _grid_targets(X, h):
+    """The table targets k h for |k| <= K = floor(X / h), ascending, and K."""
+    if h <= 0 or X <= 0:
+        raise DomainError("X and h must be positive")
+    K = int(math.floor(X / h + 1e-9))
+    return h * np.arange(-K, K + 1), K
 
 
 def mane_table(
@@ -136,11 +195,8 @@ def mane_table(
     h: float,
 ) -> ManeTable:
     """Tabulate Phi(omega, t) for t on the grid {k h} in [-X, X]."""
-    if h <= 0 or X <= 0:
-        raise DomainError("X and h must be positive")
-    K = int(math.floor(X / h + 1e-9))
-    targets = h * np.arange(-K, K + 1)
-    phi, n_steps = _phi_to(model, env, targets, h, ebar)
+    targets, K = _grid_targets(X, h)
+    [(phi, n_steps)] = _phi_to(model, [(env, targets)], h, ebar, steps=True)
     return ManeTable(
         env=env,
         ebar=float(ebar),
@@ -177,9 +233,10 @@ def cocycle_defects(
 ) -> Dict[str, float]:
     """Empirical defects of the cocycle inequalities on sampled grid pairs.
 
-    Subadditivity needs Phi(tau_s omega, t), read from one DP toward t at the
-    shifted environment.  A monotone chain 0 -> t visits only nodes between 0
-    and t, so that value equals the entry of a full shifted table.
+    Subadditivity needs Phi(tau_s omega, t), read from a DP toward t at the
+    shifted environment; one ``_phi_to`` call serves every sampled pair.  A
+    monotone chain 0 -> t visits only nodes between 0 and t, so that value
+    equals the entry of a full shifted table.
     """
     if samples < 10:
         raise DomainError("need at least 10 sampled pairs")
@@ -196,10 +253,9 @@ def cocycle_defects(
         t = rng.integers(-K, K + 1)
         if s != 0 and max(abs(s), abs(t), abs(s + t)) <= mid:
             pairs.append((s, t))
+    jobs = [(translate_env(env, s * table.h), targets[mid + t : mid + t + 1]) for s, t in pairs]
     subadd = -np.inf
-    for s, t in pairs:
-        env_s = translate_env(env, s * table.h)
-        phi_t, _ = _phi_to(model, env_s, targets[mid + t : mid + t + 1], table.h, table.ebar)
+    for (s, t), (phi_t, _) in zip(pairs, _phi_to(model, jobs, table.h, table.ebar)):
         lhs = table.phi[mid + s + t]
         rhs = table.phi[mid + s] + phi_t[0]
         subadd = max(subadd, float(lhs - rhs))
@@ -224,10 +280,11 @@ def grid_sensitivity(model: LagrangianSpec, coarse: ManeTable) -> Dict[str, floa
     The fine table halves ``coarse.h`` at the same environment, Ebar and X.
     """
     env, ebar, X, h = coarse.env, coarse.ebar, coarse.X, coarse.h
-    fine = mane_table(model, env, ebar, X, h / 2.0)
-    idx = np.searchsorted(fine.targets, coarse.targets)
-    idx = np.clip(idx, 0, fine.targets.size - 1)
-    delta = float(np.max(np.abs(fine.phi[idx] - coarse.phi)))
+    fine_targets, _ = _grid_targets(X, h / 2.0)
+    [(fine_phi, _)] = _phi_to(model, [(env, fine_targets)], h / 2.0, ebar)
+    idx = np.searchsorted(fine_targets, coarse.targets)
+    idx = np.clip(idx, 0, fine_targets.size - 1)
+    delta = float(np.max(np.abs(fine_phi[idx] - coarse.phi)))
     return {"max_change": delta, "h": h, "bound_Ch": lipschitz_bound(model, env, X) * h}
 
 
@@ -242,7 +299,7 @@ def calibrate_window(
     """Defects E(x_m..x_n) - (n-m) Ebar - S(x_m, x_n) over the middle window.
 
     S(x_m, x_n) is Phi(tau_{x_m} omega, x_n - x_m), from one ``_phi_to`` call
-    per m whose targets are the chain's own offsets.
+    whose job for each m targets the chain's own offsets from x_m.
     """
     if N_outer < 4 * W:
         raise DomainError("N_outer must be at least 4 W")
@@ -254,10 +311,11 @@ def calibrate_window(
     # slice as chain_energy does (springs, then potentials)
     w = spring_value(model, np.diff(xs))
     v = potential_values(model, env, xs[:-1])
+    jobs = [
+        (translate_env(env, xs[m]), xs[m + 1 : min(m + W, hi) + 1] - xs[m]) for m in range(lo, hi)
+    ]
     rows = []
-    for m in range(lo, hi):
-        rel = xs[m + 1 : min(m + W, hi) + 1] - xs[m]
-        s_vals, _ = _phi_to(model, translate_env(env, xs[m]), rel, grid.h, ebar)
+    for m, (s_vals, _) in zip(range(lo, hi), _phi_to(model, jobs, grid.h, ebar)):
         for n_i, s_val in enumerate(s_vals, start=m + 1):
             e_val = float(np.sum(w[m:n_i]) + np.sum(v[m:n_i])) - (n_i - m) * ebar
             rows.append((m, n_i, e_val - s_val))

@@ -75,19 +75,49 @@ class TestKernelPairs:
         assert relaxed <= 0.5 * n * D
 
     def test_phi_dp_pair(self):
-        # integer costs are full of exact ties, which exercise the tie rules
+        """Each set of a stack gets the layered oracle's phi and least step counts.
+
+        The sets have unequal sizes; every entry the kernel may not read (the
+        upper triangle, the diagonal and the padding) is NaN, so a stray read
+        shows.  Integer costs are full of exact ties, which exercise the tie
+        rule; ``steps=False`` must give the same phi bits.
+        """
         rng = np.random.default_rng(1)
-        for G, integer_costs in itertools.product((2, 5, 12, 25), (False, True)):
-            cost = np.full((G, G), np.inf)
-            iu = np.triu_indices(G, k=1)
-            if integer_costs:
-                cost[iu] = rng.integers(-2, 3, iu[0].size)
-            else:
-                cost[iu] = rng.uniform(-1, 1, iu[0].size)
-            phi, n_steps = _kernels.phi_dp(cost)
-            D = phi_dp_loop(cost, G - 1)
-            assert np.array_equal(phi[1:], D[1:, 1:].min(axis=0))
-            assert np.array_equal(n_steps[1:], D[1:, 1:].argmin(axis=0) + 1)
+        sizes = [25, 25, 12, 5, 2, 1]
+        for kind in ("float", "integer", "forbidden"):
+            G = sizes[0]
+            cost = np.full((len(sizes), G, G), np.nan)
+            blocks = []
+            for block, g in zip(cost, sizes):
+                c = np.full((g, g), np.inf)  # c[i, j] is the cost of step i -> j
+                iu = np.triu_indices(g, k=1)
+                if kind == "integer":
+                    c[iu] = rng.integers(-2, 3, iu[0].size)
+                else:
+                    c[iu] = rng.uniform(-1, 1, iu[0].size)
+                if kind == "forbidden":
+                    # +inf steps: node 3 is unreachable, and so is any node
+                    # reached only through it
+                    c[iu] = np.where(rng.random(iu[0].size) < 0.5, np.inf, c[iu])
+                    c[:, 3:4] = np.inf
+                block[iu[1], iu[0]] = c[iu]
+                blocks.append(c)
+            phi, n_steps = _kernels.phi_dp(cost, sizes, steps=True)
+            phi_only, none = _kernels.phi_dp(cost, sizes)
+            assert none is None
+            assert phi_only.tobytes() == phi.tobytes()
+            for m, (c, g) in enumerate(zip(blocks, sizes)):
+                assert phi[m, 0] == 0.0 and n_steps[m, 0] == 0
+                if g == 1:
+                    continue
+                D = phi_dp_loop(c, g - 1)
+                want = D[1:, 1:].min(axis=0)
+                assert np.array_equal(phi[m, 1:g], want), (kind, m)
+                # the fewest steps among the optimal chains, 0 where no chain exists
+                fewest = np.where(np.isfinite(want), D[1:, 1:].argmin(axis=0) + 1, 0)
+                assert np.array_equal(n_steps[m, 1:g], fewest), (kind, m)
+            if kind == "forbidden":
+                assert np.isinf(phi[0, 3]) and n_steps[0, 3] == 0
 
 
 def test_bench_kernels_smoke():

@@ -26,7 +26,8 @@ from fklab import (
     sturm_model,
     torus_model,
 )
-from fklab import mane
+from fklab import _kernels, mane
+from fklab.environments import translate_env
 
 from oracles import brute_force_phi, subadditivity_loop
 
@@ -101,14 +102,91 @@ class TestManeTable:
         # E(0, 0) - Ebar serves only a target at 0, so without one it is never evaluated
         m = circle_model(1.0, 0.5)
         rel = np.array([-0.5, 0.25, 1.0])
-        want = mane._phi_to(m, CIRCLE, rel, 0.05, 0.01)
+        [want] = mane._phi_to(m, [(CIRCLE, rel)], 0.05, 0.01, steps=True)
 
         def no_energy(*args):
             raise AssertionError("energy evaluated")
 
         monkeypatch.setattr(mane, "energy", no_energy)
-        got = mane._phi_to(m, CIRCLE, rel, 0.05, 0.01)
+        [got] = mane._phi_to(m, [(CIRCLE, rel)], 0.05, 0.01, steps=True)
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+class TestStackedDPs:
+    @pytest.mark.parametrize("case", ["circle", "quasicrystal"])
+    def test_jobs_match_one_job_calls(self, case, monkeypatch):
+        """One call over many jobs returns exactly what one call per job returns.
+
+        The jobs have both signs, a zero-only target and unequal node counts.
+        The one-job calls run every node set alone; the many-job call stacks
+        them, several sets per kernel call over several calls.
+        """
+        if case == "circle":
+            m, env, h = circle_model(1.0, 0.5), CIRCLE, 0.05
+        else:
+            m, env, h = sturm_model(FIB, 0.5, 1.0, PHI), EnvPoint.quasicrystal(FIB), 0.08
+        rels = [
+            np.array([-0.5, 0.25, 1.0]),
+            np.array([0.0]),
+            np.array([0.3, 0.0, -1.37, 2.2]),
+            np.array([-2.0, -0.04]),
+            np.array([0.61, 0.62, 0.0]),
+            np.array([1.9]),
+        ]
+        jobs = [(translate_env(env, 0.37 * k), rel) for k, rel in enumerate(rels)]
+        kernel = _kernels.phi_dp
+        stacks = []
+
+        def spy(cost, sizes, steps=False):
+            stacks.append(len(sizes))
+            return kernel(cost, sizes, steps)
+
+        monkeypatch.setattr(_kernels, "phi_dp", spy)
+        for steps in (False, True):
+            monkeypatch.setattr(mane, "_BATCH_CELLS", 1)
+            want = [mane._phi_to(m, [job], h, 0.01, steps)[0] for job in jobs]
+            assert set(stacks) == {1}
+            stacks.clear()
+            monkeypatch.setattr(mane, "_BATCH_CELLS", 3 * 40**2)
+            got = mane._phi_to(m, jobs, h, 0.01, steps)
+            assert len(stacks) > 1 and max(stacks) > 1, stacks
+            stacks.clear()
+            assert len(got) == len(jobs)
+            for (g_phi, g_steps), (w_phi, w_steps), (_, rel) in zip(got, want, jobs):
+                assert g_phi.shape == rel.shape and g_phi.tobytes() == w_phi.tobytes()
+                if steps:
+                    assert np.array_equal(g_steps, w_steps)
+                else:
+                    assert g_steps is None and w_steps is None
+
+    def test_calibration_stacks_stay_bounded(self, monkeypatch):
+        """On the quasicrystal workload's window, no stack exceeds the cell bound."""
+        kernel = _kernels.phi_dp
+        shapes = []
+
+        def spy(cost, sizes, steps=False):
+            shapes.append((cost.shape, list(sizes), steps))
+            return kernel(cost, sizes, steps)
+
+        monkeypatch.setattr(_kernels, "phi_dp", spy)
+        m = sturm_model(FIB, 0.5, 1.0, 1.618)
+        calibrate_window(m, EnvPoint.quasicrystal(FIB), 0.0122, 64, 8, GridSpec(h=0.08, X=2.0))
+        assert sum(len(sizes) for _, sizes, _ in shapes) == 16  # one set per m
+        assert len(shapes) < 16
+        for (M, G, G2), sizes, steps in shapes:
+            assert G == G2 == sizes[0] and len(sizes) == M and not steps
+            assert M * G * G <= max(mane._BATCH_CELLS, G * G)
+
+    def test_over_cap_set_is_refused_before_any_work(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(_kernels, "phi_dp", forbidden)
+        monkeypatch.setattr(mane, "potential_values", forbidden)
+        m = circle_model(0.0, 0.0)
+        jobs = [(CIRCLE, np.array([1.0])), (CIRCLE, np.array([2049.0]))]
+        with pytest.raises(ResourceError, match="2050 nodes"):
+            mane._phi_to(m, jobs, 1.0, 0.0)
 
 
 class TestCocycleDefects:
