@@ -27,11 +27,9 @@ from .lagrangians import (
     LagrangianSpec,
     chain_energy,
     energy,
-    potential_d1,
-    potential_d2,
+    potential_derivs,
     potential_values,
-    spring_d1,
-    spring_d2,
+    spring_derivs,
     spring_value,
 )
 
@@ -103,15 +101,17 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class GroundEnergyEstimate:
-    """Found n-chain minima m_n and two estimates of Ebar drawn from them.
+    """Found n-chain minima m_n, their chains, and two estimates of Ebar.
 
     ``lower_bound`` is max m_n/n, a lower estimate of Ebar rather than a
     certified bound: a found chain never has less energy than the true
-    minimum, so m_n/n can exceed the true ratio.
+    minimum, so m_n/n can exceed the true ratio.  ``positions`` holds each
+    n's refined minimizer.
     """
 
     n_list: Tuple[int, ...]
     m_values: Tuple[float, ...]
+    positions: Tuple[np.ndarray, ...]
     lower_bound: float
     extrapolated: float
     h: float
@@ -144,9 +144,9 @@ def _dp_solve(model, env, grid, n, dlo, dhi, h, start_idx, end_idx):
             f"chain DP of {cells} cells with a {table_bytes}-byte table exceeds the caps "
             f"of {_MAX_DP_CELLS} cells and {_MAX_DP_BYTES} bytes"
         )
-    V = np.atleast_1d(potential_values(model, env, grid))
+    V = potential_values(model, env, grid)
     deltas = np.arange(dlo, dhi + 1)
-    Wd = np.asarray(spring_value(model, deltas * h), dtype=float)
+    Wd = spring_value(model, deltas * h)
     C, _ = _kernels.chain_dp_backward_np(V, Wd, n, int(dlo), int(end_idx))
     if start_idx >= 0:
         j = start_idx
@@ -174,10 +174,8 @@ def _dp_solve(model, env, grid, n, dlo, dhi, h, start_idx, end_idx):
 
 def _grad_hess(model, env, xs, fixed_ends):
     n = xs.size - 1
-    dw1 = np.atleast_1d(spring_d1(model, np.diff(xs)))
-    dw2 = np.atleast_1d(spring_d2(model, np.diff(xs)))
-    v1 = np.atleast_1d(potential_d1(model, env, xs[:-1]))
-    v2 = np.atleast_1d(potential_d2(model, env, xs[:-1]))
+    dw1, dw2 = spring_derivs(model, np.diff(xs))
+    v1, v2 = potential_derivs(model, env, xs[:-1])
     g = np.zeros(n + 1)
     g[0] = -dw1[0] + v1[0]
     g[1:n] = dw1[:-1] - dw1[1:] + v1[1:]
@@ -387,7 +385,8 @@ def ground_energy(
     if n_list[-1] > 64:
         raise DomainError("chain lengths above 64 are out of the desk-scale budget")
     R = grid.jump_cap(model)
-    m_values = tuple(minimize_free(model, env, n, h=grid.h, R_max=R).energy for n in n_list)
+    chains = [minimize_free(model, env, n, h=grid.h, R_max=R).chain for n in n_list]
+    m_values = tuple(c.energy for c in chains)
     per_site = [m / n for m, n in zip(m_values, n_list)]
     lower = max(per_site)
     top = max(2, len(n_list) // 2 + len(n_list) % 2)
@@ -401,6 +400,7 @@ def ground_energy(
     return GroundEnergyEstimate(
         n_list=n_list,
         m_values=m_values,
+        positions=tuple(c.positions for c in chains),
         lower_bound=lower,
         extrapolated=extrapolated,
         h=grid.h,
@@ -419,7 +419,7 @@ def sampled_infima(
     rng = Rng(seed)
     xs = rng.uniform(-5.0, 5.0, size=400)
     ts = rng.uniform(-R, R, size=400)
-    vx = np.atleast_1d(potential_values(model, env, xs))
+    vx = potential_values(model, env, xs)
     inf_pair = float(np.min(spring_value(model, ts) + vx))
     inf_diag = float(np.min(spring_value(model, 0.0) + vx))
     return inf_pair, inf_diag

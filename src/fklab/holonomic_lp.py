@@ -71,8 +71,8 @@ def discretize_circle(model: LagrangianSpec, N: int, T_max: float) -> LPProblem:
         raise ResourceError(f"N * |jumps| = {N * jumps.size} arcs above the cap {_MAX_ARCS}")
     env = EnvPoint.circle(0.0)
     grid = np.arange(N) / N
-    v = np.atleast_1d(potential_values(model, env, grid))
-    w = np.asarray(spring_value(model, jumps / N))
+    v = potential_values(model, env, grid)
+    w = spring_value(model, jumps / N)
     cost = v[:, None] + w[None, :]
     return LPProblem(N=N, jumps=jumps, cost=cost)
 

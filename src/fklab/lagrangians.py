@@ -7,6 +7,13 @@ is b(s) = s^2 (1-s)^2 rescaled to the gap support, which gives closed-form
 test values (b(1/2) = 1/16).  Both springs are weakly convex, so
 -d2E/dxdy = W'' >= 0 and every catalog model is weakly twist; the monotone
 DPs downstream rely on that without a per-model check.
+
+Each term has two evaluators: ``spring_value``/``potential_values`` for the
+energy and ``spring_derivs``/``potential_derivs`` for the first and second
+derivatives that the Newton refinement needs together, so the family
+dispatch (and, for bumps, the gap lookup) happens once per derivative pair.
+Values stay separate: the Mane cost fill and the DP tables evaluate W and V
+on large arrays where derivatives would be wasted work.
 """
 
 from __future__ import annotations
@@ -96,20 +103,13 @@ def spring_value(model, t):
     return 0.25 * u2 * u2
 
 
-def spring_d1(model, t):
+def spring_derivs(model, t):
+    """(W'(t), W''(t)) over an array of steps t."""
     t = np.asarray(t, dtype=float)
     u = t - model.lam
     if model.spring == "quadratic":
-        return u
-    return u ** 3
-
-
-def spring_d2(model, t):
-    t = np.asarray(t, dtype=float)
-    u = t - model.lam
-    if model.spring == "quadratic":
-        return np.ones_like(u)
-    return 3.0 * u * u
+        return u, np.ones_like(u)
+    return u ** 3, 3.0 * u * u
 
 
 # -- potentials ---------------------------------------------------------------
@@ -150,30 +150,25 @@ def potential_values(model, env, xs):
     return v if np.ndim(xs) else float(v[0])
 
 
-def potential_d1(model, env, xs):
-    xs_arr = np.atleast_1d(np.asarray(xs, dtype=float))
-    if model.potential == "circle_cosine":
-        v = model.K / TWO_PI * np.sin(TWO_PI * (env.phase + xs_arr))
-    elif model.potential == "torus_double_cosine":
-        v = model.K1 / TWO_PI * np.sin(TWO_PI * (env.w1 + xs_arr))
-        v = v + model.K2 * SQRT2 / TWO_PI * np.sin(TWO_PI * (env.w2 + xs_arr * SQRT2))
-    else:
-        amp, L, s = _bump_tables(model, env, xs_arr)
-        v = amp * 2.0 * s * (1.0 - s) * (1.0 - 2.0 * s) / L
-    return v if np.ndim(xs) else float(v[0])
+def potential_derivs(model, env, xs):
+    """(V'(x), V''(x)) over an array of positions xs.
 
-
-def potential_d2(model, env, xs):
-    xs_arr = np.atleast_1d(np.asarray(xs, dtype=float))
+    One family dispatch serves both derivatives; the bump family locates the
+    gaps around xs once.
+    """
+    xs = np.asarray(xs, dtype=float)
     if model.potential == "circle_cosine":
-        v = model.K * np.cos(TWO_PI * (env.phase + xs_arr))
-    elif model.potential == "torus_double_cosine":
-        v = model.K1 * np.cos(TWO_PI * (env.w1 + xs_arr))
-        v = v + 2.0 * model.K2 * np.cos(TWO_PI * (env.w2 + xs_arr * SQRT2))
-    else:
-        amp, L, s = _bump_tables(model, env, xs_arr)
-        v = amp * 2.0 * (6.0 * s * s - 6.0 * s + 1.0) / (L * L)
-    return v if np.ndim(xs) else float(v[0])
+        arg = TWO_PI * (env.phase + xs)
+        return model.K / TWO_PI * np.sin(arg), model.K * np.cos(arg)
+    if model.potential == "torus_double_cosine":
+        arg1, arg2 = TWO_PI * (env.w1 + xs), TWO_PI * (env.w2 + xs * SQRT2)
+        d1 = model.K1 / TWO_PI * np.sin(arg1) + model.K2 * SQRT2 / TWO_PI * np.sin(arg2)
+        d2 = model.K1 * np.cos(arg1) + 2.0 * model.K2 * np.cos(arg2)
+        return d1, d2
+    amp, L, s = _bump_tables(model, env, xs)
+    d1 = amp * 2.0 * s * (1.0 - s) * (1.0 - 2.0 * s) / L
+    d2 = amp * 2.0 * (6.0 * s * s - 6.0 * s + 1.0) / (L * L)
+    return d1, d2
 
 
 def equivariant_potential(model: LagrangianSpec, env: EnvPoint, x: float) -> float:
@@ -207,7 +202,7 @@ def chain_energy(model: LagrangianSpec, env: EnvPoint, positions) -> float:
         raise DomainError("a chain needs at least two points")
     w = spring_value(model, np.diff(xs))
     v = potential_values(model, env, xs[:-1])
-    return float(np.sum(w) + np.sum(np.atleast_1d(v)))
+    return float(np.sum(w) + np.sum(v))
 
 
 def twist_defect(model: LagrangianSpec, env: EnvPoint, box, grid: int) -> float:
@@ -252,7 +247,7 @@ def coercivity_probe(model: LagrangianSpec, env: EnvPoint, radii: Sequence[float
     master = np.concatenate([master, -master])
     span = 1.0 if model.potential != "quasicrystal_bumps" else float(model.alpha.max_gap() * 8)
     xs = np.linspace(0.0, span, 41)
-    vx = np.atleast_1d(potential_values(model, env, xs))
+    vx = potential_values(model, env, xs)
     out = []
     for r in radii:
         ts = master[np.abs(master) >= r - 1e-12]

@@ -6,8 +6,8 @@ form a DAG, so one pass over the nodes gives the infimum (the monotone
 reduction justifies the restriction for twist models; t = 0 uses the closed
 form E(0,0) - Ebar).  One helper, ``_phi_to``, runs that DP toward sets of
 targets, each at its own shifted environment; the Mane table, the
-subadditivity check and the calibration defects all read Phi from it, and
-each makes one call.  Its nodes are the targets themselves plus the h-ladder
+subadditivity check, the Ebar-choice shift and the calibration defects all
+read Phi from it, and each makes one call.  Its nodes are the targets themselves plus the h-ladder
 points clear of them, so in calibration the tested sub-chain is always inside
 the search space and defects stay nonnegative up to roundoff.  The node sets
 of one call go to the kernel in stacks of at most 2 MB of costs, largest
@@ -18,21 +18,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
 from . import _kernels
 from ._rng import Rng
-from .chain_opt import GridSpec, minimize_free
+from .chain_opt import GridSpec, GroundEnergyEstimate, minimize_free
 from .environments import CylinderSpec, EnvPoint, _unique, return_times, translate_env
 from .errors import DomainError, InsufficientDataError, ResourceError
 from .lagrangians import (
     LagrangianSpec,
     energy,
-    potential_d1,
+    potential_derivs,
     potential_values,
-    spring_d1,
+    spring_derivs,
     spring_value,
 )
 
@@ -121,7 +121,7 @@ def _phi_over_nodes(model, items, ebar, steps):
         for block, item in zip(cost, batch):
             env, nodes = items[item]
             g = nodes.size
-            V = np.atleast_1d(potential_values(model, env, nodes))
+            V = potential_values(model, env, nodes)
             # cell[j, i] = W(nodes[j] - nodes[i]) + V(nodes[i]) - Ebar, the cost of step i -> j;
             # the steps are written into the cell first, which saves a G x G temporary
             cell = block[:g, :g]
@@ -180,10 +180,13 @@ def _phi_to(model, jobs, h, ebar, steps=False):
 
 
 def _grid_targets(X, h):
-    """The table targets k h for |k| <= K = floor(X / h), ascending, and K."""
+    """The table targets k h for |k| <= K = floor(X / h), ascending, and K >= 1."""
     if h <= 0 or X <= 0:
         raise DomainError("X and h must be positive")
     K = int(math.floor(X / h + 1e-9))
+    if K < 1:
+        # a table of t = 0 alone leaves the cocycle checks no pair to sample
+        raise DomainError(f"X = {X} is below the grid step h = {h}")
     return h * np.arange(-K, K + 1), K
 
 
@@ -220,8 +223,8 @@ def lipschitz_bound(model: LagrangianSpec, env: EnvPoint, X: float) -> float:
     """Sampled bound on |dE/dx| + |dE/dt| over the table range."""
     ts = np.linspace(-2.0 * X, 2.0 * X, 201)
     xs = np.linspace(-X, X, 201)
-    w1 = np.max(np.abs(np.asarray(spring_d1(model, ts))))
-    v1 = np.max(np.abs(np.atleast_1d(potential_d1(model, env, xs))))
+    w1 = np.max(np.abs(spring_derivs(model, ts)[0]))
+    v1 = np.max(np.abs(potential_derivs(model, env, xs)[0]))
     return float(w1 + v1)
 
 
@@ -288,6 +291,12 @@ def grid_sensitivity(model: LagrangianSpec, coarse: ManeTable) -> Dict[str, floa
     return {"max_change": delta, "h": h, "bound_Ch": lipschitz_bound(model, env, X) * h}
 
 
+def phi_shift(model: LagrangianSpec, table: ManeTable, ebar: float) -> float:
+    """Max |Phi| change over the table's targets when Ebar is replaced by ``ebar``."""
+    [(phi, _)] = _phi_to(model, [(table.env, table.targets)], table.h, ebar)
+    return float(np.max(np.abs(table.phi - phi)))
+
+
 def calibrate_window(
     model: LagrangianSpec,
     env: EnvPoint,
@@ -334,39 +343,25 @@ def calibrate_window(
 
 
 def rotation_number(
-    model: LagrangianSpec,
-    env: EnvPoint,
-    n_list: Sequence[int],
-    grid: GridSpec,
+    model: LagrangianSpec, env: EnvPoint, est: GroundEnergyEstimate
 ) -> RotationReport:
-    """Per-n rotation estimates |x_n - x_0| / n from free minimizers.
+    """Per-n rotation estimates |x_n - x_0| / n from the free minimizers of ``est``.
 
     When inf_x E(x, x) does not exceed the ground-energy estimate the model is
     in the degenerate branch of the dichotomy (constant configurations are
     already calibrated); the report carries the flag and the computed chains.
     """
-    values = []
-    chains = []
-    per_site = []
-    for n in n_list:
-        res = minimize_free(model, env, int(n), h=grid.h, R_max=grid.jump_cap(model))
-        xs = np.asarray(res.chain.positions)
-        values.append((int(n), float(abs(xs[-1] - xs[0]) / n)))
-        chains.append(xs)
-        per_site.append(res.energy / n)
-    ebar_est = max(per_site)
+    values = tuple((n, float(abs(xs[-1] - xs[0]) / n)) for n, xs in zip(est.n_list, est.positions))
     xs_samp = np.linspace(-8.0, 8.0, 801)
-    diag = float(spring_value(model, 0.0)) + np.atleast_1d(
-        potential_values(model, env, xs_samp)
-    )
+    diag = float(spring_value(model, 0.0)) + potential_values(model, env, xs_samp)
     inf_diag = float(diag.min())
-    degenerate = inf_diag <= ebar_est + 1e-9
+    degenerate = inf_diag <= est.lower_bound + 1e-9
     return RotationReport(
-        values=tuple(values),
+        values=values,
         degenerate=degenerate,
         inf_diag_sampled=inf_diag,
-        ebar=float(ebar_est),
-        chains=tuple(chains),
+        ebar=est.lower_bound,
+        chains=est.positions,
     )
 
 

@@ -25,8 +25,8 @@ from fklab import (
     translate_env,
 )
 
-from fklab import _kernels, chain_opt
-from fklab.lagrangians import potential_d1, spring_d1
+from fklab import _kernels, chain_opt, lagrangians
+from fklab.lagrangians import potential_derivs, spring_derivs
 
 from oracles import (
     brute_force_fixed_chain,
@@ -112,9 +112,9 @@ class TestMinimizeFree:
 
 def chain_gradient(model, env, xs):
     """dE/dx_k of E = sum_k W(x_{k+1} - x_k) + V(x_k), from the closed-form derivatives."""
-    dw = np.atleast_1d(spring_d1(model, np.diff(xs)))
+    dw, _ = spring_derivs(model, np.diff(xs))
     g = np.zeros(xs.size)
-    g[:-1] += np.atleast_1d(potential_d1(model, env, xs[:-1])) - dw
+    g[:-1] += potential_derivs(model, env, xs[:-1])[0] - dw
     g[1:] += dw
     return g
 
@@ -213,6 +213,21 @@ class TestRefinement:
         res = minimize_free(circle_model(1.0, 0.5), CIRCLE, 8, h=0.05)
         assert sum(np.array_equal(xs, res.dp_positions) for xs in seen) == 1
 
+    def test_newton_step_finds_the_bump_gaps_once(self, monkeypatch):
+        # V' and V'' of one gradient-and-Hessian evaluation share one gap lookup
+        model, env = REFINE_CASES[2]
+        calls = []
+        real = lagrangians._bump_tables
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(lagrangians, "_bump_tables", counting)
+        xs = 0.25 + model.lam * np.arange(9.0)
+        chain_opt._grad_hess(model, env, xs, False)
+        assert len(calls) == 1
+
     def test_indefinite_start_stays_in_its_wells(self):
         # lam = 0 pins the monotone DP chain at x = 0.1, on the concave flank of
         # the K = 8 well at -0.17: an uncapped shifted step carries sites wells
@@ -274,6 +289,13 @@ class TestGroundEnergy:
             for b in est.n_list:
                 if a + b in mv:
                     assert mv[a + b] >= mv[a] + mv[b] - 1e-9
+
+    def test_keeps_each_minimizer(self):
+        m = circle_model(1.0, 0.5)
+        est = ground_energy(m, CIRCLE, [4, 8, 16], GridSpec(h=0.05))
+        for n, xs, m_n in zip(est.n_list, est.positions, est.m_values):
+            assert xs.size == n + 1
+            assert chain_energy(m, CIRCLE, xs) == m_n
 
     def test_refinement_self_consistency(self):
         m = circle_model(1.0, 0.5)

@@ -126,6 +126,13 @@ class TestConfig:
             "ground_energy_summary.json",
         ]
 
+    def test_table_range_below_grid_step(self, tmp_path):
+        # x < h leaves the Mane table only t = 0: refused before any file is written
+        config = CIRCLE_K1.replace("h = 0.05", "h = 0.5").replace("x = 2.5", "x = 0.4")
+        code, out = run(tmp_path, config, "mane")
+        assert code == 2
+        assert list(out.iterdir()) == []
+
     def test_missing_file(self, tmp_path):
         assert main(["ground-energy", "--config", str(tmp_path / "nope.ini")]) == 2
 

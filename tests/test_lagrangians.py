@@ -25,7 +25,13 @@ from fklab import (
 )
 from fklab import environments
 from fklab.environments import PointSet
-from fklab.lagrangians import LagrangianSpec, potential_d1, potential_d2, potential_values
+from fklab.lagrangians import (
+    LagrangianSpec,
+    potential_derivs,
+    potential_values,
+    spring_derivs,
+    spring_value,
+)
 
 FIB = AlphaValue.fibonacci()
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
@@ -174,7 +180,6 @@ class TestTabulatedBumps:
     """The slope's memoized index blocks reproduce a fresh per-point materialization."""
 
     M = sturm_model(FIB, 0.5, 1.0, PHI)
-    FUNCS = (potential_values, potential_d1, potential_d2)
 
     @pytest.fixture(autouse=True)
     def fresh_blocks(self):
@@ -182,16 +187,22 @@ class TestTabulatedBumps:
         yield
         environments._block.cache_clear()
 
+    def _outputs(self, env, xs):
+        # V, then both outputs of the derivative evaluator
+        return [potential_values(self.M, env, xs), *potential_derivs(self.M, env, xs)]
+
     def _per_point(self, monkeypatch, env, xs):
         # one call per x, each locating its gap through PointSet.points_in
         with monkeypatch.context() as mp:
             mp.setattr(PointSet, "tabulated_points", PointSet.points_in)
-            return [np.array([f(self.M, env, float(x)) for x in xs]) for f in self.FUNCS]
+            per_x = [self._outputs(env, xs[i : i + 1]) for i in range(xs.size)]
+        return [np.concatenate(column) for column in zip(*per_x)]
 
     def _assert_bit_identical(self, monkeypatch, env, xs):
-        tabulated = [np.atleast_1d(f(self.M, env, xs)) for f in self.FUNCS]
+        tabulated = self._outputs(env, xs)
+        assert len(tabulated) == 3
         for got, want in zip(tabulated, self._per_point(monkeypatch, env, xs)):
-            assert np.array_equal(got, want)
+            assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize(
         "offset", [Fraction(0), Fraction(3, 16), Fraction(-37, 8), Fraction(1025, 64)]
@@ -367,16 +378,14 @@ class TestDerivatives:
         rng = np.random.default_rng(8)
         xs = rng.uniform(0.05, 20.0, size=40)
         h1, h2 = 1e-6, 1e-4  # second differences need the larger step
-        v1 = np.atleast_1d(potential_d1(model, env, xs))
-        v2 = np.atleast_1d(potential_d2(model, env, xs))
-        fd1 = (
-            np.atleast_1d(potential_values(model, env, xs + h1))
-            - np.atleast_1d(potential_values(model, env, xs - h1))
-        ) / (2 * h1)
+        v1, v2 = potential_derivs(model, env, xs)
+        fd1 = (potential_values(model, env, xs + h1) - potential_values(model, env, xs - h1)) / (
+            2 * h1
+        )
         fd2 = (
-            np.atleast_1d(potential_values(model, env, xs + h2))
-            - 2 * np.atleast_1d(potential_values(model, env, xs))
-            + np.atleast_1d(potential_values(model, env, xs - h2))
+            potential_values(model, env, xs + h2)
+            - 2 * potential_values(model, env, xs)
+            + potential_values(model, env, xs - h2)
         ) / (h2 * h2)
         # bump potentials have second-derivative jumps at set points; skip
         # samples within the FD stencil of a point
@@ -387,3 +396,26 @@ class TestDerivatives:
             keep = np.ones(xs.size, dtype=bool)
         assert np.max(np.abs((v1 - fd1)[keep])) < 1e-6
         assert np.max(np.abs((v2 - fd2)[keep])) < 1e-5
+
+    @pytest.mark.parametrize("model,env", CATALOG)
+    def test_potential_derivs_match_per_point(self, model, env):
+        # the vectorized evaluator gives each x the bits of a one-point call
+        xs = np.random.default_rng(10).uniform(-20.0, 20.0, size=30)
+        both = potential_derivs(model, env, xs)
+        per_x = [potential_derivs(model, env, xs[i : i + 1]) for i in range(xs.size)]
+        for got, column in zip(both, zip(*per_x)):
+            assert got.shape == xs.shape
+            assert got.tobytes() == np.concatenate(column).tobytes()
+
+    @pytest.mark.parametrize("spring", ["quadratic", "quartic"])
+    def test_spring_derivatives_fd(self, spring):
+        model = circle_model(1.0, 0.7, spring=spring)
+        ts = np.random.default_rng(9).uniform(-2.5, 3.5, size=40)
+        h1, h2 = 1e-6, 1e-4
+        w1, w2 = spring_derivs(model, ts)
+        fd1 = (spring_value(model, ts + h1) - spring_value(model, ts - h1)) / (2 * h1)
+        w_lo, w_mid, w_hi = (spring_value(model, ts + d) for d in (-h2, 0.0, h2))
+        fd2 = (w_hi - 2 * w_mid + w_lo) / (h2 * h2)
+        assert w1.shape == w2.shape == ts.shape
+        assert np.max(np.abs(w1 - fd1)) < 1e-6
+        assert np.max(np.abs(w2 - fd2)) < 1e-5

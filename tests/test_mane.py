@@ -80,6 +80,8 @@ class TestManeTable:
             mane_table(m, CIRCLE, 0.0, 2.0, 0.0)
         with pytest.raises(DomainError):
             mane_table(m, CIRCLE, 0.0, -1.0, 0.5)
+        with pytest.raises(DomainError):
+            mane_table(m, CIRCLE, 0.0, 0.4, 0.5)  # X < h: no target besides t = 0
 
     def test_node_cap(self):
         # 2049 nodes per side is the largest DP; 2050 raises before allocating
@@ -257,21 +259,24 @@ class TestCalibration:
 class TestRotationNumber:
     def test_unit_drift(self):
         m = circle_model(0.0, 1.0)
-        rep = rotation_number(m, CIRCLE, [8, 16], GridSpec(h=0.05))
+        est = ground_energy(m, CIRCLE, [8, 16], GridSpec(h=0.05))
+        rep = rotation_number(m, CIRCLE, est)
         for _, r in rep.values:
             assert r == pytest.approx(1.0, abs=1e-8)
         assert not rep.degenerate
 
     def test_circle_positive_and_cauchy(self):
         m = circle_model(1.0, 0.5)
-        rep = rotation_number(m, CIRCLE, [16, 32, 64], GridSpec(h=0.05))
+        est = ground_energy(m, CIRCLE, [16, 32, 64], GridSpec(h=0.05))
+        rep = rotation_number(m, CIRCLE, est)
         rots = [r for _, r in rep.values]
         assert all(r > 0 for r in rots)
         assert max(rots) - min(rots) <= 5e-2
 
     def test_degenerate_flag(self):
         m = circle_model(0.0, 0.0)
-        rep = rotation_number(m, CIRCLE, [8, 16], GridSpec(h=0.05))
+        est = ground_energy(m, CIRCLE, [8, 16], GridSpec(h=0.05))
+        rep = rotation_number(m, CIRCLE, est)
         assert rep.degenerate
         assert rep.chains[0] == pytest.approx(np.full(9, rep.chains[0][0]), abs=1e-9)
 
