@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the two numpy DP kernels of ``fklab._kernels``.
+"""Time the two numpy DP kernels of ``fklab._kernels`` and the LP solve.
 
 Runs each kernel on a representative workload and prints the best time, the
 number of DP cells it relaxes and the time per cell.  Workload sizes mirror
@@ -8,7 +8,9 @@ quasicrystal workload's ``calibrate`` window, 16 node sets of 22 to 171
 nodes sent in the stacks ``mane._stacks`` forms.  The chain DP's cells are G
 times the (layer, offset) pairs its band pruning relaxed, as the kernel
 counts them, out of n * G * (B + 1) nominal cells; the Mane DP relaxes each
-of a set's g(g-1)/2 monotone steps once.
+of a set's g(g-1)/2 monotone steps once.  The LP row times
+``discretize_circle`` plus ``solve`` at the arc cap (N = 512, T_max = 2,
+K = 1, lambda = 0.5); its cells are the arcs of the grid graph.
 
 Usage:
     PYTHONPATH=src python3 benchmarks/bench_kernels.py [--repeat 5]
@@ -19,7 +21,7 @@ import time
 
 import numpy as np
 
-from fklab import _kernels, mane
+from fklab import _kernels, circle_model, discretize_circle, mane, solve
 
 
 def timeit(fn, repeat):
@@ -62,11 +64,18 @@ def bench_phi_dp(repeat):
     return f"Mane phi DP ({len(CALIBRATE_SIZES)} sets in {len(calls)} stacks)", t, cells
 
 
+def bench_lp(repeat):
+    model = circle_model(1.0, 0.5)
+    t = timeit(lambda: solve(discretize_circle(model, 512, 2.0)), repeat)
+    arcs = discretize_circle(model, 512, 2.0).cost.size
+    return "LP solve (circle, N=512, T_max=2)", t, arcs
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--repeat", type=int, default=5)
     args = ap.parse_args()
-    rows = [bench_chain_dp(args.repeat), bench_phi_dp(args.repeat)]
+    rows = [bench_chain_dp(args.repeat), bench_phi_dp(args.repeat), bench_lp(args.repeat)]
     width = max(len(r[0]) for r in rows)
     print(f"{'kernel':<{width}}  {'time':>10}  {'cells':>10}  {'ns/cell':>8}")
     for name, t, cells in rows:

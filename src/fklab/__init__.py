@@ -44,16 +44,7 @@ from .errors import (
     ResourceError,
 )
 from .exact import AlphaValue
-from .holonomic_lp import (
-    DiscreteMeasure,
-    DualPotential,
-    LPProblem,
-    discretize_circle,
-    mather_support,
-    solve_dual,
-    solve_primal,
-    support_projection,
-)
+from .holonomic_lp import LPProblem, LPSolution, discretize_circle, solve
 from .lagrangians import (
     LagrangianSpec,
     chain_energy,

@@ -10,8 +10,9 @@ tables and summary results, and ``main`` writes them all into ``--out``
 the config hash (CSV header line, JSON field) and is byte-identical across
 reruns with the same config and seed.  Exit codes: 0 ok, 2 config error
 (including a ``DomainError`` or ``ResourceError`` raised by the catalog or a
-solver on the configured sizes), 3 numerical failure (``NumericalFailure``,
-``InsufficientDataError``).
+solver on the configured sizes, and an output directory that cannot be
+created), 3 numerical failure (``NumericalFailure``, ``InsufficientDataError``,
+a non-finite summary value).  A run that fails writes no file.
 """
 
 from __future__ import annotations
@@ -193,7 +194,8 @@ def read_csv(path) -> Dict[str, object]:
     return {"config_hash": cfg_hash, "header": header, "rows": rows}
 
 
-def write_summary(path: Path, command: str, config_hash: str, seed: int, results) -> None:
+def _summary_text(command: str, config_hash: str, seed: int, results) -> str:
+    """The summary file's JSON; a non-finite result raises NumericalFailure."""
     payload = {
         "command": command,
         "config_hash": config_hash,
@@ -201,10 +203,14 @@ def write_summary(path: Path, command: str, config_hash: str, seed: int, results
         "results": results,
         "warnings": [],
     }
-    path.write_text(
-        json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n",
-        encoding="utf-8",
-    )
+    try:
+        return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise NumericalFailure(f"{command} produced a non-finite result ({exc})") from exc
+
+
+def write_summary(path: Path, text: str) -> None:
+    path.write_text(text, encoding="utf-8")
 
 
 # -- commands ----------------------------------------------------------------------
@@ -300,21 +306,17 @@ def cmd_lp(cfg: RunConfig, seed: int):
     if cfg.env.kind != "circle":
         raise ConfigError("lp command needs a circle environment")
     lp = holonomic_lp.discretize_circle(cfg.model, cfg.lp_N, cfg.lp_T_max)
-    measure, primal = holonomic_lp.solve_primal(lp)
-    dual = holonomic_lp.solve_dual(lp, measure)
-    support = holonomic_lp.mather_support(measure)
-    rows = [
-        (j, k, k / lp.N, float(measure.weights[j, k + (lp.jumps.size - 1) // 2]))
-        for j, k in support
-    ]
+    sol = holonomic_lp.solve(lp)
+    weight = 1.0 / sol.nodes.size
+    rows = [(j, k, k / lp.N, weight) for j, k in zip(sol.nodes.tolist(), sol.jumps.tolist())]
     results = {
         "N": lp.N,
         "T_max": cfg.lp_T_max,
-        "primal": primal,
-        "dual": dual.value,
-        "gap": primal - dual.value,
-        "support_size": len(support),
-        "projection": holonomic_lp.support_projection(support),
+        "primal": sol.primal,
+        "dual": sol.dual,
+        "gap": sol.primal - sol.dual,
+        "support_size": len(rows),
+        "projection": sol.nodes.tolist(),
     }
     return {"lp_support.csv": (["j", "k", "t", "weight"], rows)}, "lp_summary.json", results
 
@@ -403,8 +405,15 @@ def main(argv=None) -> int:
             raise ConfigError(f"--seed must lie in 0..2**64 - 1, got {args.seed}")
         cfg = load_config(args.config)
         out = Path(args.out if args.out is not None else cfg.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:  # an existing file, or a path under one
+            msg = f"cannot create output directory {str(out)!r}: {exc.strerror}"
+            raise ConfigError(msg) from exc
         csvs, summary, results = _COMMANDS[args.command](cfg, args.seed)
+        # the summary is the one output whose serialization can fail, so it is
+        # rendered before any file is written
+        text = _summary_text(args.command, cfg.config_hash, args.seed, results)
     except (ConfigError, DomainError, ResourceError) as exc:
         # arguments outside a solver's domain or over a size cap come from the config
         print(f"config error: {exc}", file=sys.stderr)
@@ -419,7 +428,7 @@ def main(argv=None) -> int:
         return 3
     for name, (header, rows) in csvs.items():
         write_csv(out / name, cfg.config_hash, header, rows)
-    write_summary(out / summary, args.command, cfg.config_hash, args.seed, results)
+    write_summary(out / summary, text)
     elapsed = time.perf_counter() - t0
     # wall time goes to the console only; output files stay byte-reproducible
     print(f"{args.command}: ok in {elapsed:.2f}s")

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Tuple
 
 import numpy as np
 
@@ -24,8 +23,9 @@ from .errors import DomainError, NumericalFailure, ResourceError
 from .lagrangians import LagrangianSpec, potential_values, spring_value
 
 # Arc count N * |jumps|.  At the cap, N=512 with T_max=2 (1,049,088 arcs)
-# discretizes and solves primal and dual in 0.14-0.20 s for K in {0.1, 1, 4}
-# (15-27 policy evaluations, ~96 MB peak RSS) on one core of a 2-core x86 host.
+# discretizes and solves in 0.18-0.44 s for K in {0.1, 1, 4} (10-27 policy
+# evaluations, 80-88 MB peak RSS in a fresh process) on a shared 2-core x86
+# host; benchmarks/bench_kernels.py times the K = 1 case.
 _MAX_ARCS = 1_100_000
 _MAX_ITER = 1000  # policy iterations
 _TOL = 1e-11  # smallest improvement that changes the policy
@@ -39,16 +39,12 @@ class LPProblem:
 
 
 @dataclass(frozen=True)
-class DiscreteMeasure:
-    weights: np.ndarray  # (N, |jumps|), nonnegative, mass 1
-    bias: np.ndarray  # policy-iteration bias per grid point; its negative is the dual potential
-    value: float
-
-
-@dataclass(frozen=True)
-class DualPotential:
-    u: np.ndarray  # one value per grid point
-    value: float
+class LPSolution:
+    nodes: np.ndarray  # grid points of the optimal cycle, ascending
+    jumps: np.ndarray  # the jump (multiple of 1/N) the cycle takes at each node
+    u: np.ndarray  # dual potential, one value per grid point: the negated policy bias
+    primal: float  # mean cost of the cycle's arcs, the value of the uniform measure on them
+    dual: float  # the cycle mean at which every arc inequality of u holds
 
 
 def discretize_circle(model: LagrangianSpec, N: int, T_max: float) -> LPProblem:
@@ -144,48 +140,35 @@ def _howard(cost: np.ndarray, heads: np.ndarray):
     raise NumericalFailure(f"policy iteration did not converge in {_MAX_ITER} iterations")
 
 
-def solve_primal(lp: LPProblem) -> Tuple[DiscreteMeasure, float]:
-    """Uniform measure on a minimum-mean cycle, with its mass and flow checked."""
+def solve(lp: LPProblem) -> LPSolution:
+    """Optimal cycle and dual potential of the LP, certified in place.
+
+    The primal optimum is the uniform measure on the cycle, weight 1/L on
+    each of its L arcs.  Its unit mass, its flow residual (<= 1e-9) and the
+    gap between its value and the cycle mean eta (<= 1e-9) are checked on
+    those arcs; the dual inequality cost(j, k) + u[j] - u[(j+k) mod N] >=
+    eta - 1e-9 is checked on every arc.
+    """
     heads = _heads(lp)
     policy, bias, cycles = _howard(lp.cost, heads)
-    lam = min(mean for mean, _ in cycles)
-    nodes = next(cyc for mean, cyc in cycles if mean == lam)
-    weights = np.zeros(lp.cost.shape)
-    weights[nodes, policy[nodes]] = 1.0 / len(nodes)
-    value = float(lp.cost.ravel() @ weights.ravel())
-    mass = float(weights.sum())
+    eta = min(mean for mean, _ in cycles)
+    nodes = np.sort(next(cyc for mean, cyc in cycles if mean == eta))
+    arcs = policy[nodes]
+    weight = np.full(nodes.size, 1.0 / nodes.size)
+    mass = float(weight.sum())
     if abs(mass - 1.0) > 1e-10:
         raise NumericalFailure(f"optimal measure mass {mass} is off unity")
-    inflow = np.bincount(heads.ravel(), weights=weights.ravel(), minlength=lp.N)
-    residual = float(np.max(np.abs(weights.sum(axis=1) - inflow)))
+    flow = np.bincount(heads[nodes, arcs], weights=weight, minlength=lp.N)
+    flow[nodes] -= weight  # inflow minus outflow at every grid point
+    residual = float(np.max(np.abs(flow)))
     if residual > 1e-9:
         raise NumericalFailure(f"holonomy residual {residual} too large")
-    return DiscreteMeasure(weights=weights, bias=bias, value=value), value
-
-
-def solve_dual(lp: LPProblem, measure: DiscreteMeasure) -> DualPotential:
-    """Dual grid potentials u = -bias at the optimal cycle mean.
-
-    Certified in place: cost(j, k) + u[j] - u[(j+k) mod N] >= value - 1e-9 on
-    every arc, and value equals the primal value to 1e-9.
-    """
-    u = -measure.bias
-    value = float(lp.cost[measure.weights > 0.0].mean())
-    worst = float(np.min(lp.cost + u[:, None] - u[_heads(lp)])) - value
-    if worst < -1e-9:
-        raise NumericalFailure(f"dual infeasible, worst arc slack {worst}")
-    gap = measure.value - value
+    primal = float(lp.cost[nodes, arcs].mean())
+    gap = primal - eta
     if abs(gap) > 1e-9:
         raise NumericalFailure(f"primal-dual gap {gap} too large")
-    return DualPotential(u=u, value=value)
-
-
-def mather_support(measure: DiscreteMeasure) -> List[Tuple[int, int]]:
-    """Arcs carrying weight, as (j, k) pairs; the primal is uniform on one cycle."""
-    w = measure.weights
-    half = (w.shape[1] - 1) // 2
-    return [(int(j), int(m) - half) for j, m in np.argwhere(w > 0.0)]
-
-
-def support_projection(support: List[Tuple[int, int]]) -> List[int]:
-    return sorted({j for j, _ in support})
+    u = -bias
+    worst = float(np.min(lp.cost + u[:, None] - u[heads])) - eta
+    if worst < -1e-9:
+        raise NumericalFailure(f"dual infeasible, worst arc slack {worst}")
+    return LPSolution(nodes=nodes, jumps=lp.jumps[arcs], u=u, primal=primal, dual=eta)

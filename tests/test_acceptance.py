@@ -28,8 +28,7 @@ from fklab import (
     minimize_free,
     phi_lookup,
     rotation_number,
-    solve_dual,
-    solve_primal,
+    solve,
     sturm_model,
     torus_model,
 )
@@ -136,15 +135,14 @@ def test_criterion_06_lp_duality():
     for K in (0.0, 1.0):
         m = circle_model(K, 0.5)
         est = ground_energy(m, CIRCLE, [4, 8, 16, 32], GridSpec(h=0.05))
-        lp32 = discretize_circle(m, 32, 2.0)
-        meas32, p32 = solve_primal(lp32)
-        dual32 = solve_dual(lp32, meas32)
-        assert abs(p32 - dual32.value) <= 1e-6
+        sol32 = solve(discretize_circle(m, 32, 2.0))
+        p32 = sol32.primal
+        assert abs(p32 - sol32.dual) <= 1e-6
         for N in (8, 16):
             lp_small = discretize_circle(m, N, 2.0)
-            _, p_small = solve_primal(lp_small)
+            p_small = solve(lp_small).primal
             assert p_small == pytest.approx(min_mean_cycle(N, lp_edges(lp_small)), abs=1e-9)
-        _, p64 = solve_primal(discretize_circle(m, 64, 2.0))
+        p64 = solve(discretize_circle(m, 64, 2.0)).primal
         assert abs(p32 - est.extrapolated) <= 2e-2
         assert abs(p64 - est.extrapolated) <= abs(p32 - est.extrapolated) + 1e-12
         gaps[K] = abs(p32 - est.extrapolated)

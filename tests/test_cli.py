@@ -13,6 +13,8 @@ from fklab import AlphaValue, chain_opt, cli, mane
 from fklab._rng import Rng
 from fklab.cli import load_config, main, read_csv
 
+GOLDEN = Path(__file__).parent / "golden" / "lp_circle"
+
 CIRCLE_K0 = """
 [environment]
 variant = circle
@@ -241,6 +243,17 @@ class TestConfig:
     def test_largest_seed_is_accepted(self, tmp_path):
         assert run(tmp_path, CIRCLE_K1, "lp", seed=2**64 - 1)[0] == 0
 
+    @pytest.mark.parametrize("below", [(), ("sub",)], ids=["existing-file", "path-under-a-file"])
+    def test_unusable_out_is_config_error(self, tmp_path, capsys, below):
+        taken = tmp_path / "taken"
+        taken.write_text("keep", encoding="utf-8")
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(CIRCLE_K1, encoding="utf-8")
+        code = main(["lp", "--config", str(cfg), "--out", str(taken.joinpath(*below))])
+        assert code == 2
+        assert "config error: cannot create output directory" in capsys.readouterr().err
+        assert taken.read_text(encoding="utf-8") == "keep"
+
 
 class TestSampledDraws:
     def test_commands_import_no_numpy_submodule(self, tmp_path):
@@ -468,6 +481,28 @@ class TestOtherCommands:
         assert code == 3
         err = capsys.readouterr().err
         assert "numerical failure" in err and "best iterate: 5 sites, energy " in err
+
+    def test_nonfinite_result_writes_no_file(self, tmp_path, monkeypatch, capsys):
+        real = cli.cmd_lp
+
+        def nan_primal(cfg, seed):
+            csvs, summary, results = real(cfg, seed)
+            return csvs, summary, {**results, "primal": math.nan}
+
+        monkeypatch.setitem(cli._COMMANDS, "lp", nan_primal)
+        code, out = run(tmp_path, CIRCLE_K1, "lp")
+        assert code == 3
+        assert "numerical failure: lp produced a non-finite result" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    def test_lp_golden_outputs(self, tmp_path):
+        # the circle benchmark workload's config at seed 0 (N = 56); the expected
+        # bytes were written by the dense-measure LP solver that Howard's cycle
+        # output replaced, and must not move
+        out = tmp_path / "out"
+        assert main(["lp", "--config", str(GOLDEN / "circle.ini"), "--out", str(out)]) == 0
+        for name in ("lp_support.csv", "lp_summary.json"):
+            assert (out / name).read_bytes() == (GOLDEN / name).read_bytes()
 
     def test_lp_is_posed_on_the_hull(self, tmp_path):
         # omega_j = j/N covers every phase, so [environment] phase cannot enter the LP

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from fklab import (
-    DiscreteMeasure,
     DomainError,
     EnvPoint,
     GridSpec,
@@ -15,10 +14,7 @@ from fklab import (
     energy,
     ground_energy,
     holonomic_lp,
-    mather_support,
-    solve_dual,
-    solve_primal,
-    support_projection,
+    solve,
     torus_model,
 )
 
@@ -67,41 +63,53 @@ class TestPrimal:
     def test_zero_potential_unit_drift(self):
         m = circle_model(0.0, 1.0)
         lp = discretize_circle(m, 8, 2.0)
-        measure, value = solve_primal(lp)
-        assert value == pytest.approx(0.0, abs=1e-12)
-        for j, k in mather_support(measure):
+        sol = solve(lp)
+        assert sol.primal == pytest.approx(0.0, abs=1e-12)
+        for k in sol.jumps:
             assert k == 8  # all support jumps are t = 1
 
     def test_value_above_min_cost(self):
         m = circle_model(1.0, 0.5)
         lp = discretize_circle(m, 16, 2.0)
-        _, value = solve_primal(lp)
+        value = solve(lp).primal
         assert value >= float(lp.cost.min()) - 1e-12
 
     def test_measure_invariants(self):
         m = circle_model(1.0, 0.5)
         lp = discretize_circle(m, 16, 2.0)
-        measure, _ = solve_primal(lp)
-        w = measure.weights
+        sol = solve(lp)
+        # the optimum is uniform on the cycle: weight 1/L on each of its L arcs
+        w = np.full(sol.nodes.size, 1.0 / sol.nodes.size)
         assert w.min() >= -1e-12
         assert w.sum() == pytest.approx(1.0, abs=1e-10)
+        assert np.all(np.diff(sol.nodes) > 0) and sol.jumps.shape == sol.nodes.shape
 
     @pytest.mark.parametrize("K", [0.0, 1.0])
     def test_min_mean_cycle_oracle(self, K):
         for N in (8, 16, 56):
             m = circle_model(K, 0.5)
             lp = discretize_circle(m, N, 2.0)
-            _, value = solve_primal(lp)
+            value = solve(lp).primal
             assert value == pytest.approx(min_mean_cycle(N, lp_edges(lp)), abs=1e-9)
+
+    @pytest.mark.parametrize("K, lam", [(0.5, 0.3), (1.0, 0.618), (2.5, 0.618), (4.0, 0.618)])
+    def test_cycle_closes_at_the_oracle_mean(self, K, lam):
+        # every case of this matrix has an optimal cycle of 3 to 13 arcs
+        for N in (8, 12, 16):
+            lp = discretize_circle(circle_model(K, lam), N, 2.0)
+            sol = solve(lp)
+            assert sol.nodes.size >= 3
+            heads = (sol.nodes + sol.jumps) % N
+            assert np.array_equal(np.sort(heads), sol.nodes)
+            assert abs(sol.primal - min_mean_cycle(N, lp_edges(lp))) <= 1e-9
 
 
 class TestDual:
     def test_zero_potential(self):
         m = circle_model(0.0, 1.0)
         lp = discretize_circle(m, 8, 2.0)
-        measure, value = solve_primal(lp)
-        dual = solve_dual(lp, measure)
-        assert dual.value == pytest.approx(0.0, abs=1e-9)
+        sol = solve(lp)
+        assert sol.dual == pytest.approx(0.0, abs=1e-9)
         # u == 0 is itself dual feasible at value 0 for this instance
         assert float(lp.cost.min()) >= 0.0 - 1e-15
 
@@ -109,17 +117,15 @@ class TestDual:
         for K, lam in ((0.0, 1.0), (1.0, 0.5), (4.0, 0.3)):
             m = circle_model(K, lam)
             lp = discretize_circle(m, 16, 2.0)
-            measure, primal = solve_primal(lp)
-            dual = solve_dual(lp, measure)
-            assert dual.value <= primal + 1e-9
-            assert abs(primal - dual.value) <= 1e-6
+            sol = solve(lp)
+            assert sol.dual <= sol.primal + 1e-9
+            assert abs(sol.primal - sol.dual) <= 1e-6
 
     def test_arc_inequality(self):
         m = circle_model(1.0, 0.5)
         lp = discretize_circle(m, 16, 2.0)
-        measure, _ = solve_primal(lp)
-        dual = solve_dual(lp, measure)
-        N, u, v = lp.N, dual.u, dual.value
+        sol = solve(lp)
+        N, u, v = lp.N, sol.u, sol.dual
         for j in range(N):
             for mi, k in enumerate(lp.jumps):
                 assert lp.cost[j, mi] + u[j] - u[(j + int(k)) % N] >= v - 1e-9
@@ -128,67 +134,73 @@ class TestDual:
         # N = 512 at T_max = 2 is 1,049,088 arcs, just under the arc cap
         t0 = time.perf_counter()
         lp = discretize_circle(circle_model(1.0, 0.5), 512, 2.0)
-        measure, primal = solve_primal(lp)
-        dual = solve_dual(lp, measure)
+        sol = solve(lp)
         elapsed = time.perf_counter() - t0
         assert elapsed < 5.0, f"N=512 LP took {elapsed:.2f}s, over its 5s budget"
-        assert abs(primal - dual.value) <= 1e-9
+        assert abs(sol.primal - sol.dual) <= 1e-9
         heads = (np.arange(lp.N)[:, None] + lp.jumps[None, :]) % lp.N
-        slack = lp.cost + dual.u[:, None] - dual.u[heads] - dual.value
+        slack = lp.cost + sol.u[:, None] - sol.u[heads] - sol.dual
         assert float(slack.min()) >= -1e-9
 
 
 class TestCertificates:
-    """Each certificate the solvers check raises NumericalFailure when broken."""
+    """Each certificate ``solve`` checks raises NumericalFailure when broken."""
 
     def setup_method(self):
         self.lp = discretize_circle(circle_model(1.0, 0.5), 16, 2.0)
-        self.measure, self.primal = solve_primal(self.lp)
+        self.howard = holonomic_lp._howard
+
+    def fake_howard(self, monkeypatch, edit):
+        """Run the real policy iteration, then let ``edit`` spoil its output."""
+
+        def fake(cost, heads):
+            return edit(*self.howard(cost, heads))
+
+        monkeypatch.setattr(holonomic_lp, "_howard", fake)
 
     def test_flow_residual(self, monkeypatch):
         # a "cycle" of one node whose policy arc leaves it is not holonomic
         N = self.lp.N
         policy = np.full(N, (self.lp.jumps.size - 1) // 2 + 1)  # jump +1
-
-        def fake_howard(cost, heads):
-            return policy, np.zeros(N), [(0.0, [0])]
-
-        monkeypatch.setattr(holonomic_lp, "_howard", fake_howard)
+        self.fake_howard(monkeypatch, lambda _p, _b, _c: (policy, np.zeros(N), [(0.0, [0])]))
         with pytest.raises(NumericalFailure, match="holonomy residual"):
-            solve_primal(self.lp)
+            solve(self.lp)
 
     def test_iteration_cap(self, monkeypatch):
         monkeypatch.setattr(holonomic_lp, "_MAX_ITER", 1)
         with pytest.raises(NumericalFailure, match="did not converge"):
-            solve_primal(self.lp)
+            solve(self.lp)
 
-    def test_dual_arc_violation(self):
-        bias = self.measure.bias.copy()
-        bias[3] += 1.0
-        bent = DiscreteMeasure(weights=self.measure.weights, bias=bias, value=self.primal)
+    def test_dual_arc_violation(self, monkeypatch):
+        def bend(policy, bias, cycles):
+            bias = bias.copy()
+            bias[3] += 1.0
+            return policy, bias, cycles
+
+        self.fake_howard(monkeypatch, bend)
         with pytest.raises(NumericalFailure, match="dual infeasible"):
-            solve_dual(self.lp, bent)
+            solve(self.lp)
 
-    def test_primal_dual_gap(self):
-        off = DiscreteMeasure(
-            weights=self.measure.weights, bias=self.measure.bias, value=self.primal + 1e-6
-        )
-        with pytest.raises(NumericalFailure, match="gap"):
-            solve_dual(self.lp, off)
+    def test_primal_dual_gap(self, monkeypatch):
+        def shift(policy, bias, cycles):
+            return policy, bias, [(mean + 1e-6, cyc) for mean, cyc in cycles]
+
+        self.fake_howard(monkeypatch, shift)
+        with pytest.raises(NumericalFailure, match="primal-dual gap"):
+            solve(self.lp)
 
 
 class TestMatherSupport:
     def test_nonempty(self):
         m = circle_model(1.0, 0.5)
         lp = discretize_circle(m, 16, 2.0)
-        measure, _ = solve_primal(lp)
-        assert len(mather_support(measure)) >= 1
+        assert solve(lp).nodes.size >= 1
 
     def test_strong_pinning_concentrates(self):
         m = circle_model(25.0, 0.0)
         lp = discretize_circle(m, 32, 1.0)
-        measure, value = solve_primal(lp)
-        proj = support_projection(mather_support(measure))
+        sol = solve(lp)
+        value, proj = sol.primal, sol.nodes.tolist()
         # direct minimization of the discrete Lagrangian over the grid
         jstar, mstar = np.unravel_index(np.argmin(lp.cost), lp.cost.shape)
         assert value == pytest.approx(float(lp.cost.min()), abs=1e-9)
@@ -201,9 +213,9 @@ class TestChainConsistency:
         m = circle_model(1.0, 0.5)
         est = ground_energy(m, CIRCLE, [4, 8, 16, 32], GridSpec(h=0.05))
         lp32 = discretize_circle(m, 32, 2.0)
-        _, p32 = solve_primal(lp32)
+        p32 = solve(lp32).primal
         assert p32 >= est.lower_bound - 2e-2
         assert abs(p32 - est.extrapolated) <= 2e-2
         lp64 = discretize_circle(m, 64, 2.0)
-        _, p64 = solve_primal(lp64)
+        p64 = solve(lp64).primal
         assert abs(p64 - est.extrapolated) <= abs(p32 - est.extrapolated) + 1e-12
