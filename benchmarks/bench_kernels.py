@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Time the two numpy DP kernels of ``fklab._kernels`` and the LP solve.
+"""Time the two numpy DP kernels of ``fklab._kernels``, the LP solve and the
+exact Beatty membership test.
 
 Runs each kernel on a representative workload and prints the best time, the
 number of DP cells it relaxes and the time per cell.  Workload sizes mirror
@@ -10,7 +11,9 @@ times the (layer, offset) pairs its band pruning relaxed, as the kernel
 counts them, out of n * G * (B + 1) nominal cells; the Mane DP relaxes each
 of a set's g(g-1)/2 monotone steps once.  The LP row times
 ``discretize_circle`` plus ``solve`` at the arc cap (N = 512, T_max = 2,
-K = 1, lambda = 0.5); its cells are the arcs of the grid graph.
+K = 1, lambda = 0.5); its cells are the arcs of the grid graph.  The Beatty
+row runs ``AlphaValue.membership_range`` over the integers 0..10^6 - 1 at the
+golden slope; its cells are the integers tested.
 
 Usage:
     PYTHONPATH=src python3 benchmarks/bench_kernels.py [--repeat 5]
@@ -21,7 +24,7 @@ import time
 
 import numpy as np
 
-from fklab import _kernels, circle_model, discretize_circle, mane, solve
+from fklab import AlphaValue, _kernels, circle_model, discretize_circle, mane, solve
 
 
 def timeit(fn, repeat):
@@ -71,11 +74,22 @@ def bench_lp(repeat):
     return "LP solve (circle, N=512, T_max=2)", t, arcs
 
 
+def bench_membership(repeat):
+    alpha, n = AlphaValue.fibonacci(), 10**6
+    t = timeit(lambda: alpha.membership_range(0, n - 1), repeat)
+    return "Beatty membership (1e6 window)", t, n
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--repeat", type=int, default=5)
     args = ap.parse_args()
-    rows = [bench_chain_dp(args.repeat), bench_phi_dp(args.repeat), bench_lp(args.repeat)]
+    rows = [
+        bench_chain_dp(args.repeat),
+        bench_phi_dp(args.repeat),
+        bench_lp(args.repeat),
+        bench_membership(args.repeat),
+    ]
     width = max(len(r[0]) for r in rows)
     print(f"{'kernel':<{width}}  {'time':>10}  {'cells':>10}  {'ns/cell':>8}")
     for name, t, cells in rows:

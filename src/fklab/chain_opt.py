@@ -13,6 +13,7 @@ best iterate, so no solver returns a silently worse chain.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
@@ -113,8 +114,22 @@ class GroundEnergyEstimate:
     m_values: Tuple[float, ...]
     positions: Tuple[np.ndarray, ...]
     lower_bound: float
-    extrapolated: float
     h: float
+
+    @functools.cached_property
+    def extrapolated(self) -> float:
+        """The a of a least-squares fit m_n/n = a - b/n over the upper half of
+        ``n_list`` (at least two n), clamped below at ``lower_bound``.
+
+        The fit runs on first read, so a caller that reads only
+        ``lower_bound`` never calls LAPACK.
+        """
+        top = max(2, len(self.n_list) // 2 + len(self.n_list) % 2)
+        ns = np.asarray(self.n_list[-top:], dtype=float)
+        ys = np.asarray([m / n for m, n in zip(self.m_values[-top:], self.n_list[-top:])])
+        A = np.column_stack([np.ones_like(ns), -1.0 / ns])
+        coef, *_ = np.linalg.lstsq(A, ys, rcond=None)
+        return max(float(coef[0]), self.lower_bound)
 
 
 @dataclass(frozen=True)
@@ -159,11 +174,12 @@ def _dp_solve(model, env, grid, n, dlo, dhi, h, start_idx, end_idx):
         raise NumericalFailure("fixed endpoints unreachable on the DP grid")
     idx = [j]
     for k in range(n):
-        jj = j + deltas
-        vals = np.where((jj >= 0) & (jj < G), Wd + C[k + 1][np.clip(jj, 0, G - 1)], np.inf)
+        # the successors j + dlo + lo .. j + dlo + hi - 1 are the ones on the grid
+        lo, hi = max(0, -(j + dlo)), min(Wd.size, G - (j + dlo))
+        vals = Wd[lo:hi] + C[k + 1, j + dlo + lo : j + dlo + hi]
         # among minimizing successors take the smallest index (lexicographic rule);
-        # jj increases with delta, so that is the first one
-        j = int(jj[np.argmax(vals <= vals.min() + 1e-12)])
+        # the successor index increases along vals, so that is the first one
+        j += dlo + lo + int(np.argmax(vals <= vals.min() + 1e-12))
         idx.append(j)
     positions = grid[np.asarray(idx)]
     return positions, chain_energy(model, env, positions)
@@ -387,22 +403,11 @@ def ground_energy(
     R = grid.jump_cap(model)
     chains = [minimize_free(model, env, n, h=grid.h, R_max=R).chain for n in n_list]
     m_values = tuple(c.energy for c in chains)
-    per_site = [m / n for m, n in zip(m_values, n_list)]
-    lower = max(per_site)
-    top = max(2, len(n_list) // 2 + len(n_list) % 2)
-    ns = np.asarray(n_list[-top:], dtype=float)
-    ys = np.asarray(per_site[-top:])
-    A = np.column_stack([np.ones_like(ns), -1.0 / ns])
-    coef, *_ = np.linalg.lstsq(A, ys, rcond=None)
-    extrapolated = float(coef[0])
-    if extrapolated < lower:
-        extrapolated = lower
     return GroundEnergyEstimate(
         n_list=n_list,
         m_values=m_values,
         positions=tuple(c.positions for c in chains),
-        lower_bound=lower,
-        extrapolated=extrapolated,
+        lower_bound=max(m / n for m, n in zip(m_values, n_list)),
         h=grid.h,
     )
 

@@ -20,6 +20,7 @@ from .errors import DomainError, ResourceError
 # |n b| sqrt(d) stays below this in membership_range, so (n b)^2 d and the
 # squares of its root fit in int64 (whose limit is about (3.04e9)^2)
 _MAX_ROOT = 2e9
+_BLOCK = 1 << 13  # integers per block of membership_range's temporaries
 
 _RAT_RE = re.compile(r"^\s*(-?\d+)\s*/\s*(-?\d+)\s*$")
 _QUAD_RE = re.compile(
@@ -158,20 +159,26 @@ class AlphaValue:
         floor is (n a + floor(n b sqrt d)) // c in int64, where floor(n b sqrt d)
         comes from the integer square root of (n b)^2 d: a float square root,
         then one integer correction each way, so no float decides membership.
+        The window runs in blocks of ``_BLOCK`` integers, so the int64
+        temporaries stay a fixed size whatever the window's length.
         """
         reach = max(abs(lo - 1), abs(hi))
         if reach * abs(self.b) * math.sqrt(self.d) >= _MAX_ROOT or reach * abs(self.a) >= 2**62:
             raise ResourceError(f"Beatty window [{lo}, {hi}] is too far out for int64 arithmetic")
-        n = np.arange(lo - 1, hi + 1, dtype=np.int64)
-        nb = n * self.b
-        N = nb * nb * self.d
-        s = np.floor(np.sqrt(N.astype(np.float64))).astype(np.int64)
-        s -= s * s > N
-        s += (s + 1) * (s + 1) <= N
-        # b sqrt(d) is irrational when b != 0, so a negative n b is never exact
-        r = np.where(nb > 0, s, np.where(nb < 0, -s - 1, 0))
-        F = (n * self.a + r) // self.c
-        return np.diff(F) == 1
+        member = np.empty(max(hi - lo + 1, 0), dtype=bool)
+        for start in range(lo, hi + 1, _BLOCK):
+            stop = min(start + _BLOCK, hi + 1)
+            n = np.arange(start - 1, stop, dtype=np.int64)
+            nb = n * self.b
+            N = nb * nb * self.d
+            s = np.floor(np.sqrt(N.astype(np.float64))).astype(np.int64)
+            s -= s * s > N
+            s += (s + 1) * (s + 1) <= N
+            # b sqrt(d) is irrational when b != 0, so a negative n b is never exact
+            r = np.where(nb > 0, s, np.where(nb < 0, -s - 1, 0))
+            F = (n * self.a + r) // self.c
+            np.equal(np.diff(F), 1, out=member[start - lo : stop - lo])
+        return member
 
     # -- float view ---------------------------------------------------------
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .environments import PointSet
 from .errors import DomainError, InsufficientDataError
@@ -48,8 +49,13 @@ def level0_tower(alpha: AlphaValue, window_length: float) -> Tower:
         raise DomainError("window must cover at least 1000 max gaps")
     ps = PointSet(alpha)
     idx = ps.raw_indices_in(0, int(window_length))
-    gaps = np.diff(idx).astype(np.int64)
-    letters, seq, counts = np.unique(gaps, return_inverse=True, return_counts=True)
+    gaps = np.diff(idx)
+    # the gaps are a few small positive integers: a bincount finds the letters
+    # in ascending order, and its running count of letters numbers them
+    hist = np.bincount(gaps)
+    letters = np.flatnonzero(hist)
+    counts = hist[letters]
+    seq = (np.cumsum(hist > 0, dtype=np.int32) - 1)[gaps]
     span = float(idx[-1] - idx[0])
     labels = tuple((int(g),) for g in letters)
     heights = letters.astype(float)
@@ -69,8 +75,9 @@ def induce_tower(t: Tower, alpha: AlphaValue, window_length: float) -> Tuple[Tow
     """Induce on the base floor: new floors are the distinct return words.
 
     The window is cut at the base occurrences into one row per return word,
-    padded with -1 to the longest word, so the array is (return words) x
-    (longest word) integers.  Equal rows are grouped by a lexsort over the
+    gathered from a sliding window view of the floor sequence and padded
+    with -1 to the longest word, so the array is (return words) x (longest
+    word) integers.  Equal rows are grouped by a lexsort over the
     columns; only the few distinct words are ordered in Python, by their
     concatenated lower labels and then by their floor indices.
 
@@ -89,9 +96,13 @@ def induce_tower(t: Tower, alpha: AlphaValue, window_length: float) -> Tuple[Tow
         raise DomainError("base floor must occur at least 100 times in the window")
 
     lengths = np.diff(occ)
-    cols = np.arange(int(lengths.max()))
-    pos = occ[:-1, None] + cols
-    rows = np.where(cols < lengths[:, None], seq[np.minimum(pos, occ[-1])], -1)
+    width = int(lengths.max())
+    cols = np.arange(width)
+    # the window of width letters at each base occurrence, read through a
+    # strided view; the padding only keeps the last windows in bounds
+    padded = np.concatenate([seq[: occ[-1]], np.full(width, -1, dtype=seq.dtype)])
+    windows = sliding_window_view(padded, width)[occ[:-1]]
+    rows = np.where(cols < lengths[:, None], windows, -1)
     order = np.lexsort(rows.T[::-1])
     srt = rows[order]
     first = np.ones(order.size, dtype=bool)

@@ -1,11 +1,12 @@
 """Independent oracles used by the test suite.
 
 Everything here recomputes results by a route different from the library:
-high-precision floors via mpmath, exhaustive enumeration for chain problems,
-plain loops for the two DP kernels, for the Aubry repair and the structure
-report (scalar energies, one pair or site at a time), for tower induction and
-for return times, full shifted Mane tables for the subadditivity check, and
-Karp's algorithm for the minimum mean cycle.
+high-precision floors via mpmath, Beatty membership over a whole window in
+one set of arrays, the eager 1/n fit of the ground energy, exhaustive
+enumeration for chain problems, plain loops for the two DP kernels, for the
+Aubry repair and the structure report (scalar energies, one pair or site at
+a time), for tower induction and for return times, full shifted Mane tables
+for the subadditivity check, and Karp's algorithm for the minimum mean cycle.
 """
 
 import itertools
@@ -40,6 +41,34 @@ def beatty_indices_mp(alpha, lo: int, hi: int):
         for n in range(lo, hi + 1)
         if floor_mul_mp(alpha, n) - floor_mul_mp(alpha, n - 1) == 1
     ]
+
+
+def membership_range_oneshot(alpha, lo: int, hi: int) -> np.ndarray:
+    """``AlphaValue.membership_range`` with every floor of the window in one int64 array."""
+    n = np.arange(lo - 1, hi + 1, dtype=np.int64)
+    nb = n * alpha.b
+    N = nb * nb * alpha.d
+    s = np.floor(np.sqrt(N.astype(np.float64))).astype(np.int64)
+    s -= s * s > N
+    s += (s + 1) * (s + 1) <= N
+    r = np.where(nb > 0, s, np.where(nb < 0, -s - 1, 0))
+    F = (n * alpha.a + r) // alpha.c
+    return np.diff(F) == 1
+
+
+def extrapolated_eager(n_list, m_values) -> float:
+    """The 1/n fit of ``GroundEnergyEstimate.extrapolated``, computed up front."""
+    per_site = [m / n for m, n in zip(m_values, n_list)]
+    lower = max(per_site)
+    top = max(2, len(n_list) // 2 + len(n_list) % 2)
+    ns = np.asarray(n_list[-top:], dtype=float)
+    ys = np.asarray(per_site[-top:])
+    A = np.column_stack([np.ones_like(ns), -1.0 / ns])
+    coef, *_ = np.linalg.lstsq(A, ys, rcond=None)
+    extrapolated = float(coef[0])
+    if extrapolated < lower:
+        extrapolated = lower
+    return extrapolated
 
 
 def brute_force_fixed_chain(model, env, grid, x_start, x_end, n):

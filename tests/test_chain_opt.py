@@ -32,6 +32,7 @@ from oracles import (
     brute_force_fixed_chain,
     brute_force_free_chain,
     brute_force_repair,
+    extrapolated_eager,
     repair_loop,
     structure_report_loop,
 )
@@ -296,6 +297,24 @@ class TestGroundEnergy:
         for n, xs, m_n in zip(est.n_list, est.positions, est.m_values):
             assert xs.size == n + 1
             assert chain_energy(m, CIRCLE, xs) == m_n
+
+    @pytest.mark.parametrize(
+        "lam, n_list, clamped",
+        [
+            (0.5, (4, 8, 16), False),
+            (0.5, (4, 8, 16, 32), False),
+            (0.618, (4, 8, 12), True),
+            (0.3, (3, 5, 7, 9), True),
+        ],
+    )
+    def test_extrapolated_is_the_eager_fit(self, lam, n_list, clamped):
+        # the fit runs on first read and gives the bits the eager fit gave,
+        # the clamp to the lower estimate included
+        est = ground_energy(circle_model(1.0, lam), CIRCLE, n_list, GridSpec(h=0.05))
+        assert "extrapolated" not in vars(est)
+        expect = extrapolated_eager(est.n_list, est.m_values)
+        assert est.extrapolated.hex() == expect.hex()
+        assert (expect == est.lower_bound) == clamped
 
     def test_refinement_self_consistency(self):
         m = circle_model(1.0, 0.5)

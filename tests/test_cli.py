@@ -63,6 +63,11 @@ n_list = 4,8,16
 directory = out
 """
 
+# the quasicrystal benchmark workload's config at seed 0
+QC_WORKLOAD = QC_CONFIG.replace("offset = 0.0", "offset = 0.0\nseeds = 3").replace(
+    "n_list = 4,8,16", "n_outer = 64\nw = 8\nn_list = 4,8,16,32"
+)
+
 TORUS_CONFIG = """
 [environment]
 variant = torus
@@ -443,6 +448,22 @@ class TestOtherCommands:
         assert code == 0
         summary = json.loads((out / "calibrate_summary.json").read_text())
         assert summary["results"]["max_defect"] <= 1e-6
+
+    @pytest.mark.parametrize("workload", ["circle", "quasicrystal"])
+    def test_calibrate_never_fits(self, tmp_path, monkeypatch, workload):
+        # calibrate reads only the lower estimate, so the 1/n fit never runs
+        text = (GOLDEN / "circle.ini").read_text() if workload == "circle" else QC_WORKLOAD
+        (tmp_path / "run.ini").write_text(text)
+        cfg = load_config(str(tmp_path / "run.ini"))
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("lstsq called")
+
+        monkeypatch.setattr(np.linalg, "lstsq", no_fit)
+        cli.cmd_calibrate(cfg, 0)
+        est = chain_opt.ground_energy(cfg.model, cfg.env, cfg.n_list, cfg.grid)
+        with pytest.raises(AssertionError, match="lstsq called"):
+            est.extrapolated
 
     def test_env_report_quasicrystal(self, tmp_path):
         code, out = run(tmp_path, QC_CONFIG, "env-report")

@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -24,8 +25,9 @@ from fklab import (
     transverse_frequency,
 )
 from fklab.environments import _MAX_RETURN_WINDOW, _unique
+from fklab.exact import _BLOCK
 
-from oracles import beatty_indices_mp, floor_mul_mp, return_times_loop
+from oracles import beatty_indices_mp, floor_mul_mp, membership_range_oneshot, return_times_loop
 
 FIB = AlphaValue.fibonacci()
 HALF = AlphaValue.rational(1, 2)
@@ -142,6 +144,47 @@ class TestAlphaValue:
         assert np.array_equal(alpha.membership_range(-5, 5), np.diff(floors) == 1)
         with pytest.raises(ResourceError):
             alpha.membership_range(5 * 10**6, 5 * 10**6 + 10)
+
+    @pytest.mark.parametrize(
+        "alpha",
+        [FIB, AlphaValue.quadratic(7, -2, 10, 3), AlphaValue.rational(2, 5)],
+        ids=str,
+    )
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [
+            (0, _BLOCK - 2),
+            (0, _BLOCK - 1),
+            (0, _BLOCK),
+            (1, _BLOCK + 1),
+            (_BLOCK - 1, 3 * _BLOCK + 1),
+            (_BLOCK + 1, 3 * _BLOCK - 1),
+            (-_BLOCK - 1, _BLOCK + 1),
+            (-2 * _BLOCK - 5, -3),
+            (-3 * _BLOCK + 1, -_BLOCK - 1),
+            (7, 7),
+            (_BLOCK, _BLOCK),
+            (10, 9),
+            (10, 3),
+        ],
+    )
+    def test_blocked_membership_matches_one_shot(self, alpha, lo, hi):
+        # windows ending on either side of a block boundary k 2^13, single
+        # integers, empty windows and negative windows
+        mask = alpha.membership_range(lo, hi)
+        expect = membership_range_oneshot(alpha, lo, hi)
+        assert mask.dtype == bool and mask.shape == (max(hi - lo + 1, 0),)
+        assert np.array_equal(mask, expect)
+
+    def test_membership_memory_is_one_block(self):
+        # the result is 1 MB; the one-shot formula peaked at 54 MB
+        tracemalloc.start()
+        try:
+            FIB.membership_range(0, 10**6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
 
     def test_inv_floor(self):
         assert HALF.inv_floor() == 2

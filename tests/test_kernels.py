@@ -121,7 +121,7 @@ class TestKernelPairs:
 
 
 def test_bench_kernels_smoke():
-    """The kernel benchmark still runs against the current kernels and LP solve."""
+    """The kernel benchmark still runs against the current kernels, LP solve and Beatty test."""
     root = Path(__file__).resolve().parents[1]
     proc = subprocess.run(
         [sys.executable, str(root / "benchmarks" / "bench_kernels.py"), "--repeat", "1"],
@@ -133,6 +133,11 @@ def test_bench_kernels_smoke():
     assert proc.returncode == 0, proc.stderr
     header, *rows = proc.stdout.strip().splitlines()
     assert header.split() == ["kernel", "time", "cells", "ns/cell"]
-    assert [r.split("(")[0].strip() for r in rows] == ["chain DP", "Mane phi DP", "LP solve"]
+    assert [r.split("(")[0].strip() for r in rows] == [
+        "chain DP",
+        "Mane phi DP",
+        "LP solve",
+        "Beatty membership",
+    ]
     for r in rows:
         assert int(r.split()[-2]) > 0 and float(r.split()[-1]) > 0

@@ -7,6 +7,7 @@ from fklab import (
     AlphaValue,
     DomainError,
     InsufficientDataError,
+    beatty_points,
     induce_tower,
     level0_tower,
     tower_measure_residual,
@@ -44,6 +45,17 @@ class TestLevel0:
     def test_window_precondition(self):
         with pytest.raises(DomainError):
             level0_tower(FIB, 100.0)
+
+    @pytest.mark.parametrize("alpha", ALPHAS + [AlphaValue.rational(3, 7)], ids=str)
+    def test_bincount_letters_match_unique(self, alpha):
+        t = level0_tower(alpha, 1e5)
+        gaps = np.diff(beatty_points(alpha, (0.0, 1e5)))
+        letters, seq, counts = np.unique(gaps, return_inverse=True, return_counts=True)
+        assert t.labels == tuple((int(g),) for g in letters)
+        assert np.array_equal(t.heights, letters.astype(float))
+        assert np.array_equal(t.nu, counts / t.span)
+        assert np.array_equal(t.sequence, seq)
+        assert t.sequence.dtype == np.int32
 
     def test_sequence_matches_oracle(self):
         t = level0_tower(FIB, 2100.0)
