@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Time the two numpy DP kernels of ``fklab._kernels``, the LP solve and the
-exact Beatty membership test.
+"""Time the two numpy DP kernels of ``fklab._kernels``, the LP solve, the
+exact Beatty membership test and the Beatty point reads.
 
 Runs each kernel on a representative workload and prints the best time, the
 number of DP cells it relaxes and the time per cell.  Workload sizes mirror
@@ -13,7 +13,9 @@ of a set's g(g-1)/2 monotone steps once.  The LP row times
 ``discretize_circle`` plus ``solve`` at the arc cap (N = 512, T_max = 2,
 K = 1, lambda = 0.5); its cells are the arcs of the grid graph.  The Beatty
 row runs ``AlphaValue.membership_range`` over the integers 0..10^6 - 1 at the
-golden slope; its cells are the integers tested.
+golden slope; its cells are the integers tested.  The point-read row replays
+the ``PointSet.points_in`` windows of one quasicrystal-workload ``calibrate``
+(seed 0) on a warm block memo; its cells are the reads.
 
 Usage:
     PYTHONPATH=src python3 benchmarks/bench_kernels.py [--repeat 5]
@@ -24,7 +26,20 @@ import time
 
 import numpy as np
 
-from fklab import AlphaValue, _kernels, circle_model, discretize_circle, mane, solve
+from fklab import (
+    AlphaValue,
+    EnvPoint,
+    GridSpec,
+    PointSet,
+    _kernels,
+    calibrate_window,
+    circle_model,
+    discretize_circle,
+    ground_energy,
+    mane,
+    solve,
+    sturm_model,
+)
 
 
 def timeit(fn, repeat):
@@ -80,6 +95,27 @@ def bench_membership(repeat):
     return "Beatty membership (1e6 window)", t, n
 
 
+def bench_point_reads(repeat):
+    alpha = AlphaValue.fibonacci()
+    model, env = sturm_model(alpha, 0.5, 1.0, 1.618), EnvPoint.quasicrystal(alpha)
+    grid = GridSpec(h=0.08, X=2.0, N_outer=64, W=8)
+    windows = []
+    points_in = PointSet.points_in
+
+    def record(pset, lo, hi):
+        windows.append((pset, lo, hi))
+        return points_in(pset, lo, hi)
+
+    PointSet.points_in = record
+    try:
+        est = ground_energy(model, env, [4, 8, 16, 32], grid)
+        calibrate_window(model, env, est.lower_bound, grid.N_outer, grid.W, grid)
+    finally:
+        PointSet.points_in = points_in
+    t = timeit(lambda: [pset.points_in(lo, hi) for pset, lo, hi in windows], repeat)
+    return "Beatty point reads (quasicrystal calibrate)", t, len(windows)
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--repeat", type=int, default=5)
@@ -89,6 +125,7 @@ def main():
         bench_phi_dp(args.repeat),
         bench_lp(args.repeat),
         bench_membership(args.repeat),
+        bench_point_reads(args.repeat),
     ]
     width = max(len(r[0]) for r in rows)
     print(f"{'kernel':<{width}}  {'time':>10}  {'cells':>10}  {'ns/cell':>8}")

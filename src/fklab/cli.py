@@ -350,8 +350,12 @@ def cmd_env_report(cfg: RunConfig, seed: int):
             f"floor(N alpha) = {floor_law}; {gap_count} in {g_lo}..{g_hi}, "
             f"floor({g_hi} alpha) - floor({g_lo - 1} alpha) = {gap_law}"
         )
-    gaps = np.diff((g_lo + np.flatnonzero(in_gaps)).astype(np.float64) - float(env.pset.offset))
-    letters, counts = np.unique(np.rint(gaps).astype(int), return_counts=True)
+    # the gaps are a few small positive integers: a bincount finds the letters
+    # in ascending order with their counts
+    gaps = np.diff(np.flatnonzero(in_gaps))
+    hist = np.bincount(gaps)
+    letters = np.flatnonzero(hist)
+    counts = hist[letters]
     rng = Rng(seed)
     dists = []
     for _ in range(cfg.seeds):

@@ -52,7 +52,8 @@ def _block(alpha: AlphaValue, k: int) -> np.ndarray:
     window asked for it and is shared by every offset and thread; the 64
     blocks kept reach 65 536 integers over all slopes together.
     """
-    ns = PointSet(alpha).raw_indices_in(k * _BLOCK, (k + 1) * _BLOCK - 1)
+    ns = np.flatnonzero(alpha.membership_range(k * _BLOCK, (k + 1) * _BLOCK - 1))
+    ns += k * _BLOCK
     ns.flags.writeable = False
     return ns
 
@@ -65,21 +66,34 @@ class PointSet:
     offset: Fraction = Fraction(0)
 
     def raw_indices_in(self, lo: int, hi: int) -> np.ndarray:
-        """Integers n in [lo, hi] with floor(n a) - floor((n-1) a) = 1."""
+        """Integers n in [lo, hi] with floor(n a) - floor((n-1) a) = 1, as a fresh array.
+
+        A window touching at most ``_MAX_BLOCKS`` blocks is read from the
+        slope's memoized blocks; a wider one is materialized once, leaving
+        the memo as it was.
+        """
         if hi < lo:
             return np.empty(0, dtype=np.int64)
         if hi - lo > _MAX_WINDOW_POINTS:
             raise ResourceError(f"window of {hi - lo} integers exceeds the materialization cap")
-        idx = np.flatnonzero(self.alpha.membership_range(lo, hi))
-        idx += lo
-        return idx
+        blocks = range(lo // _BLOCK, hi // _BLOCK + 1)
+        if len(blocks) > _MAX_BLOCKS:
+            idx = np.flatnonzero(self.alpha.membership_range(lo, hi))
+            idx += lo
+            return idx
+        ns = np.concatenate([_block(self.alpha, k) for k in blocks])
+        return ns[np.searchsorted(ns, lo) : np.searchsorted(ns, hi, side="right")]
 
     def index_window(self, lo: float, hi: float):
-        """The integers (n_lo, n_hi) whose points n - offset lie in [lo, hi], exactly."""
-        return (
-            math.ceil(Fraction(float(lo)) + self.offset),
-            math.floor(Fraction(float(hi)) + self.offset),
-        )
+        """The integers (n_lo, n_hi) whose points n - offset lie in [lo, hi], exactly.
+
+        These are ceil(lo + offset) and floor(hi + offset) over the exact
+        rationals of the floats and the offset, in integer arithmetic.
+        """
+        p, q = self.offset.numerator, self.offset.denominator
+        a, b = float(lo).as_integer_ratio()
+        c, d = float(hi).as_integer_ratio()
+        return -((-a * q - p * b) // (b * q)), (c * q + p * d) // (d * q)
 
     def points_in(self, lo: float, hi: float) -> np.ndarray:
         """Sorted points of the represented set inside [lo, hi]."""
@@ -88,35 +102,15 @@ class PointSet:
         ns = self.raw_indices_in(*self.index_window(lo, hi))
         return ns.astype(np.float64) - float(self.offset)
 
-    def tabulated_points(self, lo: float, hi: float) -> np.ndarray:
-        """Sorted points covering [lo, hi], read from the slope's memoized index blocks.
-
-        The window is located in floats and widened by one integer each way,
-        so the result holds every point of :meth:`points_in` over the same
-        window, with the same values ``n - float(offset)``, and possibly one
-        more point at each end.  A window touching more blocks than the memo
-        keeps is materialized once instead, leaving the memo as it was.
-        """
-        off = float(self.offset)
-        n_lo, n_hi = math.floor(lo + off) - 1, math.ceil(hi + off) + 1
-        blocks = range(n_lo // _BLOCK, n_hi // _BLOCK + 1)
-        if len(blocks) > _MAX_BLOCKS:
-            return self.raw_indices_in(n_lo, n_hi).astype(np.float64) - off
-        ns = np.concatenate([_block(self.alpha, k) for k in blocks])
-        ns = ns[np.searchsorted(ns, n_lo) : np.searchsorted(ns, n_hi, side="right")]
-        return ns.astype(np.float64) - off
-
-    def gaps_in(self, lo: float, hi: float) -> np.ndarray:
-        pts = self.points_in(lo, hi)
-        return np.diff(pts)
-
 
 def beatty_points(alpha: AlphaValue, interval: Sequence[float]) -> np.ndarray:
     """The raw Beatty indices of omega(alpha) in [lo, hi], as a read-only int64 array.
 
-    Intervals longer than 1e7 are refused; one at that cap takes about 0.4 s
-    and peaks at 87 MB RSS, 49 MB of it the 6.2 million indices at the golden
-    slope (fresh process, shared 2-core Xeon).
+    The indices come from ``PointSet.raw_indices_in``, so an interval touching
+    at most 64 blocks is read from the slope's memoized blocks, and the array
+    is a fresh one either way.  Intervals longer than 1e7 are refused; one at
+    that cap takes about 0.4 s and peaks at 87 MB RSS, 49 MB of it the 6.2
+    million indices at the golden slope (fresh process, shared 2-core Xeon).
     """
     lo, hi = float(interval[0]), float(interval[1])
     if not lo < hi:

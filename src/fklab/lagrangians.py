@@ -118,12 +118,12 @@ def spring_derivs(model, t):
 def _bump_tables(model, env, xs):
     """Locate the gap around each x; return (amp, L, s) arrays.
 
-    The points come from the slope's shared index table, so a call costs a
-    lookup rather than a fresh exact materialization.
+    The padded window holds a point at or left of every x and one right of
+    it; ``points_in`` reads it from the slope's memoized index blocks.
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     pad = env.pset.alpha.max_gap() + 1.0
-    pts = env.pset.tabulated_points(xs.min() - pad, xs.max() + pad)
+    pts = env.pset.points_in(xs.min() - pad, xs.max() + pad)
     if pts.size < 2:
         raise DomainError("window materialization failed, set not relatively dense?")
     i = np.searchsorted(pts, xs, side="right") - 1

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import _kernels
 from ._rng import Rng
-from .chain_opt import GridSpec, GroundEnergyEstimate, minimize_free
+from .chain_opt import GridSpec, GroundEnergyEstimate, _strictly_monotone, minimize_free
 from .environments import CylinderSpec, EnvPoint, _unique, return_times, translate_env
 from .errors import DomainError, InsufficientDataError, ResourceError
 from .lagrangians import (
@@ -336,7 +336,7 @@ def calibrate_window(
         rotation=float((xs[-1] - xs[0]) / N_outer),
         max_jump=float(np.max(np.abs(jumps))),
         min_jump=float(np.min(np.abs(jumps))),
-        strictly_monotone=bool(np.all(jumps > 0) or np.all(jumps < 0)),
+        strictly_monotone=_strictly_monotone(xs),
         ebar=float(ebar),
         window=(lo, hi),
     )
@@ -372,8 +372,7 @@ def equidistribution_counts(chain, env: EnvPoint, section: CylinderSpec, R: floa
     chain span, plus the number of boundary intervals set aside.
     """
     xs = np.asarray(chain.positions, dtype=float)
-    d = np.diff(xs)
-    if not (np.all(d > 0) or np.all(d < 0)):
+    if not _strictly_monotone(xs):
         raise DomainError("equidistribution counts need a strictly monotone chain")
     lo, hi = float(min(xs[0], xs[-1])), float(max(xs[0], xs[-1]))
     rts = return_times(env, section, (lo, hi))

@@ -2,7 +2,8 @@
 
 Everything here recomputes results by a route different from the library:
 high-precision floors via mpmath, Beatty membership over a whole window in
-one set of arrays, the eager 1/n fit of the ground energy, exhaustive
+one set of arrays, Beatty points from a ``Fraction`` window and one
+membership test, the eager 1/n fit of the ground energy, exhaustive
 enumeration for chain problems, plain loops for the two DP kernels, for the
 Aubry repair and the structure report (scalar energies, one pair or site at
 a time), for tower induction and for return times, full shifted Mane tables
@@ -10,6 +11,8 @@ for the subadditivity check, and Karp's algorithm for the minimum mean cycle.
 """
 
 import itertools
+import math
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -25,8 +28,6 @@ from fklab.towers import HomologyMatrix, Tower
 def floor_mul_mp(alpha, n: int) -> int:
     """floor(n * alpha): Fraction floor for rationals, 60-digit mpmath otherwise."""
     if alpha.b == 0:
-        from fractions import Fraction
-
         return (Fraction(n) * Fraction(alpha.a, alpha.c)).__floor__()
     with mp.workdps(60):
         x = mp.mpf(n) * (alpha.a + alpha.b * mp.sqrt(alpha.d)) / alpha.c
@@ -54,6 +55,16 @@ def membership_range_oneshot(alpha, lo: int, hi: int) -> np.ndarray:
     r = np.where(nb > 0, s, np.where(nb < 0, -s - 1, 0))
     F = (n * alpha.a + r) // alpha.c
     return np.diff(F) == 1
+
+
+def points_in_oneshot(pset, lo: float, hi: float) -> np.ndarray:
+    """``PointSet.points_in`` without the block memo: exact window, one membership test."""
+    if hi < lo:
+        return np.empty(0)
+    n_lo = math.ceil(Fraction(float(lo)) + pset.offset)
+    n_hi = math.floor(Fraction(float(hi)) + pset.offset)
+    idx = np.flatnonzero(pset.alpha.membership_range(n_lo, n_hi)) + n_lo
+    return idx.astype(np.float64) - float(pset.offset)
 
 
 def extrapolated_eager(n_list, m_values) -> float:

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fklab import AlphaValue, chain_opt, cli, mane
+from fklab import AlphaValue, chain_opt, cli, environments, mane
 from fklab._rng import Rng
 from fklab.cli import load_config, main, read_csv
 
@@ -464,6 +464,30 @@ class TestOtherCommands:
         est = chain_opt.ground_energy(cfg.model, cfg.env, cfg.n_list, cfg.grid)
         with pytest.raises(AssertionError, match="lstsq called"):
             est.extrapolated
+
+    def test_beatty_windows_read_the_block_memo(self, tmp_path, monkeypatch):
+        # from a cold memo, every membership test is a block fill, or a window
+        # too wide for the memo that is materialized once
+        (tmp_path / "run.ini").write_text(QC_WORKLOAD)
+        cfg = load_config(str(tmp_path / "run.ini"))
+        windows = []
+        membership_range = AlphaValue.membership_range
+
+        def spy(alpha, lo, hi):
+            windows.append((lo, hi))
+            return membership_range(alpha, lo, hi)
+
+        monkeypatch.setattr(AlphaValue, "membership_range", spy)
+        B = environments._BLOCK
+        for cmd in (cli.cmd_calibrate, cli.cmd_env_report):
+            environments._block.cache_clear()
+            windows.clear()
+            cmd(cfg, 0)
+            assert windows
+            for lo, hi in windows:
+                block_fill = lo % B == 0 and hi - lo + 1 == B
+                assert block_fill or hi // B - lo // B + 1 > environments._MAX_BLOCKS, (lo, hi)
+        environments._block.cache_clear()
 
     def test_env_report_quasicrystal(self, tmp_path):
         code, out = run(tmp_path, QC_CONFIG, "env-report")

@@ -24,10 +24,17 @@ from fklab import (
     translate_env,
     transverse_frequency,
 )
+from fklab import environments
 from fklab.environments import _MAX_RETURN_WINDOW, _unique
 from fklab.exact import _BLOCK
 
-from oracles import beatty_indices_mp, floor_mul_mp, membership_range_oneshot, return_times_loop
+from oracles import (
+    beatty_indices_mp,
+    floor_mul_mp,
+    membership_range_oneshot,
+    points_in_oneshot,
+    return_times_loop,
+)
 
 FIB = AlphaValue.fibonacci()
 HALF = AlphaValue.rational(1, 2)
@@ -207,7 +214,7 @@ class TestBeattyPoints:
     @pytest.mark.parametrize("alpha", [FIB, AlphaValue.rational(2, 5), AlphaValue.quadratic(0, 1, 2, 2)])
     def test_gap_law(self, alpha):
         ps = PointSet(alpha)
-        gaps = np.unique(ps.gaps_in(-500.0, 500.0))
+        gaps = np.unique(np.diff(ps.points_in(-500.0, 500.0)))
         g = alpha.inv_floor()
         assert set(np.rint(gaps).astype(int)) <= {g, g + 1}
 
@@ -222,6 +229,60 @@ class TestBeattyPoints:
             beatty_points(HALF, (3, 3))
         with pytest.raises(ResourceError):
             beatty_points(HALF, (0, 2e7))
+
+
+class TestPointReader:
+    """The exact integer window of a float window, and the one reader behind it."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_blocks(self):
+        environments._block.cache_clear()
+        yield
+        environments._block.cache_clear()
+
+    @pytest.mark.parametrize(
+        "offset",
+        # dyadic, then not: translate_env keeps a Fraction offset as given
+        [Fraction(0), Fraction(3, 16), Fraction(-37, 8)]
+        + [Fraction(1, 3), Fraction(-2, 7), Fraction(-(10**8), 3)],
+    )
+    def test_index_window_is_exact(self, offset):
+        pset = translate_env(EnvPoint.quasicrystal(FIB), offset).pset
+        assert pset.offset == offset
+        rng = np.random.default_rng(31)
+        on_points = points_in_oneshot(pset, -20.0, 20.0)
+        xs = np.concatenate(
+            [
+                rng.uniform(-100.0, 100.0, 200),
+                rng.uniform(-1e15, 1e15, 100),
+                [0.0, -0.0, 1e15, -1e15, 0.5, -0.5, 2.0**-60, -(2.0**-60)],
+                on_points,
+            ]
+        )
+        # every ordered pair of neighbours, so about half the windows have hi < lo
+        for lo, hi in zip(xs, np.roll(xs, 1)):
+            want = (
+                math.ceil(Fraction(float(lo)) + offset),
+                math.floor(Fraction(float(hi)) + offset),
+            )
+            assert pset.index_window(lo, hi) == want
+        if offset.denominator & (offset.denominator - 1) == 0:
+            # a dyadic offset puts each point exactly on its float, so a window
+            # that starts and ends on a point holds just that point
+            for p in on_points:
+                assert pset.points_in(p, p).tolist() == [p]
+
+    def test_writing_a_read_leaves_the_memo_alone(self):
+        pset = PointSet(FIB, Fraction(3, 8))
+        B = environments._BLOCK
+        # inside one block, across block edges, one block exactly, a single member
+        for lo, hi in ((3, 100), (-B - 6, 2 * B + 52), (-B, -1), (0, 0)):
+            want = np.flatnonzero(membership_range_oneshot(FIB, lo, hi)) + lo
+            first = pset.raw_indices_in(lo, hi)
+            assert np.array_equal(first, want)
+            first[:] = -1
+            assert np.array_equal(pset.raw_indices_in(lo, hi), want)
+        assert pset.raw_indices_in(5, 4).size == 0
 
 
 class TestTranslation:

@@ -121,7 +121,7 @@ class TestKernelPairs:
 
 
 def test_bench_kernels_smoke():
-    """The kernel benchmark still runs against the current kernels, LP solve and Beatty test."""
+    """The kernel benchmark still runs against the current kernels, LP solve and Beatty reads."""
     root = Path(__file__).resolve().parents[1]
     proc = subprocess.run(
         [sys.executable, str(root / "benchmarks" / "bench_kernels.py"), "--repeat", "1"],
@@ -138,6 +138,7 @@ def test_bench_kernels_smoke():
         "Mane phi DP",
         "LP solve",
         "Beatty membership",
+        "Beatty point reads",
     ]
     for r in rows:
         assert int(r.split()[-2]) > 0 and float(r.split()[-1]) > 0

@@ -33,6 +33,8 @@ from fklab.lagrangians import (
     spring_value,
 )
 
+from oracles import membership_range_oneshot, points_in_oneshot
+
 FIB = AlphaValue.fibonacci()
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -177,7 +179,8 @@ class TestBumpPotential:
 
 
 class TestTabulatedBumps:
-    """The slope's memoized index blocks reproduce a fresh per-point materialization."""
+    """Bump potentials read through the slope's memoized index blocks reproduce a
+    fresh one-shot materialization per point."""
 
     M = sturm_model(FIB, 0.5, 1.0, PHI)
 
@@ -192,16 +195,19 @@ class TestTabulatedBumps:
         return [potential_values(self.M, env, xs), *potential_derivs(self.M, env, xs)]
 
     def _per_point(self, monkeypatch, env, xs):
-        # one call per x, each locating its gap through PointSet.points_in
+        # one call per x, each locating its gap from an exact window of its own
         with monkeypatch.context() as mp:
-            mp.setattr(PointSet, "tabulated_points", PointSet.points_in)
+            mp.setattr(PointSet, "points_in", points_in_oneshot)
             per_x = [self._outputs(env, xs[i : i + 1]) for i in range(xs.size)]
         return [np.concatenate(column) for column in zip(*per_x)]
 
     def _assert_bit_identical(self, monkeypatch, env, xs):
-        tabulated = self._outputs(env, xs)
-        assert len(tabulated) == 3
-        for got, want in zip(tabulated, self._per_point(monkeypatch, env, xs)):
+        pad = FIB.max_gap() + 1.0
+        window = (xs.min() - pad, xs.max() + pad)
+        assert env.pset.points_in(*window).tobytes() == points_in_oneshot(env.pset, *window).tobytes()
+        batched = self._outputs(env, xs)
+        assert len(batched) == 3
+        for got, want in zip(batched, self._per_point(monkeypatch, env, xs)):
             assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize(
@@ -212,7 +218,7 @@ class TestTabulatedBumps:
         env = translate_env(EnvPoint.quasicrystal(FIB, offset), shift)
         rng = np.random.default_rng(21)
         xs = rng.uniform(-60.0, 60.0, size=60)
-        on_points = env.pset.points_in(-20.0, 20.0)
+        on_points = points_in_oneshot(env.pset, -20.0, 20.0)
         self._assert_bit_identical(monkeypatch, env, np.concatenate([xs, on_points]))
 
     def test_far_windows_and_block_edges(self, monkeypatch):
@@ -221,7 +227,7 @@ class TestTabulatedBumps:
         # block edges sit at multiples of 1024; the offset moves them to -7/4 in x
         for centre in (0.0, 1022.25, -1025.75, 2046.25, 3.0e3, -2.5e4, 3.0e5, -1.0e6):
             xs = centre + rng.uniform(-30.0, 30.0, size=20)
-            on_points = env.pset.points_in(centre - 5.0, centre + 5.0)
+            on_points = points_in_oneshot(env.pset, centre - 5.0, centre + 5.0)
             self._assert_bit_identical(monkeypatch, env, np.concatenate([xs, on_points]))
 
     def test_window_wider_than_table(self, monkeypatch):
@@ -232,21 +238,14 @@ class TestTabulatedBumps:
     def test_window_wider_than_the_memo_leaves_it_alone(self):
         env = EnvPoint.quasicrystal(FIB, Fraction(3, 8))
         pset = env.pset
-        cached = pset.tabulated_points(-30.0, 3000.0)  # fills blocks -1..2
+        cached = pset.points_in(-30.0, 3000.0)  # fills blocks -1..2
         ks = range(-1, 3)
         blocks = [environments._block(FIB, k) for k in ks]
         info = environments._block.cache_info()
-        got = pset.tabulated_points(-5.0e4, 5.0e4)
+        got = pset.points_in(-5.0e4, 5.0e4)
         assert environments._block.cache_info() == info
         assert all(environments._block(FIB, k) is blk for k, blk in zip(ks, blocks))
-        # the same points as joining every block the window touches
-        B, off = environments._BLOCK, 3 / 8
-        n_lo, n_hi = math.floor(-5.0e4 + off) - 1, math.ceil(5.0e4 + off) + 1
-        ns = np.concatenate(
-            [environments._block.__wrapped__(FIB, k) for k in range(n_lo // B, n_hi // B + 1)]
-        )
-        ns = ns[np.searchsorted(ns, n_lo) : np.searchsorted(ns, n_hi, side="right")]
-        assert got.tobytes() == (ns.astype(np.float64) - off).tobytes()
+        assert got.tobytes() == points_in_oneshot(pset, -5.0e4, 5.0e4).tobytes()
         assert np.array_equal(cached, got[(got >= cached[0]) & (got <= cached[-1])])
 
     def test_concurrent_growth(self):
@@ -279,15 +278,15 @@ class TestTabulatedBumps:
         assert len(got) == 4 * len(windows)
         for (_, j), vals in got.items():
             assert all(np.array_equal(v, want[j]) for v in vals)
-        # the blocks the windows touch, widened as tabulated_points widens them;
-        # all of them are still cached, and each must equal a fresh materialization
-        B, pad, off = environments._BLOCK, FIB.max_gap() + 1.0, 5 / 8
+        # the blocks of the windows' exact integer bounds; all of them are
+        # still cached, and each must equal a one-shot membership test
+        B, pad, off = environments._BLOCK, FIB.max_gap() + 1.0, Fraction(5, 8)
         ks = {
             k
             for xs in windows
             for k in range(
-                (math.floor(xs.min() - pad + off) - 1) // B,
-                (math.ceil(xs.max() + pad + off) + 1) // B + 1,
+                math.ceil(Fraction(xs.min() - pad) + off) // B,
+                math.floor(Fraction(xs.max() + pad) + off) // B + 1,
             )
         }
         assert environments._block.cache_info().currsize == len(ks)
@@ -295,7 +294,9 @@ class TestTabulatedBumps:
             hits = environments._block.cache_info().hits
             ns = environments._block(FIB, k)
             assert environments._block.cache_info().hits == hits + 1
-            assert np.array_equal(ns, PointSet(FIB).raw_indices_in(k * B, (k + 1) * B - 1))
+            want_ns = np.flatnonzero(membership_range_oneshot(FIB, k * B, (k + 1) * B - 1))
+            assert np.array_equal(ns, want_ns + k * B)
+
 
 class TestChainEnergy:
     def test_constant_chain_zero(self):
