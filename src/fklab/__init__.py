@@ -18,7 +18,6 @@ from .chain_opt import (
     make_chain,
     minimize_fixed,
     minimize_free,
-    structure_report,
 )
 from .environments import (
     CylinderSpec,
@@ -30,7 +29,6 @@ from .environments import (
     cylinder_at,
     hull_distance,
     pattern_at,
-    pattern_equal,
     return_times,
     translate_env,
     transverse_frequency,
@@ -49,13 +47,10 @@ from .lagrangians import (
     LagrangianSpec,
     chain_energy,
     circle_model,
-    coercivity_probe,
     energy,
-    equivariant_potential,
     spring_value,
     sturm_model,
     torus_model,
-    twist_defect,
 )
 from .mane import (
     CalibrationReport,

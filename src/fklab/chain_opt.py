@@ -54,9 +54,6 @@ class Chain:
     def __post_init__(self):
         self.positions.setflags(write=False)
 
-    def __len__(self):
-        return len(self.positions)
-
 
 def make_chain(model: LagrangianSpec, env: EnvPoint, positions) -> Chain:
     xs = np.asarray(positions, dtype=float).copy()
@@ -137,14 +134,6 @@ class RepairResult:
     chain: Chain
     kept: np.ndarray
     energy: float  # E(subsequence) + sum of E(x, x) over dropped points
-
-
-@dataclass(frozen=True)
-class StructureReport:
-    strictly_monotone: bool
-    max_jump: float
-    within_R: bool
-    defect: float
 
 
 # -- DP stage ------------------------------------------------------------------
@@ -485,29 +474,4 @@ def crossing_gain(model, env, x0, x1, y0, y1) -> float:
         + energy(model, env, y0, y1)
         - energy(model, env, x0, y1)
         - energy(model, env, y0, x1)
-    )
-
-
-def structure_report(chain: Chain, model: LagrangianSpec, env: EnvPoint, R: float) -> StructureReport:
-    xs = np.asarray(chain.positions, dtype=float)
-    jumps = np.abs(np.diff(xs))
-    max_jump = float(jumps.max()) if jumps.size else 0.0
-    defect = 0.0
-    if xs.size > 2:  # the bump potential cannot be evaluated on no sites
-        # column 0 is each interior site itself, the rest its trial moves
-        offs = np.concatenate(
-            [[0.0], np.linspace(-0.25, 0.25, 41), [-1e-2, -1e-3, -1e-4, 1e-4, 1e-3, 1e-2]]
-        )
-        cand = xs[1:-1, None] + offs
-        local = (
-            spring_value(model, cand - xs[:-2, None])
-            + spring_value(model, xs[2:, None] - cand)
-            + potential_values(model, env, cand)
-        )
-        defect = float(np.max(local[:, 0] - local.min(axis=1)))
-    return StructureReport(
-        strictly_monotone=_strictly_monotone(xs),
-        max_jump=max_jump,
-        within_R=max_jump <= R + 1e-9,
-        defect=defect,
     )

@@ -52,6 +52,9 @@ _ALLOWED_KEYS = {
     "lp": {"n", "t_max"},
     "output": {"directory"},
 }
+# Beatty indices a command may read on either side of floor(offset): more than
+# env-report's 1e5-wide gap window and the widest chain (n_outer 4096 x r_max 64)
+_OFFSET_REACH = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -117,6 +120,11 @@ def load_config(path: str) -> RunConfig:
         if not math.isfinite(v):
             raise ConfigError(f"[environment] {k} = {v} must be finite")
     alpha = _get(cp, "environment", "alpha", AlphaValue.parse) if variant == "quasicrystal" else None
+    n = math.floor(pos["offset"])
+    if alpha is not None and not alpha.fits_int64(n - _OFFSET_REACH, n + _OFFSET_REACH):
+        raise ConfigError(
+            f"[environment] offset = {pos['offset']} is too far out for exact int64 Beatty arithmetic"
+        )
     try:
         if variant == "circle":
             env, model = EnvPoint.circle(pos["phase"]), circle_model(amp["k"], lam, spring)
@@ -427,7 +435,7 @@ def main(argv=None) -> int:
         msg = str(exc)
         best = getattr(exc, "best", None)
         if best is not None:
-            msg += f" (best iterate: {len(best)} sites, energy {best.energy:.12g})"
+            msg += f" (best iterate: {best.positions.size} sites, energy {best.energy:.12g})"
         print(f"numerical failure: {msg}", file=sys.stderr)
         return 3
     for name, (header, rows) in csvs.items():

@@ -163,21 +163,6 @@ class Pattern:
     radius: float
     points: tuple
 
-    def __len__(self):
-        return len(self.points)
-
-
-def pattern_equal(p: Pattern, q: Pattern, tol: float = MATCH_TOL) -> bool:
-    if len(p.points) != len(q.points):
-        return False
-    if abs(p.radius - q.radius) > tol:
-        return False
-    if not p.points:
-        return True
-    return bool(
-        np.max(np.abs(np.asarray(p.points) - np.asarray(q.points))) <= tol
-    )
-
 
 def _require_quasicrystal(env: EnvPoint):
     if env.kind != "quasicrystal":
@@ -199,16 +184,10 @@ class CylinderSpec:
     """Cylinder set: environments whose pattern at the origin equals the anchor."""
 
     anchor: Pattern
-    radius: float
-
-    def __post_init__(self):
-        if abs(self.radius - self.anchor.radius) > MATCH_TOL:
-            raise DomainError("cylinder radius must equal the anchor pattern radius")
 
 
 def cylinder_at(env: EnvPoint, x: float, rho: float) -> CylinderSpec:
-    pat = pattern_at(env, x, rho)
-    return CylinderSpec(pat, float(rho))
+    return CylinderSpec(pattern_at(env, x, rho))
 
 
 def canonical_point_section(env: EnvPoint) -> CylinderSpec:
@@ -219,7 +198,7 @@ def canonical_point_section(env: EnvPoint) -> CylinderSpec:
     """
     _require_quasicrystal(env)
     rho = 0.5 * env.pset.alpha.inv_floor()
-    return CylinderSpec(Pattern(rho, (0.0,)), rho)
+    return CylinderSpec(Pattern(rho, (0.0,)))
 
 
 def hull_distance(env_a: EnvPoint, env_b: EnvPoint, r_max: float) -> float:
@@ -279,7 +258,7 @@ def return_times(env: EnvPoint, section: CylinderSpec, window: Sequence[float]) 
     anchor = np.asarray(section.anchor.points)
     if anchor.size == 0:
         raise DomainError("section anchor pattern must be nonempty")
-    rho = section.radius
+    rho = section.anchor.radius
     master = env.pset.points_in(t_lo - rho - 2.0, t_hi + rho + 2.0)
     if master.size == 0:
         return np.empty(0)

@@ -19,7 +19,7 @@ from .errors import DomainError, ResourceError
 
 # |n b| sqrt(d) stays below this in membership_range, so (n b)^2 d and the
 # squares of its root fit in int64 (whose limit is about (3.04e9)^2)
-_MAX_ROOT = 2e9
+_MAX_ROOT = 2_000_000_000
 _BLOCK = 1 << 13  # integers per block of membership_range's temporaries
 
 _RAT_RE = re.compile(r"^\s*(-?\d+)\s*/\s*(-?\d+)\s*$")
@@ -152,6 +152,11 @@ class AlphaValue:
             return self.c
         return self.inv_floor() + 1
 
+    def fits_int64(self, lo: int, hi: int) -> bool:
+        """Whether ``membership_range(lo, hi)`` stays in int64, tested on exact integers."""
+        reach = max(abs(lo - 1), abs(hi))
+        return (reach * self.b) ** 2 * self.d < _MAX_ROOT**2 and reach * abs(self.a) < 2**62
+
     def membership_range(self, lo: int, hi: int) -> np.ndarray:
         """Boolean array: n in the Beatty set for n = lo..hi (inclusive).
 
@@ -162,8 +167,7 @@ class AlphaValue:
         The window runs in blocks of ``_BLOCK`` integers, so the int64
         temporaries stay a fixed size whatever the window's length.
         """
-        reach = max(abs(lo - 1), abs(hi))
-        if reach * abs(self.b) * math.sqrt(self.d) >= _MAX_ROOT or reach * abs(self.a) >= 2**62:
+        if not self.fits_int64(lo, hi):
             raise ResourceError(f"Beatty window [{lo}, {hi}] is too far out for int64 arithmetic")
         member = np.empty(max(hi - lo + 1, 0), dtype=bool)
         for start in range(lo, hi + 1, _BLOCK):

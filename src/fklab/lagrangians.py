@@ -4,9 +4,17 @@ Springs: quadratic W(t) = |t - lam|^2/2 or quartic W(t) = |t - lam|^4/4.
 Potentials: circle cosine, torus double cosine along the (1, sqrt 2) line, or
 strongly equivariant bump potentials over a Beatty point set.  The bump shape
 is b(s) = s^2 (1-s)^2 rescaled to the gap support, which gives closed-form
-test values (b(1/2) = 1/16).  Both springs are weakly convex, so
--d2E/dxdy = W'' >= 0 and every catalog model is weakly twist; the monotone
-DPs downstream rely on that without a per-model check.
+test values (b(1/2) = 1/16).
+
+The paper's two hypotheses hold in closed form for every catalog model, so
+nothing samples them:
+
+- twist: -d2E/dxdy = W''(y - x), which is 1 for the quadratic spring and
+  3 (y - x - lam)^2 >= 0 for the quartic one (a weak twist, degenerate on
+  the line y - x = lam); the monotone DPs downstream rely on it;
+- superlinearity: W(t)/|t| -> infinity for both springs, and every
+  potential is bounded (0 <= V <= 2K/(2 pi)^2 per cosine, max(a0, a1)/16
+  per bump), so E(x, y)/|y - x| -> infinity uniformly in x.
 
 Each term has two evaluators: ``spring_value``/``potential_values`` for the
 energy and ``spring_derivs``/``potential_derivs`` for the first and second
@@ -20,11 +28,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .environments import SQRT2, EnvPoint, _unique, translate_env
+from .environments import SQRT2, EnvPoint
 from .errors import DomainError
 from .exact import AlphaValue
 
@@ -171,14 +179,6 @@ def potential_derivs(model, env, xs):
     return d1, d2
 
 
-def equivariant_potential(model: LagrangianSpec, env: EnvPoint, x: float) -> float:
-    """V at x for the bump family: select U_0/U_1 by the gap type around x."""
-    if model.potential != "quasicrystal_bumps":
-        raise DomainError("equivariant_potential is defined for the bump family")
-    _check_variant(model, env)
-    return potential_values(model, env, float(x))
-
-
 # -- energies -----------------------------------------------------------------
 
 
@@ -203,54 +203,3 @@ def chain_energy(model: LagrangianSpec, env: EnvPoint, positions) -> float:
     w = spring_value(model, np.diff(xs))
     v = potential_values(model, env, xs[:-1])
     return float(np.sum(w) + np.sum(v))
-
-
-def twist_defect(model: LagrangianSpec, env: EnvPoint, box, grid: int) -> float:
-    """Max over grid samples of the finite-difference mixed second derivative.
-
-    Negative return values certify the sampled weakly twist property; the FD
-    step is tied to the box size (width / (4 grid)).
-    """
-    _check_variant(model, env)
-    if grid < 8:
-        raise DomainError("grid must be at least 8")
-    (x_lo, x_hi), (y_lo, y_hi) = box
-    h = min(x_hi - x_lo, y_hi - y_lo) / (4.0 * grid)
-    xs = np.linspace(x_lo, x_hi, grid)
-    ys = np.linspace(y_lo, y_hi, grid)
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-
-    def val(xx, yy):
-        w = spring_value(model, yy - xx)
-        v = potential_values(model, env, xx.ravel()).reshape(xx.shape)
-        return w + v
-
-    fd = (
-        val(X + h, Y + h) - val(X + h, Y - h) - val(X - h, Y + h) + val(X - h, Y - h)
-    ) / (4.0 * h * h)
-    return float(fd.max())
-
-
-def coercivity_probe(model: LagrangianSpec, env: EnvPoint, radii: Sequence[float]):
-    """Sampled infima of E over |y - x| >= R along a radius ladder.
-
-    Sample jumps are drawn from one master set so the reported infima are
-    monotone by construction (nested sample sets); a sanity report, not a
-    proof of coercivity.
-    """
-    _check_variant(model, env)
-    radii = sorted(float(r) for r in radii)
-    if len(radii) < 2:
-        raise DomainError("need a ladder of at least two radii")
-    extras = np.array([0.0, 0.25, 0.5, 1.0, 2.0, 4.0])
-    master = _unique(np.concatenate([r + extras for r in radii]))
-    master = np.concatenate([master, -master])
-    span = 1.0 if model.potential != "quasicrystal_bumps" else float(model.alpha.max_gap() * 8)
-    xs = np.linspace(0.0, span, 41)
-    vx = potential_values(model, env, xs)
-    out = []
-    for r in radii:
-        ts = master[np.abs(master) >= r - 1e-12]
-        tot = spring_value(model, ts)[None, :] + vx[:, None]
-        out.append((r, float(tot.min())))
-    return out

@@ -73,7 +73,6 @@ class RotationReport:
     values: Tuple[Tuple[int, float], ...]
     degenerate: bool
     inf_diag_sampled: float
-    ebar: float
     chains: Tuple[np.ndarray, ...]
 
 
@@ -360,7 +359,6 @@ def rotation_number(
         values=values,
         degenerate=degenerate,
         inf_diag_sampled=inf_diag,
-        ebar=est.lower_bound,
         chains=est.positions,
     )
 

@@ -5,8 +5,8 @@ high-precision floors via mpmath, Beatty membership over a whole window in
 one set of arrays, Beatty points from a ``Fraction`` window and one
 membership test, the eager 1/n fit of the ground energy, exhaustive
 enumeration for chain problems, plain loops for the two DP kernels, for the
-Aubry repair and the structure report (scalar energies, one pair or site at
-a time), for tower induction and for return times, full shifted Mane tables
+Aubry repair and a chain's local structure (scalar energies, one pair or site
+at a time), for tower induction and for return times, full shifted Mane tables
 for the subadditivity check, and Karp's algorithm for the minimum mean cycle.
 """
 
@@ -17,7 +17,7 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 
-from fklab.chain_opt import RepairResult, StructureReport, _strictly_monotone, make_chain
+from fklab.chain_opt import RepairResult, _strictly_monotone, make_chain
 from fklab.environments import MATCH_TOL, translate_env
 from fklab.errors import DomainError, InsufficientDataError
 from fklab.lagrangians import chain_energy, energy, potential_values, spring_value
@@ -203,8 +203,12 @@ def repair_loop(model, env, chain):
     return RepairResult(chain=make_chain(model, env, xs[kept]), kept=kept, energy=float(best[n]))
 
 
-def structure_report_loop(chain, model, env, R):
-    """Site-by-site version of ``chain_opt.structure_report``."""
+def chain_structure_loop(chain, model, env, R):
+    """(strictly monotone, max jump, max jump <= R, max local defect) of a chain.
+
+    The local defect of an interior site is how much its pair energies drop
+    under the best of a fixed set of trial moves, one site at a time.
+    """
     xs = np.asarray(chain.positions, dtype=float)
     jumps = np.abs(np.diff(xs))
     max_jump = float(jumps.max()) if jumps.size else 0.0
@@ -225,12 +229,7 @@ def structure_report_loop(chain, model, env, R):
             + float(potential_values(model, env, xs[k]))
         )
         defect = max(defect, base - float(phi.min()))
-    return StructureReport(
-        strictly_monotone=_strictly_monotone(xs),
-        max_jump=max_jump,
-        within_R=max_jump <= R + 1e-9,
-        defect=float(max(0.0, defect)),
-    )
+    return _strictly_monotone(xs), max_jump, max_jump <= R + 1e-9, float(max(0.0, defect))
 
 
 def chain_dp_backward_loop(V, Wd, n, dlo, end_idx):
@@ -351,7 +350,7 @@ def return_times_loop(env, section, window):
     if t_hi < t_lo:
         return np.empty(0)
     anchor = np.asarray(section.anchor.points)
-    rho = section.radius
+    rho = section.anchor.radius
     master = env.pset.points_in(t_lo - rho - 2.0, t_hi + rho + 2.0)
     if master.size == 0:
         return np.empty(0)

@@ -14,12 +14,10 @@ from fklab import (
     chain_energy,
     circle_model,
     crossing_gain,
-    energy,
     ground_energy,
     make_chain,
     minimize_fixed,
     minimize_free,
-    structure_report,
     sturm_model,
     torus_model,
     translate_env,
@@ -33,8 +31,8 @@ from oracles import (
     brute_force_free_chain,
     brute_force_repair,
     extrapolated_eager,
+    chain_structure_loop,
     repair_loop,
-    structure_report_loop,
 )
 
 CIRCLE = EnvPoint.circle(0.0)
@@ -417,52 +415,31 @@ class TestCrossingGain:
 
 
 class TestStructureReport:
+    # the minimizers' local structure, read from the site-by-site oracle
     def test_equally_spaced(self):
         m = circle_model(0.0, 1.0)
         res = minimize_free(m, CIRCLE, 8, h=0.05)
-        rep = structure_report(res.chain, m, CIRCLE, 4.0)
-        assert rep.strictly_monotone
-        assert rep.max_jump == pytest.approx(1.0, abs=1e-9)
-        assert rep.defect <= 1e-10
+        monotone, max_jump, _, defect = chain_structure_loop(res.chain, m, CIRCLE, 4.0)
+        assert monotone
+        assert max_jump == pytest.approx(1.0, abs=1e-9)
+        assert defect <= 1e-10
 
     def test_minimizer_monotone_with_bounded_jumps(self):
         m = circle_model(1.0, 0.5)
         res = minimize_free(m, CIRCLE, 32, h=0.05)
-        rep = structure_report(res.chain, m, CIRCLE, 3.5)
-        assert rep.strictly_monotone
-        assert rep.within_R
-        assert rep.defect <= 1e-8
+        monotone, _, within_R, defect = chain_structure_loop(res.chain, m, CIRCLE, 3.5)
+        assert monotone
+        assert within_R
+        assert defect <= 1e-8
 
     def test_perturbed_chain_has_defect(self):
+        # the defect check above can fail: one kicked site shows up
         m = circle_model(1.0, 0.5)
         res = minimize_free(m, CIRCLE, 16, h=0.05)
         xs = res.chain.positions.copy()
         xs[8] += 0.1
-        rep = structure_report(make_chain(m, CIRCLE, xs), m, CIRCLE, 3.5)
-        assert rep.defect > 1e-6
-
-    @pytest.mark.parametrize("model,env", REFINE_CASES, ids=REFINE_IDS)
-    def test_matches_site_loop_exactly(self, model, env):
-        # small kicks off a minimizer put each site's best trial move inside
-        # the offset grid; random chains exercise the grid's ends
-        rng = np.random.default_rng(13)
-        xs = minimize_free(model, env, 16, h=0.05).chain.positions
-        kicks = [rng.normal(0.0, s, xs.size) for s in (0.0, 0.02, 0.1)]
-        chains = [make_chain(model, env, xs + kick) for kick in kicks]
-        for n in [1, 2, 5, 16]:
-            xs = np.sort(rng.uniform(-3, 3, size=n + 1)) + rng.normal(0.0, 0.05, size=n + 1)
-            chains.append(make_chain(model, env, xs))
-        for ch in chains:
-            want = structure_report_loop(ch, model, env, 2.0)
-            assert structure_report(ch, model, env, 2.0) == want
-
-    def test_two_point_quasicrystal_chain(self):
-        # no interior sites: the bump potential would raise on an empty array
-        m, env = REFINE_CASES[2]
-        ch = make_chain(m, env, [0.3, 1.9])
-        rep = structure_report(ch, m, env, 2.0)
-        assert rep == structure_report_loop(ch, m, env, 2.0)
-        assert rep.defect == 0.0
+        _, _, _, defect = chain_structure_loop(make_chain(m, CIRCLE, xs), m, CIRCLE, 3.5)
+        assert defect > 1e-6
 
 
 class TestChainType:

@@ -180,11 +180,14 @@ class TestConfig:
         cfg.write_text(CIRCLE_K1.replace("[grid]\n", "[grid]\nr_max = 2.5\n"), "utf-8")
         assert load_config(str(cfg)).grid.R_max == 2.5
 
-    @pytest.mark.parametrize("value", ["inf", "nan"])
-    def test_unrepresentable_offset_is_config_error(self, tmp_path, value):
+    @pytest.mark.parametrize("value", ["inf", "nan", "1e12", "1e300", "-1e300"])
+    def test_unrepresentable_offset_is_config_error(self, tmp_path, capsys, value):
+        # the far offsets put the chain beyond int64 Beatty arithmetic
         config = QC_CONFIG.replace("offset = 0.0", f"offset = {value}")
         code, _ = run(tmp_path, config, "ground-energy")
         assert code == 2
+        err = capsys.readouterr().err
+        assert "[environment] offset" in err and len(err) < 200
 
     @pytest.mark.parametrize(
         "config, old, new, command",
@@ -497,9 +500,10 @@ class TestOtherCommands:
         assert res["count_in_1_to_N"] == res["floor_N_alpha"]
         assert abs(res["alpha_value"] - (math.sqrt(5) - 1) / 2) < 1e-15
 
-    @pytest.mark.parametrize("offset", ["0.0", "3.5625", "-7.25", "250000.5"])
+    @pytest.mark.parametrize("offset", ["0.0", "3.5625", "-7.25", "250000.5", "5e8"])
     def test_env_report_gap_table(self, tmp_path, offset):
-        # the last offset puts the gap window clear of 1..N
+        # the last two offsets put the gap window clear of 1..N, the last one
+        # near the int64 reach of the golden slope
         code, out = run(tmp_path, QC_CONFIG.replace("offset = 0.0", f"offset = {offset}"), "env-report")
         assert code == 0
         env = load_config(tmp_path / "run.ini").env

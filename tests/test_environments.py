@@ -19,7 +19,6 @@ from fklab import (
     cylinder_at,
     hull_distance,
     pattern_at,
-    pattern_equal,
     return_times,
     translate_env,
     transverse_frequency,
@@ -409,7 +408,7 @@ class TestReturnTimes:
     def test_empty_anchor_rejected(self):
         env = EnvPoint.quasicrystal(HALF)
         with pytest.raises(DomainError):
-            return_times(env, type(cylinder_at(env, 2.0, 2.0))(Pattern(0.3, ()), 0.3), (0, 4))
+            return_times(env, CylinderSpec(Pattern(0.3, ())), (0, 4))
 
     @pytest.mark.parametrize("section", SECTIONS)
     @pytest.mark.parametrize("offset", [0, 0.125, 3.5])
@@ -426,7 +425,7 @@ class TestReturnTimes:
     def test_anchor_outside_its_ball_never_matches(self):
         # no candidate window holds a set point, so nothing is gathered
         env = EnvPoint.quasicrystal(FIB)
-        sec = CylinderSpec(Pattern(0.3, (0.5,)), 0.3)
+        sec = CylinderSpec(Pattern(0.3, (0.5,)))
         got = return_times(env, sec, (0.0, 100.0))
         assert got.size == 0
         assert np.array_equal(got, return_times_loop(env, sec, (0.0, 100.0)))

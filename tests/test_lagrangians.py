@@ -12,16 +12,13 @@ from fklab import (
     EnvPoint,
     chain_energy,
     circle_model,
-    coercivity_probe,
     energy,
-    equivariant_potential,
     minimize_free,
     return_times,
     cylinder_at,
     sturm_model,
     torus_model,
     translate_env,
-    twist_defect,
 )
 from fklab import environments
 from fklab.environments import PointSet
@@ -117,18 +114,18 @@ class TestBumpPotential:
     def test_vanishes_at_set_points(self):
         m = sturm_model(FIB, 0.5, 1.0, PHI)
         for p in QC.pset.points_in(0.0, 30.0):
-            assert equivariant_potential(m, QC, float(p)) == pytest.approx(0.0, abs=1e-12)
+            assert potential_values(m, QC, float(p)) == pytest.approx(0.0, abs=1e-12)
 
     def test_long_gap_midpoint(self):
         m = sturm_model(FIB, 0.5, 1.0, PHI)
         pts = QC.pset.points_in(0.0, 50.0)
         gaps = np.rint(np.diff(pts)).astype(int)
         i = int(np.where(gaps == 2)[0][0])
-        assert equivariant_potential(m, QC, float(pts[i]) + 1.0) == pytest.approx(
+        assert potential_values(m, QC, float(pts[i]) + 1.0) == pytest.approx(
             1.0 / 16.0, abs=1e-12
         )
         j = int(np.where(gaps == 1)[0][0])
-        assert equivariant_potential(m, QC, float(pts[j]) + 0.5) == pytest.approx(
+        assert potential_values(m, QC, float(pts[j]) + 0.5) == pytest.approx(
             0.5 / 16.0, abs=1e-12
         )
 
@@ -141,8 +138,8 @@ class TestBumpPotential:
         assert vals.min() >= 0.0
         eps = 1e-7
         for p in QC.pset.points_in(1.0, 30.0)[:8]:
-            left = equivariant_potential(m, QC, float(p) - eps)
-            right = equivariant_potential(m, QC, float(p) + eps)
+            left = potential_values(m, QC, float(p) - eps)
+            right = potential_values(m, QC, float(p) + eps)
             assert left <= 1e-12  # ~ eps^2 / L^2 scale
             assert right <= 1e-12
 
@@ -157,8 +154,8 @@ class TestBumpPotential:
         offs = rng.uniform(-0.49, 0.49, size=20)
         for t in rts:
             for u in offs:
-                assert equivariant_potential(m, QC, base + u) == pytest.approx(
-                    equivariant_potential(m, QC, float(t) + u), abs=1e-12
+                assert potential_values(m, QC, base + u) == pytest.approx(
+                    potential_values(m, QC, float(t) + u), abs=1e-12
                 )
 
     def test_transversally_constant_energy(self):
@@ -322,7 +319,23 @@ class TestChainEnergy:
             chain_energy(circle_model(0.0, 0.0), CIRCLE, [1.0])
 
 
+def twist_defect(model, env, box, grid):
+    """Max over a grid in the box of the central-difference d2E/dxdy of ``energy``.
+
+    The step is tied to the box size (width / (4 grid)).
+    """
+    (x_lo, x_hi), (y_lo, y_hi) = box
+    h = min(x_hi - x_lo, y_hi - y_lo) / (4.0 * grid)
+    X, Y = np.meshgrid(np.linspace(x_lo, x_hi, grid), np.linspace(y_lo, y_hi, grid), indexing="ij")
+
+    def E(dx, dy):
+        return energy(model, env, X + dx, Y + dy)
+
+    return float(((E(h, h) - E(h, -h) - E(-h, h) + E(-h, -h)) / (4.0 * h * h)).max())
+
+
 class TestTwistDefect:
+    # the catalog's closed form: d2E/dxdy = -W''(y - x) <= 0
     def test_quadratic_constant(self):
         m = circle_model(1.0, 0.5)
         d = twist_defect(m, CIRCLE, ((-1.0, 1.0), (-1.0, 1.0)), 16)
@@ -348,29 +361,37 @@ class TestTwistDefect:
         xs = np.linspace(0.0, 1.0, grid)
         ys = np.linspace(1.25, 2.25, grid)
         X, Y = np.meshgrid(xs, ys, indexing="ij")
-        closed = float((-3.0 * (Y - X) ** 2).max())
+        closed = float((-spring_derivs(m, Y - X)[1]).max())
+        assert closed == float((-3.0 * (Y - X) ** 2).max())
         got = twist_defect(m, CIRCLE, box, grid)
         assert got == pytest.approx(closed, abs=10.0 * h * h)
 
 
 class TestCoercivityProbe:
+    # superlinearity in closed form: W(t)/|t| -> infinity over a bounded V
     @pytest.mark.parametrize("model,env", CATALOG)
     def test_nondecreasing(self, model, env):
-        vals = coercivity_probe(model, env, [1.0, 2.0, 4.0, 8.0])
-        for (_, a), (_, b) in zip(vals, vals[1:]):
-            assert b >= a - 1e-9
+        xs = np.linspace(0.0, 20.0, 401)
+        v = potential_values(model, env, xs)
+        cosines = 2.0 * (model.K + model.K1 + model.K2) / (2 * math.pi) ** 2
+        assert v.min() >= 0.0 and v.max() <= cosines + max(model.a0, model.a1) / 16.0
+        for sign in (1.0, -1.0):
+            per_R = [energy(model, env, xs, xs + sign * R).min() / R for R in (8.0, 16.0, 32.0, 64.0)]
+            assert np.all(np.diff(per_R) > 0.0)
 
     def test_quadratic_scale(self):
         m = circle_model(1.0, 0.0)
-        vals = dict(coercivity_probe(m, CIRCLE, [2.0, 4.0]))
+        xs = np.linspace(0.0, 1.0, 41)
         pot_range = 1.0 / (2 * math.pi) ** 2
-        assert abs(vals[4.0] - 4.0 ** 2 / 2.0) <= pot_range + 1e-9
+        for t in (4.0, -4.0):
+            assert abs(energy(m, CIRCLE, xs, xs + t).min() - 4.0 ** 2 / 2.0) <= pot_range + 1e-9
 
     def test_quartic_scale(self):
         m = circle_model(1.0, 0.0, spring="quartic")
-        vals = dict(coercivity_probe(m, CIRCLE, [2.0, 4.0]))
+        xs = np.linspace(0.0, 1.0, 41)
         pot_range = 1.0 / (2 * math.pi) ** 2
-        assert abs(vals[4.0] - 4.0 ** 4 / 4.0) <= pot_range + 1e-9
+        for t in (4.0, -4.0):
+            assert abs(energy(m, CIRCLE, xs, xs + t).min() - 4.0 ** 4 / 4.0) <= pot_range + 1e-9
 
 
 class TestDerivatives:
