@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Time the two numpy DP kernels of ``fklab._kernels``, the LP solve, the
-exact Beatty membership test and the Beatty point reads.
+exact Beatty membership test, the Beatty point reads and process start-up.
 
 Runs each kernel on a representative workload and prints the best time, the
 number of DP cells it relaxes and the time per cell.  Workload sizes mirror
@@ -15,17 +15,28 @@ K = 1, lambda = 0.5); its cells are the arcs of the grid graph.  The Beatty
 row runs ``AlphaValue.membership_range`` over the integers 0..10^6 - 1 at the
 golden slope; its cells are the integers tested.  The point-read row replays
 the ``PointSet.points_in`` windows of one quasicrystal-workload ``calibrate``
-(seed 0) on a warm block memo; its cells are the reads.
+(seed 0) on a warm block memo; its cells are the reads.  The start-up row
+runs a fresh ``python -c "import fklab.cli; fklab.cli.load_config(...)"`` on
+the quasicrystal workload's config, the set-up every CLI command pays before
+it starts; its one cell is the process, and its name carries the peak RSS
+of those processes (``RUSAGE_CHILDREN`` of a small launcher that spawns
+them).
 
 Usage:
     PYTHONPATH=src python3 benchmarks/bench_kernels.py [--repeat 5]
 """
 
 import argparse
+import os
+import subprocess
+import sys
+import tempfile
 import time
+from pathlib import Path
 
 import numpy as np
 
+import fklab
 from fklab import (
     AlphaValue,
     EnvPoint,
@@ -116,6 +127,61 @@ def bench_point_reads(repeat):
     return "Beatty point reads (quasicrystal calibrate)", t, len(windows)
 
 
+# the quasicrystal benchmark workload's config at seed 0
+QUASICRYSTAL_INI = """\
+[environment]
+variant = quasicrystal
+alpha = (-1+1√5)/2
+offset = 0.0
+seeds = 3
+
+[lagrangian]
+spring = quadratic
+lambda = 1.618
+a0 = 0.5
+a1 = 1.0
+
+[grid]
+h = 0.08
+x = 2.0
+n_max = 100
+n_outer = 64
+w = 8
+n_list = 4,8,16,32
+"""
+
+
+# Spawns the start-up processes and prints the best wall time and their peak
+# RSS in KB.  It runs in its own small process: on Linux a child's peak RSS
+# starts from the resident size of the process that spawned it, and this
+# script is large by the time the start-up row runs.
+LAUNCHER = """\
+import resource, subprocess, sys, time
+best = float("inf")
+for _ in range(int(sys.argv[1])):
+    t0 = time.perf_counter()
+    subprocess.run([sys.executable, "-c", sys.argv[2]], check=True)
+    best = min(best, time.perf_counter() - t0)
+print(best, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+"""
+
+
+def bench_startup(repeat):
+    # the children import the fklab this script imported
+    src = str(Path(fklab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "run.ini"
+        cfg.write_text(QUASICRYSTAL_INI, encoding="utf-8")
+        code = f"import fklab.cli; fklab.cli.load_config({str(cfg)!r})"
+        argv = [sys.executable, "-c", LAUNCHER, str(repeat), code]
+        out = subprocess.run(argv, env=env, check=True, capture_output=True, text=True).stdout
+    t, peak_kb = out.split()
+    name = f"Start-up (import fklab.cli + load_config, peak RSS {int(peak_kb) / 1024:.1f} MB)"
+    return name, float(t), 1
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--repeat", type=int, default=5)
@@ -126,6 +192,7 @@ def main():
         bench_lp(args.repeat),
         bench_membership(args.repeat),
         bench_point_reads(args.repeat),
+        bench_startup(args.repeat),
     ]
     width = max(len(r[0]) for r in rows)
     print(f"{'kernel':<{width}}  {'time':>10}  {'cells':>10}  {'ns/cell':>8}")

@@ -24,7 +24,6 @@ from .environments import (
     EnvPoint,
     Pattern,
     PointSet,
-    beatty_points,
     canonical_point_section,
     cylinder_at,
     hull_distance,

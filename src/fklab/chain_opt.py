@@ -13,10 +13,8 @@ best iterate, so no solver returns a silently worse chain.
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -45,14 +43,21 @@ _MAX_DP_CELLS = 4_000_000_000
 _MAX_DP_BYTES = 512 << 20
 
 
-@dataclass(frozen=True)
-class Chain:
+class _ChainFields(NamedTuple):
     positions: np.ndarray
     energy: float
     env: EnvPoint
 
-    def __post_init__(self):
+
+class Chain(_ChainFields):
+    """A chain's sites, read-only, with its energy and environment."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         self.positions.setflags(write=False)
+        return self
 
 
 def make_chain(model: LagrangianSpec, env: EnvPoint, positions) -> Chain:
@@ -60,8 +65,7 @@ def make_chain(model: LagrangianSpec, env: EnvPoint, positions) -> Chain:
     return Chain(xs, chain_energy(model, env, xs), env)
 
 
-@dataclass(frozen=True)
-class MinimizeResult:
+class MinimizeResult(NamedTuple):
     """A refined chain and its DP start.
 
     Every returned result is converged: a refinement that does not converge
@@ -83,8 +87,7 @@ def _jump_cap(model: LagrangianSpec, R_max: Optional[float]) -> float:
     return R_max if R_max is not None else abs(model.lam) + 3.0
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class GridSpec(NamedTuple):
     """Numerical knobs shared by the chain and Mane solvers."""
 
     h: float = 0.05
@@ -97,8 +100,7 @@ class GridSpec:
         return _jump_cap(model, self.R_max)
 
 
-@dataclass(frozen=True)
-class GroundEnergyEstimate:
+class GroundEnergyEstimate(NamedTuple):
     """Found n-chain minima m_n, their chains, and two estimates of Ebar.
 
     ``lower_bound`` is max m_n/n, a lower estimate of Ebar rather than a
@@ -113,13 +115,13 @@ class GroundEnergyEstimate:
     lower_bound: float
     h: float
 
-    @functools.cached_property
+    @property
     def extrapolated(self) -> float:
         """The a of a least-squares fit m_n/n = a - b/n over the upper half of
         ``n_list`` (at least two n), clamped below at ``lower_bound``.
 
-        The fit runs on first read, so a caller that reads only
-        ``lower_bound`` never calls LAPACK.
+        The fit runs on each read, so a caller that reads only
+        ``lower_bound`` never calls LAPACK; read it once into a local.
         """
         top = max(2, len(self.n_list) // 2 + len(self.n_list) % 2)
         ns = np.asarray(self.n_list[-top:], dtype=float)
@@ -129,8 +131,7 @@ class GroundEnergyEstimate:
         return max(float(coef[0]), self.lower_bound)
 
 
-@dataclass(frozen=True)
-class RepairResult:
+class RepairResult(NamedTuple):
     chain: Chain
     kept: np.ndarray
     energy: float  # E(subsequence) + sum of E(x, x) over dropped points

@@ -12,23 +12,34 @@ reruns with the same config and seed.  Exit codes: 0 ok, 2 config error
 (including a ``DomainError`` or ``ResourceError`` raised by the catalog or a
 solver on the configured sizes, and an output directory that cannot be
 created), 3 numerical failure (``NumericalFailure``, ``InsufficientDataError``,
-a non-finite summary value).  A run that fails writes no file.
+a non-finite summary value).  A run that fails writes no file and creates no
+output directory.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
-import hashlib
+import gc
 import json
 import math
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List
+from typing import Dict, List, NamedTuple
 
 import numpy as np
+
+# SHA-256 from CPython's built-in module: hashlib would also load OpenSSL's
+# libcrypto (about 3.5 MB of RSS and 3 ms) to hash a config of a few hundred
+# bytes; the digest is the same
+try:
+    from _sha2 import sha256  # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 from . import chain_opt, holonomic_lp, mane, towers
 from ._rng import Rng
@@ -57,8 +68,7 @@ _ALLOWED_KEYS = {
 _OFFSET_REACH = 1 << 20
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     model: LagrangianSpec
     env: EnvPoint
     seeds: int
@@ -166,7 +176,7 @@ def load_config(path: str) -> RunConfig:
         lp_N=_get(cp, "lp", "n", int, default=32, lo=8, hi=512),
         lp_T_max=_get(cp, "lp", "t_max", float, default=2.0, lo=0.1, hi=64.0),
         out_dir=_get(cp, "output", "directory", str, default="out"),
-        config_hash=hashlib.sha256(raw).hexdigest()[:16],
+        config_hash=sha256(raw).hexdigest()[:16],
     )
 
 
@@ -245,14 +255,15 @@ def cmd_ground_energy(cfg: RunConfig, seed: int):
 def cmd_mane(cfg: RunConfig, seed: int):
     model, env, X, h = cfg.model, cfg.env, cfg.grid.X, cfg.grid.h
     est = chain_opt.ground_energy(model, env, cfg.n_list, cfg.grid)
+    ebar_x = est.extrapolated  # a fit on every read
     table = mane.mane_table(model, env, est.lower_bound, X, h)
     results = {
         "ebar_lower_bound": est.lower_bound,
-        "ebar_extrapolated": est.extrapolated,
+        "ebar_extrapolated": ebar_x,
         "cocycle_defects": mane.cocycle_defects(model, table, samples=12, seed=seed),
         "grid_sensitivity": mane.grid_sensitivity(model, table),
         # sensitivity to the Ebar choice: Phi again at the extrapolated value
-        "phi_shift_between_ebar_choices": mane.phi_shift(model, table, est.extrapolated),
+        "phi_shift_between_ebar_choices": mane.phi_shift(model, table, ebar_x),
     }
     rows = list(zip(table.targets, table.phi, table.n_steps))
     return {"mane_potential.csv": (["t", "phi", "n_steps"], rows)}, "mane_summary.json", results
@@ -411,21 +422,34 @@ def main(argv=None) -> int:
     # obsolete and ignored: still parsed so that existing command lines keep working
     parser.add_argument("--threads", type=int, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
+    # The command's garbage collections skip the objects made before it (the
+    # imported modules, numpy's among them): when a collection that walks
+    # them falls inside the command, it costs about 2 ms of a 20-40 ms
+    # command, and whether one does depends only on how many objects the
+    # imports happened to allocate.  They are handed back on return.
+    gc.freeze()
+    try:
+        return _run(args)
+    finally:
+        gc.unfreeze()
+
+
+def _run(args) -> int:
     t0 = time.perf_counter()
     try:
         if not 0 <= args.seed < 1 << 64:
             raise ConfigError(f"--seed must lie in 0..2**64 - 1, got {args.seed}")
         cfg = load_config(args.config)
+        csvs, summary, results = _COMMANDS[args.command](cfg, args.seed)
+        # the summary is the one output whose serialization can fail, so it is
+        # rendered before the output directory is made
+        text = _summary_text(args.command, cfg.config_hash, args.seed, results)
         out = Path(args.out if args.out is not None else cfg.out_dir)
         try:
             out.mkdir(parents=True, exist_ok=True)
         except OSError as exc:  # an existing file, or a path under one
             msg = f"cannot create output directory {str(out)!r}: {exc.strerror}"
             raise ConfigError(msg) from exc
-        csvs, summary, results = _COMMANDS[args.command](cfg, args.seed)
-        # the summary is the one output whose serialization can fail, so it is
-        # rendered before any file is written
-        text = _summary_text(args.command, cfg.config_hash, args.seed, results)
     except (ConfigError, DomainError, ResourceError) as exc:
         # arguments outside a solver's domain or over a size cap come from the config
         print(f"config error: {exc}", file=sys.stderr)

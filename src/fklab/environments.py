@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -58,8 +57,7 @@ def _block(alpha: AlphaValue, k: int) -> np.ndarray:
     return ns
 
 
-@dataclass(frozen=True)
-class PointSet:
+class PointSet(NamedTuple):
     """The set omega(alpha) - offset, materialized lazily over windows."""
 
     alpha: AlphaValue
@@ -103,27 +101,7 @@ class PointSet:
         return ns.astype(np.float64) - float(self.offset)
 
 
-def beatty_points(alpha: AlphaValue, interval: Sequence[float]) -> np.ndarray:
-    """The raw Beatty indices of omega(alpha) in [lo, hi], as a read-only int64 array.
-
-    The indices come from ``PointSet.raw_indices_in``, so an interval touching
-    at most 64 blocks is read from the slope's memoized blocks, and the array
-    is a fresh one either way.  Intervals longer than 1e7 are refused; one at
-    that cap takes about 0.4 s and peaks at 87 MB RSS, 49 MB of it the 6.2
-    million indices at the golden slope (fresh process, shared 2-core Xeon).
-    """
-    lo, hi = float(interval[0]), float(interval[1])
-    if not lo < hi:
-        raise DomainError("interval must satisfy lo < hi")
-    if hi - lo > 1e7:
-        raise ResourceError("interval longer than 1e7 is not materializable")
-    idx = PointSet(alpha).raw_indices_in(math.ceil(lo), math.floor(hi))
-    idx.flags.writeable = False
-    return idx
-
-
-@dataclass(frozen=True)
-class EnvPoint:
+class EnvPoint(NamedTuple):
     """A point of one of the three hulls."""
 
     kind: str  # "circle" | "torus" | "quasicrystal"
@@ -156,8 +134,7 @@ def translate_env(env: EnvPoint, t) -> EnvPoint:
     return EnvPoint("quasicrystal", pset=PointSet(env.pset.alpha, env.pset.offset + dt))
 
 
-@dataclass(frozen=True)
-class Pattern:
+class Pattern(NamedTuple):
     """Recentered points of a set inside a closed ball of the given radius."""
 
     radius: float
@@ -179,8 +156,7 @@ def pattern_at(env: EnvPoint, x: float, rho: float) -> Pattern:
     return Pattern(float(rho), tuple(float(p) for p in pts[keep]))
 
 
-@dataclass(frozen=True)
-class CylinderSpec:
+class CylinderSpec(NamedTuple):
     """Cylinder set: environments whose pattern at the origin equals the anchor."""
 
     anchor: Pattern

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,8 +56,14 @@ def _sign_quad(A: int, B: int, d: int) -> int:
     return (rhs > lhs) - (rhs < lhs)
 
 
-@dataclass(frozen=True)
-class AlphaValue:
+class _AlphaFields(NamedTuple):
+    a: int
+    b: int
+    c: int
+    d: int
+
+
+class AlphaValue(_AlphaFields):
     """The value (a + b*sqrt(d))/c; rational exactly when b == 0.
 
     Use :meth:`rational`, :meth:`quadratic` or :meth:`parse` rather than the
@@ -65,12 +71,10 @@ class AlphaValue:
     into the rational part, reduced fractions).
     """
 
-    a: int
-    b: int
-    c: int
-    d: int
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.c <= 0:
             raise DomainError("denominator must be normalized positive")
         if self.b != 0:
@@ -78,6 +82,7 @@ class AlphaValue:
                 raise DomainError("quadratic part requires non-square d > 0")
         if not (self._sign_minus(0) > 0 and self._sign_minus(1) < 0):
             raise DomainError("alpha must lie strictly in (0, 1)")
+        return self
 
     def _sign_minus(self, k: int) -> int:
         # sign of (alpha - k) = sign of (a - k c) + b sqrt(d), since c > 0

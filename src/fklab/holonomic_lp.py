@@ -14,7 +14,7 @@ irrational slope and maps no finite grid to itself.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,15 +31,13 @@ _MAX_ITER = 1000  # policy iterations
 _TOL = 1e-11  # smallest improvement that changes the policy
 
 
-@dataclass(frozen=True)
-class LPProblem:
+class LPProblem(NamedTuple):
     N: int
     jumps: np.ndarray  # integer multiples of 1/N
     cost: np.ndarray  # (N, |jumps|)
 
 
-@dataclass(frozen=True)
-class LPSolution:
+class LPSolution(NamedTuple):
     nodes: np.ndarray  # grid points of the optimal cycle, ascending
     jumps: np.ndarray  # the jump (multiple of 1/N) the cycle takes at each node
     u: np.ndarray  # dual potential, one value per grid point: the negated policy bias

@@ -27,8 +27,7 @@ on large arrays where derivatives would be wasted work.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -42,8 +41,7 @@ _SPRINGS = ("quadratic", "quartic")
 _POTENTIALS = ("circle_cosine", "torus_double_cosine", "quasicrystal_bumps")
 
 
-@dataclass(frozen=True)
-class LagrangianSpec:
+class _LagrangianFields(NamedTuple):
     spring: str
     lam: float
     potential: str
@@ -54,7 +52,12 @@ class LagrangianSpec:
     a1: float = 0.0
     alpha: Optional[AlphaValue] = None
 
-    def __post_init__(self):
+
+class LagrangianSpec(_LagrangianFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.spring not in _SPRINGS:
             raise DomainError(f"unknown spring {self.spring!r}")
         if self.potential not in _POTENTIALS:
@@ -64,6 +67,7 @@ class LagrangianSpec:
                 raise DomainError("bump potential needs the point-set slope alpha")
             if self.spring == "quartic":
                 raise DomainError("quartic spring is only cataloged with circle/torus potentials")
+        return self
 
     @property
     def env_kind(self) -> str:

@@ -17,8 +17,7 @@ first, so small sets share the kernel's Python loop.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, NamedTuple, Tuple
 
 import numpy as np
 
@@ -37,8 +36,7 @@ from .lagrangians import (
 )
 
 
-@dataclass(frozen=True)
-class ManeTable:
+class ManeTable(NamedTuple):
     """Phi over the grid targets {k h : |k| <= K}, with each target's step count.
 
     ``n_max`` is K = floor(X / h), the most steps a chain on the table's nodes
@@ -56,8 +54,7 @@ class ManeTable:
     n_steps: np.ndarray
 
 
-@dataclass(frozen=True)
-class CalibrationReport:
+class CalibrationReport(NamedTuple):
     defects: np.ndarray  # rows (m, n, defect)
     max_defect: float
     rotation: float
@@ -68,8 +65,7 @@ class CalibrationReport:
     window: Tuple[int, int]
 
 
-@dataclass(frozen=True)
-class RotationReport:
+class RotationReport(NamedTuple):
     values: Tuple[Tuple[int, float], ...]
     degenerate: bool
     inf_diag_sampled: float

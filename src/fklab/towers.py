@@ -9,8 +9,7 @@ measure is replaced by empirical occurrence frequencies over a finite window.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -20,24 +19,41 @@ from .errors import DomainError, InsufficientDataError
 from .exact import AlphaValue
 
 
-@dataclass(frozen=True)
 class Tower:
-    level: int
-    labels: Tuple[Tuple[int, ...], ...]  # flat gap-letter words, one per floor
-    heights: np.ndarray
-    base_index: int
-    nu: np.ndarray  # empirical transverse frequencies (counts / realized span)
-    sequence: np.ndarray  # floor indices along the window
-    span: float
-    periodic: bool
+    """One level of the tower: its floors, their heights and frequencies.
+
+    Not a tuple, unlike the other records: ``induce_tower`` returns the pair
+    (tower, homology matrix), and a tower must never pass for such a pair.
+    """
+
+    __slots__ = ("level", "labels", "heights", "base_index", "nu", "sequence", "span", "periodic")
+
+    def __init__(
+        self,
+        level: int,
+        labels: Tuple[Tuple[int, ...], ...],  # flat gap-letter words, one per floor
+        heights: np.ndarray,
+        base_index: int,
+        nu: np.ndarray,  # empirical transverse frequencies (counts / realized span)
+        sequence: np.ndarray,  # floor indices along the window
+        span: float,
+        periodic: bool,
+    ):
+        self.level = level
+        self.labels = labels
+        self.heights = heights
+        self.base_index = base_index
+        self.nu = nu
+        self.sequence = sequence
+        self.span = span
+        self.periodic = periodic
 
     def measure_mass(self) -> float:
         """sum_a nu_a H_a, which approximates 1 for long windows."""
         return float(np.dot(self.nu, self.heights))
 
 
-@dataclass(frozen=True)
-class HomologyMatrix:
+class HomologyMatrix(NamedTuple):
     entries: np.ndarray  # (lower floors) x (upper floors), integer letter counts
     row_labels: Tuple[Tuple[int, ...], ...]
     col_labels: Tuple[Tuple[int, ...], ...]

@@ -305,13 +305,23 @@ class TestGroundEnergy:
             (0.3, (3, 5, 7, 9), True),
         ],
     )
-    def test_extrapolated_is_the_eager_fit(self, lam, n_list, clamped):
-        # the fit runs on first read and gives the bits the eager fit gave,
-        # the clamp to the lower estimate included
+    def test_extrapolated_is_the_eager_fit(self, lam, n_list, clamped, monkeypatch):
+        # the fit runs when read, not when the estimate is built, and gives
+        # the bits the eager fit gave, the clamp to the lower estimate included
+        calls = []
+        lstsq = np.linalg.lstsq
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return lstsq(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "lstsq", counting)
         est = ground_energy(circle_model(1.0, lam), CIRCLE, n_list, GridSpec(h=0.05))
-        assert "extrapolated" not in vars(est)
+        assert not calls
+        got = est.extrapolated
+        assert len(calls) == 1
         expect = extrapolated_eager(est.n_list, est.m_values)
-        assert est.extrapolated.hex() == expect.hex()
+        assert got.hex() == expect.hex()
         assert (expect == est.lower_bound) == clamped
 
     def test_refinement_self_consistency(self):

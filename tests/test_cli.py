@@ -1,3 +1,5 @@
+import gc
+import hashlib
 import json
 import math
 import os
@@ -138,7 +140,7 @@ class TestConfig:
         config = CIRCLE_K1.replace("h = 0.05", "h = 0.5").replace("x = 2.5", "x = 0.4")
         code, out = run(tmp_path, config, "mane")
         assert code == 2
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_missing_file(self, tmp_path):
         assert main(["ground-energy", "--config", str(tmp_path / "nope.ini")]) == 2
@@ -267,7 +269,10 @@ class TestSampledDraws:
     def test_commands_import_no_numpy_submodule(self, tmp_path):
         # the seeded checks draw from fklab._rng and the plain uniques go
         # through environments._unique; in a fresh command process
-        # numpy.random costs about 9 ms to import and numpy.ma about 18 ms
+        # numpy.random costs about 9 ms to import and numpy.ma about 18 ms.
+        # The records are NamedTuples, not dataclasses (about 0.9 ms each to
+        # build), and the config hash takes the built-in SHA-256 where the
+        # build has one, so neither dataclasses nor OpenSSL's _hashlib loads
         runs = [
             (CIRCLE_K1, "circle.ini", ("ground-energy", "mane", "calibrate", "lp")),
             (QC_CONFIG, "qc.ini", ("ground-energy", "mane", "calibrate", "tower", "env-report")),
@@ -276,6 +281,12 @@ class TestSampledDraws:
             "import sys, fklab",
             "assert 'numpy.random' not in sys.modules, 'import fklab'",
             "assert 'numpy.ma' not in sys.modules, 'import fklab'",
+            "import importlib.util",
+            "builtin_sha = any(importlib.util.find_spec(m) for m in ('_sha2', '_sha256'))",
+            "def light(where):",
+            "    assert 'dataclasses' not in sys.modules, where",
+            "    assert not builtin_sha or '_hashlib' not in sys.modules, where",
+            "light('import fklab')",
             "from fklab.cli import main",
             "before = {m for m in sys.modules if m.startswith('numpy.')}",
         ]
@@ -287,6 +298,7 @@ class TestSampledDraws:
                 code += [
                     f"assert main({args!r}) == 0, {c!r}",
                     "assert 'numpy.random' not in sys.modules, " + repr(f"{c} {name}"),
+                    f"light({f'{c} {name}'!r})",
                     "new = {m for m in sys.modules if m.startswith('numpy.')} - before",
                     "assert not new, " + repr(f"{c} {name}: ") + " + ' '.join(sorted(new))",
                 ]
@@ -427,6 +439,30 @@ class TestOtherCommands:
         code, _ = run(tmp_path, CIRCLE_K0, "tower")
         assert code == 2
 
+    def test_command_runs_with_the_older_heap_frozen(self, tmp_path, monkeypatch):
+        # the command's collections skip the objects made before it, and main
+        # hands them back to the collector on every return
+        frozen = []
+        real = cli.cmd_lp
+
+        def spy(cfg, seed):
+            frozen.append(gc.get_freeze_count())
+            return real(cfg, seed)
+
+        monkeypatch.setitem(cli._COMMANDS, "lp", spy)
+        assert gc.get_freeze_count() == 0
+        assert run(tmp_path, CIRCLE_K1, "lp")[0] == 0
+        assert frozen[0] > 0 and gc.get_freeze_count() == 0
+        assert run(tmp_path, QC_CONFIG, "lp")[0] == 2
+        assert gc.get_freeze_count() == 0
+
+    def test_failed_command_leaves_no_out_directory(self, tmp_path, capsys):
+        # the circle workload's config: tower fails after the config loaded
+        code, out = run(tmp_path, (GOLDEN / "circle.ini").read_text(), "tower")
+        assert code == 2
+        assert "tower command needs a quasicrystal environment" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("config", [QC_CONFIG, TORUS_CONFIG], ids=["quasicrystal", "torus"])
     def test_lp_needs_circle(self, tmp_path, config):
         # a variant mismatch is a config error (2), not a numerical failure (3)
@@ -542,7 +578,7 @@ class TestOtherCommands:
         code, out = run(tmp_path, CIRCLE_K1, "lp")
         assert code == 3
         assert "numerical failure: lp produced a non-finite result" in capsys.readouterr().err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_lp_golden_outputs(self, tmp_path):
         # the circle benchmark workload's config at seed 0 (N = 56); the expected
@@ -570,3 +606,6 @@ class TestOtherCommands:
         summary = json.loads((out / "lp_summary.json").read_text())
         csv_hash = read_csv(out / "lp_support.csv")["config_hash"]
         assert summary["config_hash"] == csv_hash
+        # the built-in SHA-256 gives hashlib's digest
+        expect = hashlib.sha256((tmp_path / "run.ini").read_bytes()).hexdigest()[:16]
+        assert csv_hash == expect

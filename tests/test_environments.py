@@ -14,7 +14,6 @@ from fklab import (
     Pattern,
     PointSet,
     ResourceError,
-    beatty_points,
     canonical_point_section,
     cylinder_at,
     hull_distance,
@@ -201,12 +200,12 @@ class TestAlphaValue:
 class TestBeattyPoints:
     def test_alpha_half_window(self):
         # floor(n/2) - floor((n-1)/2) = 1 exactly at even n, including 0
-        ns = beatty_points(HALF, (0, 10))
-        assert ns.dtype == np.int64 and not ns.flags.writeable
+        ns = PointSet(HALF).raw_indices_in(0, 10)
+        assert ns.dtype == np.int64
         assert ns.tolist() == [0, 2, 4, 6, 8, 10]
 
     def test_fibonacci_count_equals_floor(self):
-        ns = beatty_points(FIB, (1, 20))
+        ns = PointSet(FIB).raw_indices_in(1, 20)
         assert len(ns) == FIB.floor_mul(20) == 12
         assert ns.tolist() == beatty_indices_mp(FIB, 1, 20)
 
@@ -224,10 +223,8 @@ class TestBeattyPoints:
             assert len(ps.raw_indices_in(1, N)) == FIB.floor_mul(N)
 
     def test_interval_guards(self):
-        with pytest.raises(DomainError):
-            beatty_points(HALF, (3, 3))
         with pytest.raises(ResourceError):
-            beatty_points(HALF, (0, 2e7))
+            PointSet(HALF).raw_indices_in(0, 2 * 10**7)
 
 
 class TestPointReader:

@@ -121,7 +121,8 @@ class TestKernelPairs:
 
 
 def test_bench_kernels_smoke():
-    """The kernel benchmark still runs against the current kernels, LP solve and Beatty reads."""
+    """The kernel benchmark still runs against the current kernels, LP solve, Beatty reads
+    and start-up."""
     root = Path(__file__).resolve().parents[1]
     proc = subprocess.run(
         [sys.executable, str(root / "benchmarks" / "bench_kernels.py"), "--repeat", "1"],
@@ -139,6 +140,7 @@ def test_bench_kernels_smoke():
         "LP solve",
         "Beatty membership",
         "Beatty point reads",
+        "Start-up",
     ]
     for r in rows:
         assert int(r.split()[-2]) > 0 and float(r.split()[-1]) > 0

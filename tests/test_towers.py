@@ -7,7 +7,7 @@ from fklab import (
     AlphaValue,
     DomainError,
     InsufficientDataError,
-    beatty_points,
+    PointSet,
     induce_tower,
     level0_tower,
     tower_measure_residual,
@@ -49,7 +49,7 @@ class TestLevel0:
     @pytest.mark.parametrize("alpha", ALPHAS + [AlphaValue.rational(3, 7)], ids=str)
     def test_bincount_letters_match_unique(self, alpha):
         t = level0_tower(alpha, 1e5)
-        gaps = np.diff(beatty_points(alpha, (0.0, 1e5)))
+        gaps = np.diff(PointSet(alpha).raw_indices_in(0, 10**5))
         letters, seq, counts = np.unique(gaps, return_inverse=True, return_counts=True)
         assert t.labels == tuple((int(g),) for g in letters)
         assert np.array_equal(t.heights, letters.astype(float))
