@@ -15,12 +15,13 @@ K = 1, lambda = 0.5); its cells are the arcs of the grid graph.  The Beatty
 row runs ``AlphaValue.membership_range`` over the integers 0..10^6 - 1 at the
 golden slope; its cells are the integers tested.  The point-read row replays
 the ``PointSet.points_in`` windows of one quasicrystal-workload ``calibrate``
-(seed 0) on a warm block memo; its cells are the reads.  The start-up row
-runs a fresh ``python -c "import fklab.cli; fklab.cli.load_config(...)"`` on
-the quasicrystal workload's config, the set-up every CLI command pays before
-it starts; its one cell is the process, and its name carries the peak RSS
-of those processes (``RUSAGE_CHILDREN`` of a small launcher that spawns
-them).
+(seed 0) on a warm block memo; its cells are the reads.  The two start-up
+rows run a fresh ``python -c "import fklab.cli; fklab.cli.load_config(...)"``
+on the quasicrystal and the circle workload's config, the set-up every CLI
+command pays before it starts (only the quasicrystal config loads
+``fractions``, for its exact offset); each row's one cell is the process,
+and its name carries the peak RSS of those processes (``RUSAGE_CHILDREN`` of
+a small launcher that spawns them), with fklab's bytecode compiled first.
 
 Usage:
     PYTHONPATH=src python3 benchmarks/bench_kernels.py [--repeat 5]
@@ -151,6 +152,31 @@ n_list = 4,8,16,32
 """
 
 
+# the circle benchmark workload's config at seed 0
+CIRCLE_INI = """\
+[environment]
+variant = circle
+phase = 0.0
+
+[lagrangian]
+spring = quadratic
+lambda = 0.5
+k = 1.0
+
+[grid]
+h = 0.05
+x = 4.0
+n_max = 100
+n_outer = 64
+w = 8
+n_list = 4,8,16,32
+
+[lp]
+n = 56
+t_max = 2.0
+"""
+
+
 # Spawns the start-up processes and prints the best wall time and their peak
 # RSS in KB.  It runs in its own small process: on Linux a child's peak RSS
 # starts from the resident size of the process that spawned it, and this
@@ -166,19 +192,25 @@ print(best, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
 """
 
 
-def bench_startup(repeat):
+def bench_startup(repeat, workload, ini):
     # the children import the fklab this script imported
     src = str(Path(fklab.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
+    # byte-compile fklab once, as installing it would: with PYTHONDONTWRITEBYTECODE
+    # set and no current bytecode, every timed child would compile it, which
+    # adds about 1.8 MB to its peak RSS
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
+    subprocess.run([sys.executable, "-c", "import fklab.cli"], env=env, check=True)
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "run.ini"
-        cfg.write_text(QUASICRYSTAL_INI, encoding="utf-8")
+        cfg.write_text(ini, encoding="utf-8")
         code = f"import fklab.cli; fklab.cli.load_config({str(cfg)!r})"
         argv = [sys.executable, "-c", LAUNCHER, str(repeat), code]
         out = subprocess.run(argv, env=env, check=True, capture_output=True, text=True).stdout
     t, peak_kb = out.split()
-    name = f"Start-up (import fklab.cli + load_config, peak RSS {int(peak_kb) / 1024:.1f} MB)"
+    peak = f"peak RSS {int(peak_kb) / 1024:.1f} MB"
+    name = f"Start-up {workload} (import fklab.cli + load_config, {peak})"
     return name, float(t), 1
 
 
@@ -192,7 +224,8 @@ def main():
         bench_lp(args.repeat),
         bench_membership(args.repeat),
         bench_point_reads(args.repeat),
-        bench_startup(args.repeat),
+        bench_startup(args.repeat, "quasicrystal", QUASICRYSTAL_INI),
+        bench_startup(args.repeat, "circle", CIRCLE_INI),
     ]
     width = max(len(r[0]) for r in rows)
     print(f"{'kernel':<{width}}  {'time':>10}  {'cells':>10}  {'ns/cell':>8}")

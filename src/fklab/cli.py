@@ -1,24 +1,33 @@
 """Configuration-driven command line front end.
 
-Subcommands: ground-energy, mane, calibrate, tower, lp, env-report.  Configs
-are INI files with sections [environment], [lagrangian], [grid], [lp],
-[output]; unknown sections or keys are rejected.  ``load_config`` builds the
-model and environment once through the catalog constructors, whose rules
-decide which springs and potentials combine.  Each command returns its CSV
-tables and summary results, and ``main`` writes them all into ``--out``
-(default: the config's ``[output] directory``).  Every output file carries
-the config hash (CSV header line, JSON field) and is byte-identical across
-reruns with the same config and seed.  Exit codes: 0 ok, 2 config error
-(including a ``DomainError`` or ``ResourceError`` raised by the catalog or a
-solver on the configured sizes, and an output directory that cannot be
-created), 3 numerical failure (``NumericalFailure``, ``InsufficientDataError``,
-a non-finite summary value).  A run that fails writes no file and creates no
+``fklab COMMAND --config PATH [--out DIR] [--seed U64]``, with the flags in
+any order as ``--flag value`` or ``--flag=value``; the obsolete ``--threads
+N`` is read and ignored.  The command line is read here rather than by
+argparse, which would load gettext (and locale, on its first message) into
+every command process.  Commands: ground-energy, mane, calibrate, tower, lp,
+env-report.
+
+Configs are INI files with sections [environment], [lagrangian], [grid],
+[lp], [output]; unknown sections or keys are rejected.  ``load_config``
+builds the model and environment once through the catalog constructors,
+whose rules decide which springs and potentials combine.  ``fractions``
+loads only when a quasicrystal config builds its exact offset
+(``EnvPoint.quasicrystal``), never for a circle or torus run.  Each command
+returns its CSV tables and summary results, and ``main`` writes them all
+into ``--out`` (default: the config's ``[output] directory``).  Every output
+file carries the config hash (CSV header line, JSON field) and is
+byte-identical across reruns with the same config and seed.
+
+Exit codes: 0 ok, 2 a malformed command line or a config error (including a
+``DomainError`` or ``ResourceError`` raised by the catalog or a solver on the
+configured sizes, and an output directory that cannot be created), 3
+numerical failure (``NumericalFailure``, ``InsufficientDataError``, a
+non-finite summary value).  A run that fails writes no file and creates no
 output directory.
 """
 
 from __future__ import annotations
 
-import argparse
 import configparser
 import gc
 import json
@@ -26,7 +35,7 @@ import math
 import sys
 import time
 from pathlib import Path
-from typing import Dict, List, NamedTuple
+from typing import Dict, List, NamedTuple, Optional
 
 import numpy as np
 
@@ -85,7 +94,10 @@ def _get(cp, section, key, conv, default=None, lo=None, hi=None):
         if default is None:
             raise ConfigError(f"missing [{section}] {key}")
         return default
-    raw = cp.get(section, key)
+    try:
+        raw = cp.get(section, key)
+    except configparser.Error as exc:  # a stray '%' fails interpolation
+        raise ConfigError(f"bad value for [{section}] {key} ({exc})") from exc
     try:
         val = conv(raw)
     except (ValueError, FKError) as exc:
@@ -405,23 +417,69 @@ _COMMANDS = {
 }
 
 
+_USAGE = f"usage: fklab {{{','.join(_COMMANDS)}}} --config PATH [--out DIR] [--seed U64]"
+# --threads is obsolete and ignored: still read so that existing command lines
+# keep working
+_FLAGS = ("--config", "--out", "--seed", "--threads")
+
+
+class _Args(NamedTuple):
+    command: str
+    config: str
+    out: Optional[str]
+    seed: int
+
+
+class _UsageError(Exception):
+    pass
+
+
+def _parse_args(argv: List[str]) -> Optional[_Args]:
+    """``COMMAND --config PATH [--out DIR] [--seed U64] [--threads N]``, flags in
+    any order as ``--flag value`` or ``--flag=value``; None for ``-h``/``--help``.
+
+    A malformed command line raises ``_UsageError``.
+    """
+    commands, given = [], {}
+    args = iter(argv)
+    for arg in args:
+        if arg in ("-h", "--help"):
+            return None
+        if not arg.startswith("-"):
+            if arg not in _COMMANDS:
+                raise _UsageError(f"unknown command {arg!r}")
+            commands.append(arg)
+            continue
+        flag, eq, value = arg.partition("=")
+        if flag not in _FLAGS:
+            raise _UsageError(f"unknown flag {flag!r}")
+        if not eq:
+            value = next(args, None)
+            if value is None or value.startswith("--"):
+                raise _UsageError(f"{flag} needs a value")
+        given[flag] = value
+    if len(commands) != 1:
+        raise _UsageError(f"expected one command, got {len(commands)}")
+    if "--config" not in given:
+        raise _UsageError("--config is required")
+    ints = {}
+    for flag in ("--seed", "--threads"):
+        try:
+            ints[flag] = int(given.get(flag, 0))
+        except ValueError:
+            raise _UsageError(f"{flag} needs an integer, got {given[flag]!r}") from None
+    return _Args(commands[0], given["--config"], given.get("--out"), ints["--seed"])
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="fklab",
-        description="Frenkel-Kontorova chain laboratory: ground energies, Mane "
-        "potentials, calibration defects, towers, and the holonomic LP.",
-    )
-    parser.add_argument("command", choices=sorted(_COMMANDS))
-    parser.add_argument("--config", required=True, help="path to the INI run config")
-    parser.add_argument(
-        "--out", help="output directory (default: the config's [output] directory, else ./out)"
-    )
-    parser.add_argument(
-        "--seed", type=int, default=0, help="seed for sampled checks, 0 to 2**64 - 1"
-    )
-    # obsolete and ignored: still parsed so that existing command lines keep working
-    parser.add_argument("--threads", type=int, help=argparse.SUPPRESS)
-    args = parser.parse_args(argv)
+    try:
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
+    except _UsageError as exc:
+        print(f"{_USAGE}\nfklab: error: {exc}", file=sys.stderr)
+        return 2
+    if args is None:
+        print(_USAGE)
+        return 0
     # The command's garbage collections skip the objects made before it (the
     # imported modules, numpy's among them): when a collection that walks
     # them falls inside the command, it costs about 2 ms of a 20-40 ms
@@ -434,7 +492,7 @@ def main(argv=None) -> int:
         gc.unfreeze()
 
 
-def _run(args) -> int:
+def _run(args: _Args) -> int:
     t0 = time.perf_counter()
     try:
         if not 0 <= args.seed < 1 << 64:

@@ -4,20 +4,27 @@ An environment point is a phase on the circle, a point of the 2-torus under
 the irrational line flow, or a translated Beatty point set.  The quasicrystal
 flow acts by tau_t(omega) = omega - t, so translating adds t to the stored
 offset; offsets are kept as exact dyadic rationals (``Fraction``) so the
-cocycle property holds exactly, not merely to roundoff.
+cocycle property holds exactly, not merely to roundoff.  ``fractions`` is
+imported only where a quasicrystal offset is built (``EnvPoint.quasicrystal``
+and the quasicrystal branch of ``translate_env``), so a circle or torus run
+never loads it (nor ``decimal``, which it imports); a bare ``PointSet`` has
+the integer offset 0, which has the same ``numerator``, ``denominator`` and
+exact sum with a ``Fraction``.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .errors import DomainError, ResourceError
 from .exact import AlphaValue
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 SQRT2 = math.sqrt(2.0)
 
@@ -61,7 +68,7 @@ class PointSet(NamedTuple):
     """The set omega(alpha) - offset, materialized lazily over windows."""
 
     alpha: AlphaValue
-    offset: Fraction = Fraction(0)
+    offset: Fraction | int = 0
 
     def raw_indices_in(self, lo: int, hi: int) -> np.ndarray:
         """Integers n in [lo, hi] with floor(n a) - floor((n-1) a) = 1, as a fresh array.
@@ -120,6 +127,8 @@ class EnvPoint(NamedTuple):
 
     @staticmethod
     def quasicrystal(alpha: AlphaValue, offset=0) -> "EnvPoint":
+        from fractions import Fraction
+
         off = offset if isinstance(offset, Fraction) else Fraction(float(offset))
         return EnvPoint("quasicrystal", pset=PointSet(alpha, off))
 
@@ -130,6 +139,8 @@ def translate_env(env: EnvPoint, t) -> EnvPoint:
         return EnvPoint.circle(env.phase + float(t))
     if env.kind == "torus":
         return EnvPoint.torus(env.w1 + float(t), env.w2 + float(t) * SQRT2)
+    from fractions import Fraction
+
     dt = t if isinstance(t, Fraction) else Fraction(float(t))
     return EnvPoint("quasicrystal", pset=PointSet(env.pset.alpha, env.pset.offset + dt))
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import re
-from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -92,8 +91,12 @@ class AlphaValue(_AlphaFields):
 
     @classmethod
     def rational(cls, p: int, q: int) -> "AlphaValue":
-        f = Fraction(p, q)
-        return cls(f.numerator, 0, f.denominator, 0)
+        if q == 0:
+            raise DomainError("denominator must be nonzero")
+        if q < 0:
+            p, q = -p, -q
+        g = math.gcd(p, q)
+        return cls(p // g, 0, q // g, 0)
 
     @classmethod
     def quadratic(cls, a: int, b: int, d: int, c: int) -> "AlphaValue":

@@ -145,6 +145,28 @@ class TestConfig:
     def test_missing_file(self, tmp_path):
         assert main(["ground-energy", "--config", str(tmp_path / "nope.ini")]) == 2
 
+    @pytest.mark.parametrize(
+        "old, new",
+        [("directory = out", "directory = out%x"), ("lambda = 0.5\n", "lambda = 0.5%\n")],
+        ids=["directory", "lambda"],
+    )
+    def test_percent_in_value_is_config_error(self, tmp_path, capsys, monkeypatch, old, new):
+        # a lone '%' fails configparser's interpolation; the run writes nothing
+        monkeypatch.chdir(tmp_path)
+        code, _ = run(tmp_path, CIRCLE_K1.replace(old, new), "ground-energy")
+        assert code == 2
+        err = capsys.readouterr().err
+        key = "[output] directory" if "directory" in old else "[lagrangian] lambda"
+        assert err.startswith("config error: ") and key in err
+        assert [p.name for p in tmp_path.iterdir()] == ["run.ini"]
+
+    def test_zero_denominator_slope_is_config_error(self, tmp_path, capsys):
+        code, out = run(tmp_path, QC_CONFIG.replace("(-1+1√5)/2", "1/0"), "ground-energy")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "denominator must be nonzero" in err
+        assert not out.exists()
+
     def test_bad_range(self, tmp_path):
         code, _ = run(tmp_path, CIRCLE_K0.replace("h = 0.05", "h = 50"), "ground-energy")
         assert code == 2
@@ -265,6 +287,75 @@ class TestConfig:
         assert taken.read_text(encoding="utf-8") == "keep"
 
 
+class TestCommandLine:
+    @pytest.fixture
+    def cfg(self, tmp_path):
+        path = tmp_path / "run.ini"
+        path.write_text(CIRCLE_K1, encoding="utf-8")
+        return str(path)
+
+    def test_flag_forms_and_order(self, tmp_path, cfg):
+        # --flag value or --flag=value, in any order around the command; the
+        # obsolete --threads is read and changes nothing
+        forms = [
+            ["lp", "--config", cfg, "--out", "{out}", "--seed", "7"],
+            ["--out={out}", f"--config={cfg}", "--seed=7", "lp"],
+            ["--seed", "7", "--threads", "4", "lp", "--config", cfg, "--out", "{out}"],
+            ["--threads=1", "lp", "--seed=7", f"--config={cfg}", "--out={out}"],
+        ]
+        written = []
+        for i, form in enumerate(forms):
+            out = tmp_path / f"out{i}"
+            assert main([a.replace("{out}", str(out)) for a in form]) == 0, form
+            assert json.loads((out / "lp_summary.json").read_text())["seed"] == 7
+            written.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert all(w == written[0] for w in written)
+
+    @pytest.mark.parametrize("argv", [["-h"], ["--help"], ["lp", "--config", "x.ini", "--help"]])
+    def test_help(self, capsys, argv):
+        assert main(argv) == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("usage: fklab ") and out.count("\n") == 1 and err == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["lp", "--out", "{out}"],
+            ["lp", "--config", "{cfg}", "--out", "{out}", "--verbose"],
+            ["lp", "--conf", "{cfg}", "--out", "{out}"],
+            ["lp", "-c", "{cfg}", "--out", "{out}"],
+            ["lp", "--out", "{out}", "--config"],
+            ["lp", "--config", "--out", "{out}"],
+            ["lp", "mane", "--config", "{cfg}", "--out", "{out}"],
+            ["banana", "--config", "{cfg}", "--out", "{out}"],
+            ["--config", "{cfg}", "--out", "{out}"],
+            ["lp", "--config", "{cfg}", "--out", "{out}", "--seed", "1.5"],
+            ["lp", "--config", "{cfg}", "--out", "{out}", "--threads", "two"],
+        ],
+        ids=[
+            "no-config",
+            "unknown-flag",
+            "abbreviation",
+            "short-flag",
+            "no-value-at-end",
+            "flag-as-value",
+            "two-commands",
+            "unknown-command",
+            "no-command",
+            "non-integer-seed",
+            "non-integer-threads",
+        ],
+    )
+    def test_malformed_is_usage_error(self, tmp_path, capsys, cfg, argv):
+        out = tmp_path / "out"
+        argv = [a.replace("{cfg}", cfg).replace("{out}", str(out)) for a in argv]
+        assert main(argv) == 2
+        stdout, err = capsys.readouterr()
+        assert stdout == ""
+        assert err.startswith("usage: fklab ") and "\nfklab: error: " in err
+        assert not out.exists()
+
+
 class TestSampledDraws:
     def test_commands_import_no_numpy_submodule(self, tmp_path):
         # the seeded checks draw from fklab._rng and the plain uniques go
@@ -272,36 +363,45 @@ class TestSampledDraws:
         # numpy.random costs about 9 ms to import and numpy.ma about 18 ms.
         # The records are NamedTuples, not dataclasses (about 0.9 ms each to
         # build), and the config hash takes the built-in SHA-256 where the
-        # build has one, so neither dataclasses nor OpenSSL's _hashlib loads
+        # build has one, so neither dataclasses nor OpenSSL's _hashlib loads.
+        # The command line is read without argparse (which loads gettext,
+        # and locale on its first message), and fractions (with decimal)
+        # loads only for a quasicrystal offset.  A command then loads no
+        # module at all once its config is loaded, as fkbench's child does.
         runs = [
             (CIRCLE_K1, "circle.ini", ("ground-energy", "mane", "calibrate", "lp")),
             (QC_CONFIG, "qc.ini", ("ground-energy", "mane", "calibrate", "tower", "env-report")),
         ]
         code = [
             "import sys, fklab",
-            "assert 'numpy.random' not in sys.modules, 'import fklab'",
-            "assert 'numpy.ma' not in sys.modules, 'import fklab'",
             "import importlib.util",
             "builtin_sha = any(importlib.util.find_spec(m) for m in ('_sha2', '_sha256'))",
             "def light(where):",
-            "    assert 'dataclasses' not in sys.modules, where",
+            "    for m in ('numpy.random', 'numpy.ma', 'dataclasses'):",
+            "        assert m not in sys.modules, f'{m}: {where}'",
             "    assert not builtin_sha or '_hashlib' not in sys.modules, where",
             "light('import fklab')",
-            "from fklab.cli import main",
-            "before = {m for m in sys.modules if m.startswith('numpy.')}",
+            "from fklab.cli import load_config, main",
         ]
         for text, name, commands in runs:
             cfg = tmp_path / name
             cfg.write_text(text, encoding="utf-8")
+            code.append(f"load_config({str(cfg)!r})")
+            if name == "circle.ini":
+                code += [
+                    "heavy = {'argparse', 'gettext', 'locale', 'fractions', 'decimal'}",
+                    "heavy &= set(sys.modules)",
+                    "assert not heavy, 'circle load_config: ' + ' '.join(sorted(heavy))",
+                ]
             for c in commands:
                 args = [c, "--config", str(cfg), "--out", str(tmp_path / "out"), "--seed", "5"]
                 code += [
+                    "before = set(sys.modules)",
                     f"assert main({args!r}) == 0, {c!r}",
-                    "assert 'numpy.random' not in sys.modules, " + repr(f"{c} {name}"),
-                    f"light({f'{c} {name}'!r})",
-                    "new = {m for m in sys.modules if m.startswith('numpy.')} - before",
+                    "new = set(sys.modules) - before",
                     "assert not new, " + repr(f"{c} {name}: ") + " + ' '.join(sorted(new))",
                 ]
+        code.append("light('every command')")
         src = str(Path(__file__).resolve().parents[1] / "src")
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         env = dict(os.environ, PYTHONPATH=path)

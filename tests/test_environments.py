@@ -109,6 +109,24 @@ class TestAlphaValue:
         with pytest.raises(DomainError):
             AlphaValue.parse("0.5")
 
+    def test_rational_reduces_like_fraction(self):
+        # the gcd reduction puts the sign on the numerator, as Fraction does
+        assert AlphaValue.parse("-1/-2") == AlphaValue.rational(1, 2) == HALF
+        assert AlphaValue.parse("-6/-12") == AlphaValue.rational(3, 6)
+        for p in range(-7, 8):
+            for q in (-9, -4, -1, 1, 3, 8, 10):
+                f = Fraction(p, q)
+                if 0 < f < 1:
+                    assert AlphaValue.rational(p, q) == (f.numerator, 0, f.denominator, 0)
+                else:
+                    with pytest.raises(DomainError):
+                        AlphaValue.rational(p, q)
+
+    @pytest.mark.parametrize("text", ["1/0", "0/0", "(1+1√5)/0"])
+    def test_zero_denominator_is_domain_error(self, text):
+        with pytest.raises(DomainError, match="denominator must be nonzero"):
+            AlphaValue.parse(text)
+
     @pytest.mark.parametrize(
         "alpha",
         [HALF, AlphaValue.rational(2, 5), FIB, AlphaValue.quadratic(0, 1, 2, 2)],
@@ -309,6 +327,17 @@ class TestTranslation:
         env = EnvPoint.quasicrystal(FIB, 0.1)
         back = translate_env(translate_env(env, 0.3), -0.3)
         assert back.pset.offset == env.pset.offset
+
+    def test_offsets_stay_exact_fractions(self):
+        # a bare PointSet holds the integer 0; every built or translated
+        # quasicrystal offset is an exact Fraction
+        bare = PointSet(FIB)
+        assert type(bare.offset) is int and bare.offset == 0
+        assert bare.index_window(-3.5, 7.25) == PointSet(FIB, Fraction(0)).index_window(-3.5, 7.25)
+        moved = translate_env(EnvPoint("quasicrystal", pset=bare), 0.1)
+        assert type(moved.pset.offset) is Fraction and moved.pset.offset == Fraction(0.1)
+        for env in (EnvPoint.quasicrystal(FIB), EnvPoint.quasicrystal(FIB, 0.1)):
+            assert type(env.pset.offset) is Fraction
 
 
 class TestPatterns:

@@ -140,7 +140,8 @@ def test_bench_kernels_smoke():
         "LP solve",
         "Beatty membership",
         "Beatty point reads",
-        "Start-up",
+        "Start-up quasicrystal",
+        "Start-up circle",
     ]
     for r in rows:
         assert int(r.split()[-2]) > 0 and float(r.split()[-1]) > 0
