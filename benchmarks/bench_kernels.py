@@ -6,9 +6,11 @@ Runs each kernel on a representative workload and prints the best time, the
 number of DP cells it relaxes and the time per cell.  Workload sizes mirror
 the acceptance-scale runs: a length-64 free chain, and the Mane DPs of the
 quasicrystal workload's ``calibrate`` window, 16 node sets of 22 to 171
-nodes sent in the stacks ``mane._stacks`` forms.  The chain DP's cells are G
-times the (layer, offset) pairs its band pruning relaxed, as the kernel
-counts them, out of n * G * (B + 1) nominal cells; the Mane DP relaxes each
+nodes sent in the stacks ``mane._stacks`` forms.  The chain DP row times the
+checkpointed DP and the backtrack of its optimal chain; its cells are G
+times the (layer, offset) pairs the band pruning relaxed, as the kernel
+counts them, out of n * G * (B + 1) nominal cells, and its name carries the
+peak of the two calls as ``tracemalloc`` sees it; the Mane DP relaxes each
 of a set's g(g-1)/2 monotone steps once.  The LP row times
 ``discretize_circle`` plus ``solve`` at the arc cap (N = 512, T_max = 2,
 K = 1, lambda = 0.5); its cells are the arcs of the grid graph.  The Beatty
@@ -33,6 +35,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -68,9 +71,20 @@ def bench_chain_dp(repeat):
     G, B, n = 4000, 60, 64
     V = rng.uniform(0.0, 0.03, G)
     Wd = 0.5 * (0.08 * np.arange(0, B + 1) - 1.618) ** 2
-    t = timeit(lambda: _kernels.chain_dp_backward_np(V, Wd, n, 0, -1), repeat)
-    _, relaxed = _kernels.chain_dp_backward_np(V, Wd, n, 0, -1)
-    return "chain DP (G=4000, B=60, n=64)", t, relaxed * G
+
+    def solve():
+        dp = _kernels.chain_dp_backward_np(V, Wd, n, 0, -1)
+        _kernels.chain_dp_path(dp, int(np.argmin(dp.c0)))
+        return dp
+
+    t = timeit(solve, repeat)
+    tracemalloc.start()
+    try:
+        relaxed = solve().relaxed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return f"chain DP (G=4000, B=60, n=64, traced peak {peak / 2**20:.2f} MB)", t, relaxed * G
 
 
 # node counts of the 16 Mane DPs of the quasicrystal workload's calibrate window

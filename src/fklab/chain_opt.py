@@ -8,7 +8,8 @@ step is an O(n) L D L^T factorization and solve; a diagonal shift handles
 indefinite Hessians, a negative-curvature step escapes saddles, and halving
 on the chain energy keeps every step a descent.  At most MAX_ITER steps are
 taken; a solve that does not converge raises NumericalFailure carrying the
-best iterate, so no solver returns a silently worse chain.
+best iterate, naming whether the budget ran out or the line search stalled,
+so no solver returns a silently worse chain.
 """
 
 from __future__ import annotations
@@ -36,9 +37,10 @@ MAX_ITER = 200
 # largest site move of one refinement step; the catalog's potentials vary on
 # unit length scales, so a capped step stays near the well the DP chose
 STEP_CAP = 0.25
-# chain DP size caps: 4e9 nominal cells take about 3 s even when the band
-# pruning skips nothing (0.75-0.8 ns per cell on a large grid), and the
-# cost-to-go table that the backtrack reads stays under 512 MB
+# chain DP size caps: 4e9 nominal cells take about 4 s even when the band
+# pruning skips nothing (about 1 ns per cell on a large grid, shared 2-core
+# Xeon), and the checkpoints, working layers and run buffer of the DP stay
+# under 512 MB
 _MAX_DP_CELLS = 4_000_000_000
 _MAX_DP_BYTES = 512 << 20
 
@@ -142,36 +144,27 @@ class RepairResult(NamedTuple):
 
 def _dp_solve(model, env, grid, n, dlo, dhi, h, start_idx, end_idx):
     """Backward DP over the uniform grid; returns (positions, dp_energy)."""
-    G = grid.size
-    cells, table_bytes = n * G * (dhi - dlo + 1), (n + 1) * G * 8
-    if cells > _MAX_DP_CELLS or table_bytes > _MAX_DP_BYTES:
+    G, D = grid.size, dhi - dlo + 1
+    cells, nbytes = n * G * D, _kernels.chain_dp_bytes(G, D, n, int(dlo))
+    if cells > _MAX_DP_CELLS or nbytes > _MAX_DP_BYTES:
         raise ResourceError(
-            f"chain DP of {cells} cells with a {table_bytes}-byte table exceeds the caps "
+            f"chain DP of {cells} cells holding {nbytes} bytes exceeds the caps "
             f"of {_MAX_DP_CELLS} cells and {_MAX_DP_BYTES} bytes"
         )
     V = potential_values(model, env, grid)
     deltas = np.arange(dlo, dhi + 1)
     Wd = spring_value(model, deltas * h)
-    C, _ = _kernels.chain_dp_backward_np(V, Wd, n, int(dlo), int(end_idx))
+    dp = _kernels.chain_dp_backward_np(V, Wd, n, int(dlo), int(end_idx))
+    c0 = dp.c0
     if start_idx >= 0:
         j = start_idx
     else:
-        c0 = C[0]
         j = int(np.argmin(c0))  # ties: smallest index, lexicographic rule
         if not np.isfinite(c0[j]):
             raise NumericalFailure("chain DP found no feasible grid chain")
-    if not np.isfinite(C[0][j]):
+    if not np.isfinite(c0[j]):
         raise NumericalFailure("fixed endpoints unreachable on the DP grid")
-    idx = [j]
-    for k in range(n):
-        # the successors j + dlo + lo .. j + dlo + hi - 1 are the ones on the grid
-        lo, hi = max(0, -(j + dlo)), min(Wd.size, G - (j + dlo))
-        vals = Wd[lo:hi] + C[k + 1, j + dlo + lo : j + dlo + hi]
-        # among minimizing successors take the smallest index (lexicographic rule);
-        # the successor index increases along vals, so that is the first one
-        j += dlo + lo + int(np.argmax(vals <= vals.min() + 1e-12))
-        idx.append(j)
-    positions = grid[np.asarray(idx)]
+    positions = grid[_kernels.chain_dp_path(dp, j)]
     return positions, chain_energy(model, env, positions)
 
 
@@ -248,6 +241,7 @@ def _refine(model, env, xs, fixed_ends, e_cur):
         if g_max <= 1e-11 and (definite or d[-1] >= -tiny):
             return xs, it, e_cur
         if it == MAX_ITER:
+            stop = f"its budget of {MAX_ITER} Newton steps ran out"
             break
         if definite:
             step = _ldl_solve(d, l, -g)
@@ -284,9 +278,10 @@ def _refine(model, env, xs, fixed_ends, e_cur):
         if t * size < 1e-13:
             if g_max <= 1e-8:
                 return xs, it, e_cur
+            stop = f"the line search stalled after {it} Newton steps"
             break
     raise NumericalFailure(
-        f"refinement did not converge in {MAX_ITER} Newton steps",
+        f"refinement did not converge: {stop} at max|g| = {g_max:.3g}",
         best=Chain(xs, e_cur, env),
     )
 

@@ -5,9 +5,10 @@ high-precision floors via mpmath, Beatty membership over a whole window in
 one set of arrays, Beatty points from a ``Fraction`` window and one
 membership test, the eager 1/n fit of the ground energy, exhaustive
 enumeration for chain problems, plain loops for the two DP kernels, for the
-Aubry repair and a chain's local structure (scalar energies, one pair or site
-at a time), for tower induction and for return times, full shifted Mane tables
-for the subadditivity check, and Karp's algorithm for the minimum mean cycle.
+chain DP's backtrack, for the Aubry repair and a chain's local structure
+(scalar energies, one pair or site at a time), for tower induction and for
+return times, full shifted Mane tables for the subadditivity check, and
+Karp's algorithm for the minimum mean cycle.
 """
 
 import itertools
@@ -250,6 +251,23 @@ def chain_dp_backward_loop(V, Wd, n, dlo, end_idx):
                     best = min(best, Wd[di] + C[k + 1, jj])
             C[k, j] = V[j] + best
     return C
+
+
+def chain_dp_path_loop(C, Wd, dlo, j):
+    """Backtrack of a full table from ``chain_dp_backward_loop``, from row j of layer 0.
+
+    Each step scans the successors on the grid in row order and takes the
+    first whose Wd + C[k+1] lies within 1e-12 of the least of them.
+    """
+    G = C.shape[1]
+    path = [j]
+    for k in range(C.shape[0] - 1):
+        rows = [j + dlo + di for di in range(len(Wd)) if 0 <= j + dlo + di < G]
+        vals = [Wd[r - j - dlo] + C[k + 1, r] for r in rows]
+        least = min(vals)
+        j = next(r for r, v in zip(rows, vals) if v <= least + 1e-12)
+        path.append(j)
+    return path
 
 
 def phi_dp_loop(cost, n_max):

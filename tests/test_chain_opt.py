@@ -127,17 +127,17 @@ REFINE_IDS = ["circle", "torus", "quasicrystal"]
 
 
 class TestDPSizeCap:
-    """The chain DP refuses sizes over its cell and table caps before it allocates."""
+    """The chain DP refuses sizes over its cell and byte caps before it allocates."""
 
     M = circle_model(1.0, 0.5)
 
     def _sizes(self, monkeypatch):
-        """(cells, table bytes) of a small free solve, read from the kernel's arguments."""
+        """(cells, bytes held) of a small free solve, read from the kernel's arguments."""
         seen = []
         kernel = _kernels.chain_dp_backward_np
 
         def spy(V, Wd, n, dlo, end_idx):
-            seen.append((n * V.size * Wd.size, (n + 1) * V.size * 8))
+            seen.append((n * V.size * Wd.size, _kernels.chain_dp_bytes(V.size, Wd.size, n, dlo)))
             return kernel(V, Wd, n, dlo, end_idx)
 
         with monkeypatch.context() as mp:
@@ -148,14 +148,14 @@ class TestDPSizeCap:
 
     @pytest.mark.parametrize("cap", ["_MAX_DP_CELLS", "_MAX_DP_BYTES"])
     def test_boundary(self, monkeypatch, cap):
-        cells, table_bytes = self._sizes(monkeypatch)
-        size = cells if cap == "_MAX_DP_CELLS" else table_bytes
+        cells, nbytes = self._sizes(monkeypatch)
+        size = cells if cap == "_MAX_DP_CELLS" else nbytes
         monkeypatch.setattr(chain_opt, cap, size)
         at_cap = minimize_free(self.M, CIRCLE, 3, h=0.25)
         monkeypatch.setattr(chain_opt, cap, size - 1)
         with pytest.raises(ResourceError) as err:
             minimize_free(self.M, CIRCLE, 3, h=0.25)
-        assert f"{cells} cells" in str(err.value) and f"{table_bytes}-byte" in str(err.value)
+        assert f"{cells} cells holding {nbytes} bytes" in str(err.value)
         monkeypatch.undo()
         assert at_cap.energy == minimize_free(self.M, CIRCLE, 3, h=0.25).energy
 

@@ -667,6 +667,36 @@ class TestOtherCommands:
         err = capsys.readouterr().err
         assert "numerical failure" in err and "best iterate: 5 sites, energy " in err
 
+    def test_refinement_stall_is_named(self, tmp_path, capsys):
+        # the n = 32 solve stalls after 2 Newton steps: every trial energy of the
+        # third step lies 3e-15 to 8e-15 above the current one, beyond the 1e-15
+        # a Newton step may add, while max|g| is still above the 1e-8 fallback
+        config = TORUS_CONFIG
+        for old, new in [("w1 = 0.0", "w1 = 0.37"), ("w2 = 0.0", "w2 = 0.71"),
+                         ("lambda = 0.0", "lambda = 0.8"), ("n_list = 4,8,16", "n_list = 4,8,16,32")]:
+            config = config.replace(old, new)
+        code, out = run(tmp_path, config, "ground-energy")
+        assert code == 3 and not out.exists()
+        err = capsys.readouterr().err
+        lead = (
+            "numerical failure: refinement did not converge: "
+            "the line search stalled after 2 Newton steps at max|g| = "
+        )
+        assert err.startswith(lead) and "best iterate: 33 sites" in err
+        assert float(err[len(lead) :].split()[0]) > 1e-8
+
+    def test_refinement_budget_is_named(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(chain_opt, "MAX_ITER", 2)
+        code, _ = run(tmp_path, CIRCLE_K1, "ground-energy")
+        assert code == 3
+        err = capsys.readouterr().err
+        lead = (
+            "numerical failure: refinement did not converge: "
+            "its budget of 2 Newton steps ran out at max|g| = "
+        )
+        assert err.startswith(lead)
+        assert float(err[len(lead) :].split()[0]) > 1e-11
+
     def test_nonfinite_result_writes_no_file(self, tmp_path, monkeypatch, capsys):
         real = cli.cmd_lp
 

@@ -4,6 +4,7 @@ import itertools
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ from fklab.chain_opt import minimize_free
 from fklab.environments import EnvPoint
 from fklab.lagrangians import circle_model
 
-from oracles import chain_dp_backward_loop, phi_dp_loop
+from oracles import chain_dp_backward_loop, chain_dp_path_loop, phi_dp_loop
 
 
 def _spring_table(kind, D, rng):
@@ -21,51 +22,78 @@ def _spring_table(kind, D, rng):
         return 0.5 * (0.3 * np.arange(D) - rng.uniform(0.0, 0.3 * D)) ** 2
     if kind == "nonconvex":
         return rng.uniform(-1.0, 2.0, D)
+    if kind == "near-tie":
+        # integer costs nudged by less than the backtrack's 1e-12 tie window and
+        # by more: the first offset within the window need not be the least
+        return rng.integers(-2, 3, D) + rng.choice([0.0, 3e-13, -3e-13, 2e-12], D)
     return rng.integers(-2, 3, D).astype(float)  # integer costs: exact ties everywhere
+
+
+def _site_table(kind, G, rng):
+    if kind == "near-tie":
+        return rng.integers(-2, 3, G) + rng.choice([0.0, 4e-13, 1e-12], G)
+    if kind == "integer":
+        return rng.integers(-2, 3, G).astype(float)
+    return rng.uniform(-1, 1, G)
+
+
+def _check_chain_dp(V, Wd, n, dlo, end_idx, starts, case):
+    """C[0] bits and the backtrack from argmin C[0] and each finite start row against
+    the loop oracles."""
+    C = chain_dp_backward_loop(V, Wd, n, dlo, end_idx)
+    dp = _kernels.chain_dp_backward_np(V, Wd, n, dlo, end_idx)
+    assert dp.c0.tobytes() == C[0].tobytes(), case
+    assert 1 <= dp.relaxed <= n * Wd.size, case
+    for j in [int(np.argmin(C[0])), *starts]:
+        if np.isfinite(C[0, j]):
+            path = _kernels.chain_dp_path(dp, j)
+            assert path.tolist() == chain_dp_path_loop(C, Wd, dlo, j), (case, j)
 
 
 class TestKernelPairs:
     def test_chain_dp_pair(self):
-        """The pruned band gives the full-band table bit for bit.
+        """C[0] has the full-band bits and the checkpointed backtrack the full table's path.
 
         Bands reaching down to -D+1, straddling 0 and starting at 0; free and
-        pinned ends; convex, non-convex and integer-tie springs; G < D; n = 1.
+        pinned ends; convex, non-convex, integer-tie and near-tie springs;
+        G < D; n = 1, 7, 8, 9 and 64 (one step, checkpoint stride - 1, stride,
+        stride + 1 and eight strides); every third start row.
         """
-        shapes = [(40, 9, 6), (5, 9, 4), (40, 9, 1)]
+        shapes = [(40, 9, 1), (40, 9, 7), (40, 9, 8), (40, 9, 9), (40, 9, 64), (5, 9, 9)]
         for (G, D, n), dlo, end, kind in itertools.product(
-            shapes, (-8, -4, 0), ("free", "pinned"), ("convex", "nonconvex", "integer")
+            shapes, (-8, -4, 0), ("free", "pinned"), ("convex", "nonconvex", "integer", "near-tie")
         ):
             rng = np.random.default_rng([G, D, n, dlo + 8])
-            V = rng.integers(-2, 3, G).astype(float) if kind == "integer" else rng.uniform(0, 1, G)
+            V = _site_table(kind, G, rng)
             Wd = _spring_table(kind, D, rng)
             end_idx = -1 if end == "free" else G // 2
-            C, relaxed = _kernels.chain_dp_backward_np(V, Wd, n, dlo, end_idx)
-            case = (G, D, n, dlo, end, kind)
-            assert C.tobytes() == chain_dp_backward_loop(V, Wd, n, dlo, end_idx).tobytes(), case
-            assert 1 <= relaxed <= n * D, case
+            _check_chain_dp(V, Wd, n, dlo, end_idx, range(0, G, 3), (G, D, n, dlo, end, kind))
 
-    def test_chain_dp_random_sweep(self):
+    def test_chain_dp_random_sweep(self, monkeypatch):
+        """Random shapes, every other one with a run buffer of 7 cells, so in
+        blocks of 1 to 7 grid rows: a real buffer holds any grid here."""
         rng = np.random.default_rng(12)
-        for _ in range(150):
-            G, D, n = (int(v) for v in rng.integers(1, (30, 14, 6)))
+        block = _kernels.BLOCK
+        for i in range(150):
+            monkeypatch.setattr(_kernels, "BLOCK", 7 if i % 2 else block)
+            G, D, n = (int(v) for v in rng.integers(1, (30, 14, 20)))
             dlo = int(rng.integers(-D - 2, 3))
-            V = rng.uniform(-1, 1, G)
-            Wd = _spring_table(rng.choice(["convex", "nonconvex", "integer"]), D, rng)
+            kind = rng.choice(["convex", "nonconvex", "integer", "near-tie"])
+            V = _site_table(kind, G, rng)
+            Wd = _spring_table(kind, D, rng)
             if rng.random() < 0.2:
                 Wd[rng.integers(D)] = np.inf  # a forbidden offset
             end_idx = int(rng.integers(-1, G))
-            C, relaxed = _kernels.chain_dp_backward_np(V, Wd, n, dlo, end_idx)
-            assert C.tobytes() == chain_dp_backward_loop(V, Wd, n, dlo, end_idx).tobytes()
-            assert 1 <= relaxed <= n * D
+            _check_chain_dp(V, Wd, n, dlo, end_idx, [int(rng.integers(G))], (G, D, n))
 
     def test_chain_dp_prunes_the_circle_band(self, monkeypatch):
         """A circle-workload free solve relaxes at most half of its band."""
         calls = []
 
         def spy(V, Wd, n, dlo, end_idx):
-            C, relaxed = kernel(V, Wd, n, dlo, end_idx)
-            calls.append((V.size, Wd.size, n, relaxed))
-            return C, relaxed
+            dp = kernel(V, Wd, n, dlo, end_idx)
+            calls.append((V.size, Wd.size, n, dp.relaxed))
+            return dp
 
         kernel = _kernels.chain_dp_backward_np
         monkeypatch.setattr(_kernels, "chain_dp_backward_np", spy)
@@ -73,6 +101,33 @@ class TestKernelPairs:
         [(G, D, n, relaxed)] = calls
         assert (G, D, n) == (2381, 71, 32)
         assert relaxed <= 0.5 * n * D
+
+    def test_chain_dp_memory_on_the_soft_chain(self, monkeypatch):
+        """The soft-chain workload's n = 64 free solve: the DP and its backtrack peak
+        under 1.2 MB, where the full (n + 1) x G table alone takes 2.4 MB, and
+        within what ``chain_dp_bytes`` counts."""
+        calls = []
+        kernel = _kernels.chain_dp_backward_np
+
+        def spy(*args):
+            calls.append(args)
+            return kernel(*args)
+
+        monkeypatch.setattr(_kernels, "chain_dp_backward_np", spy)
+        minimize_free(circle_model(0.1, 0.5), EnvPoint.circle(0.0), 64, h=0.05)
+        monkeypatch.undo()
+        [(V, Wd, n, dlo, end_idx)] = calls
+        assert (V.size, Wd.size, n) == (4621, 71, 64)
+        assert (n + 1) * V.size * 8 > 2.4e6
+        tracemalloc.start()
+        try:
+            dp = _kernels.chain_dp_backward_np(V, Wd, n, dlo, end_idx)
+            _kernels.chain_dp_path(dp, int(np.argmin(dp.c0)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.2e6
+        assert peak <= _kernels.chain_dp_bytes(V.size, Wd.size, n, dlo)
 
     def test_phi_dp_pair(self):
         """Each set of a stack gets the layered oracle's phi and least step counts.
