@@ -2,9 +2,9 @@
 torus, and Beatty-quasicrystal environments.
 
 Modules: environments (hulls, patterns, return times), towers (Kakutani-Rohlin
-induction), lagrangians (model catalog), chain_opt (chain minimization and
-Aubry order), mane (cocycle tables and calibration), holonomic_lp (finite
-measure LP with dual), cli (config-driven front end).
+induction), lagrangians (model catalog), chain_opt (free-chain minimization
+and ground energies), mane (cocycle tables and calibration), holonomic_lp
+(finite measure LP with dual), cli (config-driven front end).
 """
 
 from .chain_opt import (
@@ -12,11 +12,7 @@ from .chain_opt import (
     GridSpec,
     GroundEnergyEstimate,
     MinimizeResult,
-    aubry_exchange_repair,
-    crossing_gain,
     ground_energy,
-    make_chain,
-    minimize_fixed,
     minimize_free,
 )
 from .environments import (
@@ -60,7 +56,6 @@ from .mane import (
     equidistribution_counts,
     grid_sensitivity,
     mane_table,
-    phi_lookup,
     rotation_number,
 )
 from .towers import HomologyMatrix, Tower, induce_tower, level0_tower, tower_measure_residual

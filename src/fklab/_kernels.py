@@ -1,25 +1,26 @@
 """The two dynamic-programming kernels, in numpy.
 
 ``chain_dp_backward_np`` is the banded chain DP behind ground energies and
-minimizers (``chain_opt._dp_solve``), and ``chain_dp_path`` backtracks its
-optimal chain.  Each layer relaxes only a run of jump offsets around the
-cheapest spring, in one strided add and one minimum, and stops when a
-certificate shows that no other offset can lower any row: the least spring
-cost beyond the run plus a suffix or prefix minimum of the next layer bounds
-every skipped candidate from below, and float addition rounds monotonically,
-so a bound above a row's best value proves that the full band gives the same
-bits.  The DP keeps every STRIDE-th layer and each layer's run, not the
-(n + 1) x G table of all layers; the backtrack recomputes one STRIDE-step
-segment at a time from the layer kept above it, on the rows the path can
-reach, and so reads the bits the full table would hold.  ``phi_dp`` is the
-Mane DP behind Phi and the calibration defects (``mane._phi_over_nodes``),
-one pass over the DAG of monotone steps, so chains of any length are
-searched; it returns Phi and, when asked, the optimal step counts, not the
-chains.  It runs a stack of independent node sets at once, so its Python
-loop turns once per node position for the whole stack rather than once per
-node of every set.  The holonomic LP has no kernel: its policy iteration
-(``holonomic_lp._howard``) walks each policy graph once in Python and
-improves it in one numpy pass.
+minimizers (``chain_opt._dp_solve``): chains with both ends free, whose
+jumps lie in one band of offsets (one sign of jump; a negative lambda runs
+it once per sign).  ``chain_dp_path`` backtracks its optimal chain.  Each
+layer relaxes only a run of jump offsets around the cheapest spring, in one
+strided add and one minimum, and stops when a certificate shows that no
+other offset can lower any row: the least spring cost beyond the run plus a
+suffix or prefix minimum of the next layer bounds every skipped candidate
+from below, and float addition rounds monotonically, so a bound above a
+row's best value proves that the full band gives the same bits.  The DP keeps
+every STRIDE-th layer and each layer's run, not the (n + 1) x G table of all
+layers; the backtrack recomputes one STRIDE-step segment at a time from the
+layer kept above it, on the rows the path can reach, and so reads the bits
+the full table would hold.  ``phi_dp`` is the Mane DP behind Phi and the
+calibration defects (``mane._phi_over_nodes``), one pass over the DAG of
+monotone steps, so chains of any length are searched; it returns Phi and,
+when asked, the optimal step counts, not the chains.  It runs a stack of
+independent node sets at once, so its Python loop turns once per node
+position for the whole stack rather than once per node of every set.  The
+holonomic LP has no kernel: its policy iteration (``holonomic_lp._howard``)
+walks each policy graph once in Python and improves it in one numpy pass.
 
 Each kernel has this one definition; ``tests/oracles.py`` holds plain-loop
 versions that the tests compare against bit for bit (the chain DP's C[0] and
@@ -129,11 +130,11 @@ def chain_dp_bytes(G, D, n, dlo):
     return 8 * (rows * (L + G + R) + min(D * G, max(D, BLOCK)) + n + 1)
 
 
-def chain_dp_backward_np(V, Wd, n, dlo, end_idx):
-    """Backward cost-to-go layers C[k, j] of an n-step chain on the grid, checkpointed.
+def chain_dp_backward_np(V, Wd, n, dlo):
+    """Backward cost-to-go layers C[k, j] of a free n-step chain on the grid, checkpointed.
 
-    Step cost j -> j+delta is V[j] + Wd[delta - dlo].  end_idx >= 0 pins the
-    final point, end_idx == -1 leaves it free.  Returns a ``ChainDP``.
+    Step cost j -> j+delta is V[j] + Wd[delta - dlo]; the top layer C[n] is
+    zero, so the final point is free.  Returns a ``ChainDP``.
 
     Each layer relaxes a run [a, b] of offsets and stops once no other offset
     can lower any row: an offset d > b reaches row j only through nxt[i] with
@@ -158,13 +159,9 @@ def chain_dp_backward_np(V, Wd, n, dlo, end_idx):
     # shifted[k % 2, d] is that layer shifted by offset dlo + d
     layers = np.full((2, L + G + R), np.inf)
     shifted = _shifted(layers, L + dlo, D, G)
-    top = layers[n % 2, L : L + G]
-    if end_idx >= 0:
-        top[end_idx] = 0.0
-    else:
-        top[:] = 0.0
+    layers[n % 2, L : L + G] = 0.0
     checkpoints = np.empty((-(-n // STRIDE) + 1, G))
-    checkpoints[-1] = top
+    checkpoints[-1] = 0.0
     runs = [None] * n
     # least spring cost right of offset b and left of offset a
     right = np.append(np.minimum.accumulate(Wd[::-1])[::-1][1:], np.inf)

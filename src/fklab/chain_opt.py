@@ -1,15 +1,16 @@
-"""Finite-chain minimization and Aubry order machinery.
+"""Free-chain minimization and the ground-energy ladder.
 
-Solver layout: a banded grid DP finds the global structure (restricted to
-monotone interior orderings when the endpoints differ, which is safe for the
-weakly twist catalog), then one safeguarded Newton method refines the whole
-chain off-grid.  The chain energy has a tridiagonal Hessian, so each Newton
-step is an O(n) L D L^T factorization and solve; a diagonal shift handles
-indefinite Hessians, a negative-curvature step escapes saddles, and halving
-on the chain energy keeps every step a descent.  At most MAX_ITER steps are
-taken; a solve that does not converge raises NumericalFailure carrying the
-best iterate, naming whether the budget ran out or the line search stalled,
-so no solver returns a silently worse chain.
+Solver layout: a banded grid DP finds the global structure over chains with
+both ends free, banded to jumps of one sign (the sign of lambda; both signs,
+one DP each, when lambda < 0), which is safe for the weakly twist catalog;
+then one safeguarded Newton method refines the whole chain off-grid.  The
+chain energy has a tridiagonal Hessian, so each Newton step is an O(n)
+L D L^T factorization and solve; a diagonal shift handles indefinite
+Hessians, a negative-curvature step escapes saddles, and halving on the
+chain energy keeps every step a descent.  At most MAX_ITER steps are taken;
+a solve that does not converge raises NumericalFailure carrying the best
+iterate, naming whether the budget ran out or the line search stalled, so no
+solver returns a silently worse chain.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .errors import DomainError, NumericalFailure, ResourceError
 from .lagrangians import (
     LagrangianSpec,
     chain_energy,
-    energy,
     potential_derivs,
     potential_values,
     spring_derivs,
@@ -60,11 +60,6 @@ class Chain(_ChainFields):
         self = super().__new__(cls, *args, **kwargs)
         self.positions.setflags(write=False)
         return self
-
-
-def make_chain(model: LagrangianSpec, env: EnvPoint, positions) -> Chain:
-    xs = np.asarray(positions, dtype=float).copy()
-    return Chain(xs, chain_energy(model, env, xs), env)
 
 
 class MinimizeResult(NamedTuple):
@@ -133,17 +128,11 @@ class GroundEnergyEstimate(NamedTuple):
         return max(float(coef[0]), self.lower_bound)
 
 
-class RepairResult(NamedTuple):
-    chain: Chain
-    kept: np.ndarray
-    energy: float  # E(subsequence) + sum of E(x, x) over dropped points
-
-
 # -- DP stage ------------------------------------------------------------------
 
 
-def _dp_solve(model, env, grid, n, dlo, dhi, h, start_idx, end_idx):
-    """Backward DP over the uniform grid; returns (positions, dp_energy)."""
+def _dp_solve(model, env, grid, n, dlo, dhi, h):
+    """Free-chain backward DP over the uniform grid; returns (positions, dp_energy)."""
     G, D = grid.size, dhi - dlo + 1
     cells, nbytes = n * G * D, _kernels.chain_dp_bytes(G, D, n, int(dlo))
     if cells > _MAX_DP_CELLS or nbytes > _MAX_DP_BYTES:
@@ -154,16 +143,11 @@ def _dp_solve(model, env, grid, n, dlo, dhi, h, start_idx, end_idx):
     V = potential_values(model, env, grid)
     deltas = np.arange(dlo, dhi + 1)
     Wd = spring_value(model, deltas * h)
-    dp = _kernels.chain_dp_backward_np(V, Wd, n, int(dlo), int(end_idx))
+    dp = _kernels.chain_dp_backward_np(V, Wd, n, int(dlo))
     c0 = dp.c0
-    if start_idx >= 0:
-        j = start_idx
-    else:
-        j = int(np.argmin(c0))  # ties: smallest index, lexicographic rule
-        if not np.isfinite(c0[j]):
-            raise NumericalFailure("chain DP found no feasible grid chain")
+    j = int(np.argmin(c0))  # ties: smallest index, lexicographic rule
     if not np.isfinite(c0[j]):
-        raise NumericalFailure("fixed endpoints unreachable on the DP grid")
+        raise NumericalFailure("chain DP found no feasible grid chain")
     positions = grid[_kernels.chain_dp_path(dp, j)]
     return positions, chain_energy(model, env, positions)
 
@@ -289,65 +273,6 @@ def _refine(model, env, xs, fixed_ends, e_cur):
 # -- public solvers --------------------------------------------------------------
 
 
-def _minimize(model, env, grid, n, h, bands, start_idx=-1, end_idx=-1, ends=None):
-    """Grid DP over each jump band (dlo, dhi), then Newton refinement.
-
-    The first band with the lowest DP energy wins.  ``ends`` pins the refined
-    chain's endpoints exactly (the DP snaps them to the grid).
-    """
-    dp_pos, dp_energy = min(
-        (_dp_solve(model, env, grid, n, dlo, dhi, h, start_idx, end_idx) for dlo, dhi in bands),
-        key=lambda dp: dp[1],
-    )
-    start, e_start = dp_pos, dp_energy
-    if ends is not None:
-        start = dp_pos.copy()
-        start[0], start[-1] = ends
-        e_start = chain_energy(model, env, start)
-    xs, steps, e = _refine(model, env, start, ends is not None, e_start)
-    return MinimizeResult(
-        chain=Chain(xs, e, env),
-        energy=e,
-        dp_positions=dp_pos,
-        dp_energy=dp_energy,
-        sweeps=steps,
-        polish_used=False,
-    )
-
-
-def minimize_fixed(
-    model: LagrangianSpec,
-    env: EnvPoint,
-    x_start: float,
-    x_end: float,
-    n: int,
-    h: float,
-    R_max: Optional[float] = None,
-) -> MinimizeResult:
-    """Minimize the n-step chain energy with both endpoints pinned."""
-    if n < 2:
-        raise DomainError("need at least two steps")
-    if h <= 0:
-        raise DomainError("grid step must be positive")
-    R = _jump_cap(model, R_max)
-    if abs(x_end - x_start) > n * R + 1e-9:
-        raise DomainError("endpoints farther apart than n * R_max")
-    B = int(math.ceil(R / h))
-    lo = min(x_start, x_end) - R
-    hi = max(x_start, x_end) + R
-    n_lo = int(math.floor((lo - x_start) / h))
-    n_hi = int(math.ceil((hi - x_start) / h))
-    grid = x_start + h * np.arange(n_lo, n_hi + 1)
-    start_idx = -n_lo
-    end_idx = int(round((x_end - x_start) / h)) - n_lo
-    end_idx = max(0, min(grid.size - 1, end_idx))
-    if abs(x_end - x_start) > 1e-12:
-        band = (0, B) if x_end > x_start else (-B, 0)
-    else:
-        band = (-B, B)
-    return _minimize(model, env, grid, n, h, [band], start_idx, end_idx, (x_start, x_end))
-
-
 def minimize_free(
     model: LagrangianSpec,
     env: EnvPoint,
@@ -370,7 +295,20 @@ def minimize_free(
     B = int(math.ceil(R / h))
     grid = lo + h * np.arange(int(math.ceil((hi - lo) / h)) + 1)
     bands = [(0, B), (-B, 0)] if model.lam < 0 else [(0, B)]
-    return _minimize(model, env, grid, n, h, bands)
+    # one grid DP per jump band; the first band with the lowest DP energy wins
+    dp_pos, dp_energy = min(
+        (_dp_solve(model, env, grid, n, dlo, dhi, h) for dlo, dhi in bands),
+        key=lambda dp: dp[1],
+    )
+    xs, steps, e = _refine(model, env, dp_pos, False, dp_energy)
+    return MinimizeResult(
+        chain=Chain(xs, e, env),
+        energy=e,
+        dp_positions=dp_pos,
+        dp_energy=dp_energy,
+        sweeps=steps,
+        polish_used=False,
+    )
 
 
 def ground_energy(
@@ -381,8 +319,8 @@ def ground_energy(
 ) -> GroundEnergyEstimate:
     """Per-n free minima, the lower estimate max m_n/n, and a 1/n fit."""
     n_list = tuple(int(n) for n in n_list)
-    if any(b <= a for a, b in zip(n_list, n_list[1:])):
-        raise DomainError("n_list must be strictly increasing")
+    if len(n_list) < 2 or any(b <= a for a, b in zip(n_list, n_list[1:])):
+        raise DomainError("the 1/n fit needs at least two strictly increasing lengths")
     if n_list[-1] > 64:
         raise DomainError("chain lengths above 64 are out of the desk-scale budget")
     R = grid.jump_cap(model)
@@ -413,61 +351,3 @@ def sampled_infima(
     inf_pair = float(np.min(spring_value(model, ts) + vx))
     inf_diag = float(np.min(spring_value(model, 0.0) + vx))
     return inf_pair, inf_diag
-
-
-# -- Aubry order machinery --------------------------------------------------------
-
-
-def _strictly_monotone(xs) -> bool:
-    d = np.diff(xs)
-    return bool(np.all(d > 0) or np.all(d < 0))
-
-
-def aubry_exchange_repair(model: LagrangianSpec, env: EnvPoint, chain: Chain) -> RepairResult:
-    """Optimal monotone-subsequence decomposition of a twist chain.
-
-    Keeps both endpoints, drops interior points that break strict order and
-    re-inserts each dropped point as the fixed pair E(x, x); the retained
-    subsequence is strictly monotone and the total is minimal over all such
-    decompositions (dynamic program over kept indices).
-    """
-    xs = np.asarray(chain.positions, dtype=float)
-    n = xs.size - 1
-    if abs(xs[n] - xs[0]) < 1e-15:
-        raise DomainError("repair requires distinct endpoints")
-    if _strictly_monotone(xs):
-        return RepairResult(chain=chain, kept=np.arange(n + 1), energy=chain.energy)
-    sgn = 1.0 if xs[n] > xs[0] else -1.0
-    diag = energy(model, env, xs, xs)
-    prefix = np.concatenate([[0.0], np.cumsum(diag)])  # prefix[i] = sum(diag[:i])
-    best = np.full(n + 1, np.inf)
-    bp = np.full(n + 1, -1, dtype=int)
-    best[0] = 0.0
-    for j in range(1, n + 1):
-        into_j = energy(model, env, xs[:j], xs[j])  # E(x_k, x_j) for k < j
-        for k in range(j - 1, -1, -1):
-            if np.isfinite(best[k]) and sgn * (xs[j] - xs[k]) > 1e-15:
-                cand = best[k] + into_j[k] + (prefix[j] - prefix[k + 1])
-                if cand < best[j] - 1e-15:
-                    best[j] = cand
-                    bp[j] = k
-    kept = [n]
-    j = n
-    while j > 0:
-        j = bp[j]
-        kept.append(j)
-    kept = np.asarray(kept[::-1])
-    sub = make_chain(model, env, xs[kept])
-    return RepairResult(chain=sub, kept=kept, energy=float(best[n]))
-
-
-def crossing_gain(model, env, x0, x1, y0, y1) -> float:
-    """Energy saved by uncrossing: [E(x0,x1) + E(y0,y1)] - [E(x0,y1) + E(y0,x1)]."""
-    if (y0 - x0) * (y1 - x1) >= 0:
-        raise DomainError("quadruple must cross: (y0-x0)(y1-x1) < 0")
-    return (
-        energy(model, env, x0, x1)
-        + energy(model, env, y0, y1)
-        - energy(model, env, x0, y1)
-        - energy(model, env, y0, x1)
-    )

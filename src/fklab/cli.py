@@ -165,8 +165,8 @@ def load_config(path: str) -> RunConfig:
         n_list = [int(s) for s in n_list_raw.split(",") if s.strip()]
     except ValueError as exc:
         raise ConfigError(f"bad n_list {n_list_raw!r}") from exc
-    if not n_list or any(b <= a for a, b in zip(n_list, n_list[1:])) or n_list[-1] > 64:
-        raise ConfigError("n_list must be strictly increasing with max <= 64")
+    if len(n_list) < 2 or any(b <= a for a, b in zip(n_list, n_list[1:])) or n_list[-1] > 64:
+        raise ConfigError("n_list must hold at least two strictly increasing lengths, max <= 64")
     r_max = None  # unset: the solvers' default jump cap |lambda| + 3
     if cp.has_option("grid", "r_max"):
         r_max = _get(cp, "grid", "r_max", float, hi=64.0)

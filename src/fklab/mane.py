@@ -23,7 +23,7 @@ import numpy as np
 
 from . import _kernels
 from ._rng import Rng
-from .chain_opt import GridSpec, GroundEnergyEstimate, _strictly_monotone, minimize_free
+from .chain_opt import GridSpec, GroundEnergyEstimate, minimize_free
 from .environments import CylinderSpec, EnvPoint, _unique, return_times, translate_env
 from .errors import DomainError, InsufficientDataError, ResourceError
 from .lagrangians import (
@@ -207,11 +207,9 @@ def mane_table(
     )
 
 
-def phi_lookup(table: ManeTable, t: float) -> float:
-    j = int(np.argmin(np.abs(table.targets - t)))
-    if abs(float(table.targets[j]) - t) > 1e-9:
-        raise DomainError(f"{t} is not a grid target of this table")
-    return float(table.phi[j])
+def _strictly_monotone(xs) -> bool:
+    d = np.diff(xs)
+    return bool(np.all(d > 0) or np.all(d < 0))
 
 
 def lipschitz_bound(model: LagrangianSpec, env: EnvPoint, X: float) -> float:

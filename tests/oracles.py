@@ -5,24 +5,27 @@ high-precision floors via mpmath, Beatty membership over a whole window in
 one set of arrays, Beatty points from a ``Fraction`` window and one
 membership test, the eager 1/n fit of the ground energy, exhaustive
 enumeration for chain problems, plain loops for the two DP kernels, for the
-chain DP's backtrack, for the Aubry repair and a chain's local structure
-(scalar energies, one pair or site at a time), for tower induction and for
-return times, full shifted Mane tables for the subadditivity check, and
-Karp's algorithm for the minimum mean cycle.
+chain DP's backtrack and a chain's local structure (scalar energies, one
+site at a time), for tower induction and for return times, full shifted Mane
+tables for the subadditivity check, and Karp's algorithm for the minimum
+mean cycle.  The Aubry order checks live here alone, since no command reads
+them: the crossing gain of the twist condition, and the repair that reduces
+a chain to a monotone one (one pair at a time), which brute force checks.
 """
 
 import itertools
 import math
 from fractions import Fraction
+from typing import NamedTuple
 
 import mpmath as mp
 import numpy as np
 
-from fklab.chain_opt import RepairResult, _strictly_monotone, make_chain
+from fklab.chain_opt import Chain
 from fklab.environments import MATCH_TOL, translate_env
 from fklab.errors import DomainError, InsufficientDataError
 from fklab.lagrangians import chain_energy, energy, potential_values, spring_value
-from fklab.mane import mane_table
+from fklab.mane import _strictly_monotone, mane_table
 from fklab.towers import HomologyMatrix, Tower
 
 
@@ -81,19 +84,6 @@ def extrapolated_eager(n_list, m_values) -> float:
     if extrapolated < lower:
         extrapolated = lower
     return extrapolated
-
-
-def brute_force_fixed_chain(model, env, grid, x_start, x_end, n):
-    """Exhaustive search over all grid chains with pinned endpoints."""
-    best = np.inf
-    best_chain = None
-    for interior in itertools.product(grid, repeat=n - 1):
-        xs = (x_start,) + interior + (x_end,)
-        e = chain_energy(model, env, xs)
-        if e < best - 1e-15:
-            best = e
-            best_chain = xs
-    return best, best_chain
 
 
 def brute_force_free_chain(model, env, grid, n):
@@ -173,10 +163,37 @@ def brute_force_repair(model, env, xs):
     return best
 
 
-def repair_loop(model, env, chain):
-    """Pair-by-pair version of ``chain_opt.aubry_exchange_repair``.
+def make_chain(model, env, positions) -> Chain:
+    xs = np.asarray(positions, dtype=float).copy()
+    return Chain(xs, chain_energy(model, env, xs), env)
 
-    One scalar ``energy`` call per pair (k, j); same tie rules, same result.
+
+def crossing_gain(model, env, x0, x1, y0, y1) -> float:
+    """Energy saved by uncrossing: [E(x0,x1) + E(y0,y1)] - [E(x0,y1) + E(y0,x1)]."""
+    if (y0 - x0) * (y1 - x1) >= 0:
+        raise DomainError("quadruple must cross: (y0-x0)(y1-x1) < 0")
+    return (
+        energy(model, env, x0, x1)
+        + energy(model, env, y0, y1)
+        - energy(model, env, x0, y1)
+        - energy(model, env, y0, x1)
+    )
+
+
+class RepairResult(NamedTuple):
+    chain: Chain
+    kept: np.ndarray
+    energy: float  # E(subsequence) + sum of E(x, x) over dropped points
+
+
+def repair_loop(model, env, chain):
+    """Optimal monotone-subsequence decomposition of a twist chain, pair by pair.
+
+    Keeps both endpoints, drops interior points that break strict order and
+    re-inserts each dropped point as the fixed pair E(x, x); the retained
+    subsequence is strictly monotone and the total is minimal over all such
+    decompositions (a DP over kept indices, one scalar ``energy`` call per
+    pair (k, j)).
     """
     xs = np.asarray(chain.positions, dtype=float)
     n = xs.size - 1
@@ -233,15 +250,12 @@ def chain_structure_loop(chain, model, env, R):
     return _strictly_monotone(xs), max_jump, max_jump <= R + 1e-9, float(max(0.0, defect))
 
 
-def chain_dp_backward_loop(V, Wd, n, dlo, end_idx):
+def chain_dp_backward_loop(V, Wd, n, dlo):
     """Cell-by-cell loop version of ``_kernels.chain_dp_backward_np``."""
     G = V.shape[0]
     D = Wd.shape[0]
     C = np.full((n + 1, G), np.inf)
-    if end_idx >= 0:
-        C[n, end_idx] = 0.0
-    else:
-        C[n, :] = 0.0
+    C[n, :] = 0.0
     for k in range(n - 1, -1, -1):
         for j in range(G):
             best = np.inf

