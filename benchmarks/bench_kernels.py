@@ -135,7 +135,7 @@ def bench_point_reads(repeat):
     PointSet.points_in = record
     try:
         est = ground_energy(model, env, [4, 8, 16, 32], grid)
-        calibrate_window(model, env, est.lower_bound, grid.N_outer, grid.W, grid)
+        calibrate_window(model, env, est.lower_bound, grid)
     finally:
         PointSet.points_in = points_in
     t = timeit(lambda: [pset.points_in(lo, hi) for pset, lo, hi in windows], repeat)

@@ -2,8 +2,8 @@
 
 ``chain_dp_backward_np`` is the banded chain DP behind ground energies and
 minimizers (``chain_opt._dp_solve``): chains with both ends free, whose
-jumps lie in one band of offsets (one sign of jump; a negative lambda runs
-it once per sign).  ``chain_dp_path`` backtracks its optimal chain.  Each
+jumps lie in one band of offsets (jumps of the sign of lambda, one run per
+solve).  ``chain_dp_path`` backtracks its optimal chain.  Each
 layer relaxes only a run of jump offsets around the cheapest spring, in one
 strided add and one minimum, and stops when a certificate shows that no
 other offset can lower any row: the least spring cost beyond the run plus a

@@ -1,16 +1,15 @@
 """Free-chain minimization and the ground-energy ladder.
 
-Solver layout: a banded grid DP finds the global structure over chains with
-both ends free, banded to jumps of one sign (the sign of lambda; both signs,
-one DP each, when lambda < 0), which is safe for the weakly twist catalog;
-then one safeguarded Newton method refines the whole chain off-grid.  The
-chain energy has a tridiagonal Hessian, so each Newton step is an O(n)
-L D L^T factorization and solve; a diagonal shift handles indefinite
-Hessians, a negative-curvature step escapes saddles, and halving on the
-chain energy keeps every step a descent.  At most MAX_ITER steps are taken;
-a solve that does not converge raises NumericalFailure carrying the best
-iterate, naming whether the budget ran out or the line search stalled, so no
-solver returns a silently worse chain.
+Solver layout: one banded grid DP finds the global structure over chains
+with both ends free, banded to jumps of the sign of lambda (a minimizer's
+jumps take that sign); then one safeguarded Newton method refines the whole
+chain off-grid.  The chain energy has a tridiagonal Hessian, so each Newton
+step is an O(n) L D L^T factorization and solve; a diagonal shift handles
+indefinite Hessians, a negative-curvature step escapes saddles, and halving
+on the chain energy keeps every step a descent.  At most MAX_ITER steps are
+taken; a solve that does not converge raises NumericalFailure carrying the
+best iterate, naming whether the budget ran out or the line search stalled,
+so no solver returns a silently worse chain.
 """
 
 from __future__ import annotations
@@ -63,7 +62,7 @@ class Chain(_ChainFields):
 
 
 class MinimizeResult(NamedTuple):
-    """A refined chain and its DP start.
+    """A refined chain.
 
     Every returned result is converged: a refinement that does not converge
     raises NumericalFailure.  ``sweeps`` counts the Newton steps of the
@@ -72,16 +71,8 @@ class MinimizeResult(NamedTuple):
     """
 
     chain: Chain
-    energy: float
-    dp_positions: np.ndarray
-    dp_energy: float
     sweeps: int
     polish_used: bool
-
-
-def _jump_cap(model: LagrangianSpec, R_max: Optional[float]) -> float:
-    """Largest single jump R_max a chain solve allows; default |lambda| + 3."""
-    return R_max if R_max is not None else abs(model.lam) + 3.0
 
 
 class GridSpec(NamedTuple):
@@ -94,7 +85,8 @@ class GridSpec(NamedTuple):
     R_max: Optional[float] = None
 
     def jump_cap(self, model: LagrangianSpec) -> float:
-        return _jump_cap(model, self.R_max)
+        """Largest single jump a chain solve allows: R_max, by default |lambda| + 3."""
+        return self.R_max if self.R_max is not None else abs(model.lam) + 3.0
 
 
 class GroundEnergyEstimate(NamedTuple):
@@ -110,7 +102,6 @@ class GroundEnergyEstimate(NamedTuple):
     m_values: Tuple[float, ...]
     positions: Tuple[np.ndarray, ...]
     lower_bound: float
-    h: float
 
     @property
     def extrapolated(self) -> float:
@@ -131,16 +122,17 @@ class GroundEnergyEstimate(NamedTuple):
 # -- DP stage ------------------------------------------------------------------
 
 
-def _dp_solve(model, env, grid, n, dlo, dhi, h):
-    """Free-chain backward DP over the uniform grid; returns (positions, dp_energy)."""
-    G, D = grid.size, dhi - dlo + 1
+def _dp_solve(model, env, points, n, dlo, dhi, h):
+    """Free-chain backward DP over the uniform grid ``points`` of step h, with
+    jumps of dlo .. dhi grid steps; returns the DP chain's (positions, energy)."""
+    G, D = points.size, dhi - dlo + 1
     cells, nbytes = n * G * D, _kernels.chain_dp_bytes(G, D, n, int(dlo))
     if cells > _MAX_DP_CELLS or nbytes > _MAX_DP_BYTES:
         raise ResourceError(
             f"chain DP of {cells} cells holding {nbytes} bytes exceeds the caps "
             f"of {_MAX_DP_CELLS} cells and {_MAX_DP_BYTES} bytes"
         )
-    V = potential_values(model, env, grid)
+    V = potential_values(model, env, points)
     deltas = np.arange(dlo, dhi + 1)
     Wd = spring_value(model, deltas * h)
     dp = _kernels.chain_dp_backward_np(V, Wd, n, int(dlo))
@@ -148,7 +140,7 @@ def _dp_solve(model, env, grid, n, dlo, dhi, h):
     j = int(np.argmin(c0))  # ties: smallest index, lexicographic rule
     if not np.isfinite(c0[j]):
         raise NumericalFailure("chain DP found no feasible grid chain")
-    positions = grid[_kernels.chain_dp_path(dp, j)]
+    positions = points[_kernels.chain_dp_path(dp, j)]
     return positions, chain_energy(model, env, positions)
 
 
@@ -273,42 +265,21 @@ def _refine(model, env, xs, fixed_ends, e_cur):
 # -- public solvers --------------------------------------------------------------
 
 
-def minimize_free(
-    model: LagrangianSpec,
-    env: EnvPoint,
-    n: int,
-    window: Optional[Sequence[float]] = None,
-    h: float = 0.05,
-    R_max: Optional[float] = None,
-) -> MinimizeResult:
-    """Minimize over all n-step chains (both endpoints free)."""
+def minimize_free(model: LagrangianSpec, env: EnvPoint, n: int, grid: GridSpec) -> MinimizeResult:
+    """Minimize over all n-step chains (both endpoints free) on a ladder of step ``grid.h``."""
     if n < 1:
         raise DomainError("need at least one step")
-    R = _jump_cap(model, R_max)
-    if window is None:
-        c = 0.5 * n * model.lam
-        half = 0.5 * n * R
-        window = (c - half - R, c + half + R)
-    lo, hi = float(window[0]), float(window[1])
-    if hi - lo < n * R - 1e-9:
-        raise DomainError("window shorter than n * R_max")
+    R, h = grid.jump_cap(model), grid.h
+    c, half = 0.5 * n * model.lam, 0.5 * n * R
+    lo, hi = c - half - R, c + half + R
     B = int(math.ceil(R / h))
-    grid = lo + h * np.arange(int(math.ceil((hi - lo) / h)) + 1)
-    bands = [(0, B), (-B, 0)] if model.lam < 0 else [(0, B)]
-    # one grid DP per jump band; the first band with the lowest DP energy wins
-    dp_pos, dp_energy = min(
-        (_dp_solve(model, env, grid, n, dlo, dhi, h) for dlo, dhi in bands),
-        key=lambda dp: dp[1],
-    )
-    xs, steps, e = _refine(model, env, dp_pos, False, dp_energy)
-    return MinimizeResult(
-        chain=Chain(xs, e, env),
-        energy=e,
-        dp_positions=dp_pos,
-        dp_energy=dp_energy,
-        sweeps=steps,
-        polish_used=False,
-    )
+    points = lo + h * np.arange(int(math.ceil((hi - lo) / h)) + 1)
+    # jumps all against lambda's sign cost at least the constant chain at the
+    # least grid V, and the lambda-signed band holds that chain
+    dlo, dhi = (-B, 0) if model.lam < 0 else (0, B)
+    xs, e = _dp_solve(model, env, points, n, dlo, dhi, h)
+    xs, steps, e = _refine(model, env, xs, False, e)
+    return MinimizeResult(Chain(xs, e, env), steps, False)
 
 
 def ground_energy(
@@ -323,15 +294,13 @@ def ground_energy(
         raise DomainError("the 1/n fit needs at least two strictly increasing lengths")
     if n_list[-1] > 64:
         raise DomainError("chain lengths above 64 are out of the desk-scale budget")
-    R = grid.jump_cap(model)
-    chains = [minimize_free(model, env, n, h=grid.h, R_max=R).chain for n in n_list]
+    chains = [minimize_free(model, env, n, grid).chain for n in n_list]
     m_values = tuple(c.energy for c in chains)
     return GroundEnergyEstimate(
         n_list=n_list,
         m_values=m_values,
         positions=tuple(c.positions for c in chains),
         lower_bound=max(m / n for m, n in zip(m_values, n_list)),
-        h=grid.h,
     )
 
 

@@ -165,8 +165,9 @@ def load_config(path: str) -> RunConfig:
         n_list = [int(s) for s in n_list_raw.split(",") if s.strip()]
     except ValueError as exc:
         raise ConfigError(f"bad n_list {n_list_raw!r}") from exc
-    if len(n_list) < 2 or any(b <= a for a, b in zip(n_list, n_list[1:])) or n_list[-1] > 64:
-        raise ConfigError("n_list must hold at least two strictly increasing lengths, max <= 64")
+    increasing = all(a < b for a, b in zip(n_list, n_list[1:]))
+    if len(n_list) < 2 or not increasing or n_list[0] < 1 or n_list[-1] > 64:
+        raise ConfigError("[grid] n_list must hold at least two increasing lengths in 1..64")
     r_max = None  # unset: the solvers' default jump cap |lambda| + 3
     if cp.has_option("grid", "r_max"):
         r_max = _get(cp, "grid", "r_max", float, hi=64.0)
@@ -258,7 +259,7 @@ def cmd_ground_energy(cfg: RunConfig, seed: int):
         "extrapolated": est.extrapolated,
         "inf_pair_sampled": inf_pair,
         "inf_diag_sampled": inf_diag,
-        "h": est.h,
+        "h": cfg.grid.h,
     }
     csvs = {"ground_energy.csv": (["n", "m_n", "m_n_over_n"], rows)}
     return csvs, "ground_energy_summary.json", results
@@ -283,9 +284,7 @@ def cmd_mane(cfg: RunConfig, seed: int):
 
 def cmd_calibrate(cfg: RunConfig, seed: int):
     est = chain_opt.ground_energy(cfg.model, cfg.env, cfg.n_list, cfg.grid)
-    report = mane.calibrate_window(
-        cfg.model, cfg.env, est.lower_bound, cfg.grid.N_outer, cfg.grid.W, cfg.grid
-    )
+    report = mane.calibrate_window(cfg.model, cfg.env, est.lower_bound, cfg.grid)
     rows = [(int(m), int(n), d) for m, n, d in report.defects]
     results = {
         "max_defect": report.max_defect,

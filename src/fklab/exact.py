@@ -39,22 +39,6 @@ def _floor_sqrt_mult(b: int, d: int) -> int:
     return -s - 1
 
 
-def _sign_quad(A: int, B: int, d: int) -> int:
-    """Sign of A + B*sqrt(d), with d non-square (zero only when A == B == 0)."""
-    if B == 0:
-        return (A > 0) - (A < 0)
-    if A == 0:
-        return (B > 0) - (B < 0)
-    if A > 0 and B > 0:
-        return 1
-    if A < 0 and B < 0:
-        return -1
-    lhs, rhs = A * A, B * B * d
-    if A > 0:  # B < 0: positive iff A^2 > B^2 d
-        return (lhs > rhs) - (lhs < rhs)
-    return (rhs > lhs) - (rhs < lhs)
-
-
 class _AlphaFields(NamedTuple):
     a: int
     b: int
@@ -79,13 +63,10 @@ class AlphaValue(_AlphaFields):
         if self.b != 0:
             if self.d <= 0 or math.isqrt(self.d) ** 2 == self.d:
                 raise DomainError("quadratic part requires non-square d > 0")
-        if not (self._sign_minus(0) > 0 and self._sign_minus(1) < 0):
+        # floor(alpha) == 0 puts alpha in [0, 1), and alpha == 0 only when a == b == 0
+        if self.floor_mul(1) != 0 or self.a == self.b == 0:
             raise DomainError("alpha must lie strictly in (0, 1)")
         return self
-
-    def _sign_minus(self, k: int) -> int:
-        # sign of (alpha - k) = sign of (a - k c) + b sqrt(d), since c > 0
-        return _sign_quad(self.a - k * self.c, self.b, self.d if self.d else 2)
 
     # -- constructors ------------------------------------------------------
 

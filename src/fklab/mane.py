@@ -294,18 +294,19 @@ def calibrate_window(
     model: LagrangianSpec,
     env: EnvPoint,
     ebar: float,
-    N_outer: int,
-    W: int,
     grid: GridSpec,
 ) -> CalibrationReport:
     """Defects E(x_m..x_n) - (n-m) Ebar - S(x_m, x_n) over the middle window.
 
     S(x_m, x_n) is Phi(tau_{x_m} omega, x_n - x_m), from one ``_phi_to`` call
-    whose job for each m targets the chain's own offsets from x_m.
+    whose job for each m targets the chain's own offsets from x_m.  The outer
+    chain has ``grid.N_outer`` steps and the window ``grid.W`` sites on each
+    side of its middle.
     """
+    N_outer, W = grid.N_outer, grid.W
     if N_outer < 4 * W:
         raise DomainError("N_outer must be at least 4 W")
-    res = minimize_free(model, env, N_outer, h=grid.h, R_max=grid.jump_cap(model))
+    res = minimize_free(model, env, N_outer, grid)
     xs = np.asarray(res.chain.positions)
     mid = N_outer // 2
     lo, hi = mid - W, mid + W

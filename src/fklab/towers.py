@@ -99,9 +99,9 @@ def induce_tower(t: Tower, alpha: AlphaValue, window_length: float) -> Tuple[Tow
 
     Heights are computed through the homology matrix, so the column identity
     sum_a M[a, b] H_a = H_b holds exactly.  If only one return word shows up
-    the splitting trick (split the base by its follower letter) is attempted;
-    for gap sequences the follower of a unique return word is always the same
-    letter, so the system is periodic and the tower is returned as-is.
+    the sequence is periodic, and the same construction gives the one-floor
+    induced tower; no split of the base by follower letter is tried, since a
+    unique return word forces a unique follower.
     """
     # each induction level trims boundary words, so allow a small shortfall
     if window_length > 1.05 * t.span + 100.0:

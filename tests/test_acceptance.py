@@ -56,7 +56,7 @@ def test_criterion_01_zero_potential_exactness():
         est = ground_energy(m, CIRCLE, [4, 8, 16], GridSpec(h=0.05))
         assert abs(est.extrapolated) <= 1e-8
         assert abs(est.lower_bound) <= 1e-8
-        res = minimize_free(m, CIRCLE, 16, h=0.05)
+        res = minimize_free(m, CIRCLE, 16, GridSpec(h=0.05))
         spacing = np.diff(res.chain.positions)
         assert np.max(np.abs(spacing - lam)) <= 1e-6
     elapsed = time.perf_counter() - t0
@@ -163,7 +163,7 @@ def test_criterion_07_torus_degenerate_mather_point():
     est = ground_energy(m, env, [4, 8, 16], GridSpec(h=0.05))
     assert abs(est.lower_bound) <= 1e-6
     assert abs(est.extrapolated) <= 1e-6
-    rep = calibrate_window(m, env, est.lower_bound, 32, 8, GridSpec(h=0.05))
+    rep = calibrate_window(m, env, est.lower_bound, GridSpec(h=0.05, N_outer=32, W=8))
     assert rep.max_defect <= 1e-6
     _report(7, "torus Mather point and constant-chain calibration")
 

@@ -37,36 +37,52 @@ FIB = AlphaValue.fibonacci()
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
 
+def solve_with_dp(monkeypatch, *args):
+    """``minimize_free(*args)`` and the (positions, energy) of its grid DP chain."""
+    seen = []
+    dp_solve = chain_opt._dp_solve
+
+    def spy(*dp_args):
+        seen.append(dp_solve(*dp_args))
+        return seen[-1]
+
+    with monkeypatch.context() as mp:
+        mp.setattr(chain_opt, "_dp_solve", spy)
+        res = minimize_free(*args)
+    [dp] = seen
+    return res, dp
+
+
 class TestMinimizeFree:
     def test_zero_potential(self):
         m = circle_model(0.0, 0.7)
-        res = minimize_free(m, CIRCLE, 12, h=0.035)
-        assert res.energy == pytest.approx(0.0, abs=1e-12)
+        res = minimize_free(m, CIRCLE, 12, GridSpec(h=0.035))
+        assert res.chain.energy == pytest.approx(0.0, abs=1e-12)
         assert np.diff(res.chain.positions) == pytest.approx(np.full(12, 0.7), abs=1e-9)
 
     def test_small_instance_equals_brute_force(self):
-        # align the oracle with the solver grid: window (-2, 2), step 0.25
+        # the DP on the oracle's grid (-2, 2) of step 0.25, with jumps of 0 to 2
         m = circle_model(1.0, 0.4)
         h = 0.25
         grid = -2.0 + h * np.arange(17)
         best = brute_force_free_chain(m, CIRCLE, grid, 2)
-        res = minimize_free(m, CIRCLE, 2, window=(-2.0, 2.0), h=h, R_max=2.0)
-        assert res.dp_energy == pytest.approx(best, abs=1e-12)
+        _, dp_energy = chain_opt._dp_solve(m, CIRCLE, grid, 2, 0, 8, h)
+        assert dp_energy == pytest.approx(best, abs=1e-12)
 
-    def test_dp_dominance(self):
+    def test_dp_dominance(self, monkeypatch):
         m = circle_model(1.0, 0.5)
-        res = minimize_free(m, CIRCLE, 16, h=0.05)
-        assert res.energy <= res.dp_energy + 1e-12
+        res, (_, dp_energy) = solve_with_dp(monkeypatch, m, CIRCLE, 16, GridSpec(h=0.05))
+        assert res.chain.energy <= dp_energy + 1e-12
 
     def test_negative_drift(self):
         m = circle_model(0.0, -0.5)
-        res = minimize_free(m, CIRCLE, 10, h=0.025)
-        assert res.energy == pytest.approx(0.0, abs=1e-12)
+        res = minimize_free(m, CIRCLE, 10, GridSpec(h=0.025))
+        assert res.chain.energy == pytest.approx(0.0, abs=1e-12)
         assert np.diff(res.chain.positions) == pytest.approx(np.full(10, -0.5), abs=1e-9)
 
     def test_per_site_nondecreasing(self):
-        m = circle_model(1.0, 0.5)
-        vals = [minimize_free(m, CIRCLE, n, h=0.05).energy / n for n in (4, 8, 16, 32)]
+        m, grid = circle_model(1.0, 0.5), GridSpec(h=0.05)
+        vals = [minimize_free(m, CIRCLE, n, grid).chain.energy / n for n in (4, 8, 16, 32)]
         for a, b in zip(vals, vals[1:]):
             assert b >= a - 1e-9
 
@@ -74,7 +90,7 @@ class TestMinimizeFree:
         m = circle_model(1.0, 0.5)
         monkeypatch.setattr(chain_opt, "MAX_ITER", 0)
         with pytest.raises(NumericalFailure) as exc_info:
-            minimize_free(m, CIRCLE, 16, h=0.05)
+            minimize_free(m, CIRCLE, 16, GridSpec(h=0.05))
         assert exc_info.value.best is not None
         assert len(exc_info.value.best.positions) == 17
 
@@ -112,7 +128,7 @@ class TestDPSizeCap:
 
         with monkeypatch.context() as mp:
             mp.setattr(_kernels, "chain_dp_backward_np", spy)
-            minimize_free(self.M, CIRCLE, 3, h=0.25)
+            minimize_free(self.M, CIRCLE, 3, GridSpec(h=0.25))
         [sizes] = seen
         return sizes
 
@@ -121,13 +137,14 @@ class TestDPSizeCap:
         cells, nbytes = self._sizes(monkeypatch)
         size = cells if cap == "_MAX_DP_CELLS" else nbytes
         monkeypatch.setattr(chain_opt, cap, size)
-        at_cap = minimize_free(self.M, CIRCLE, 3, h=0.25)
+        at_cap = minimize_free(self.M, CIRCLE, 3, GridSpec(h=0.25))
         monkeypatch.setattr(chain_opt, cap, size - 1)
         with pytest.raises(ResourceError) as err:
-            minimize_free(self.M, CIRCLE, 3, h=0.25)
+            minimize_free(self.M, CIRCLE, 3, GridSpec(h=0.25))
         assert f"{cells} cells holding {nbytes} bytes" in str(err.value)
         monkeypatch.undo()
-        assert at_cap.energy == minimize_free(self.M, CIRCLE, 3, h=0.25).energy
+        again = minimize_free(self.M, CIRCLE, 3, GridSpec(h=0.25))
+        assert at_cap.chain.energy == again.chain.energy
 
     def test_refused_before_the_potential_is_evaluated(self, monkeypatch):
         def unreachable(*args):
@@ -136,7 +153,59 @@ class TestDPSizeCap:
         monkeypatch.setattr(chain_opt, "potential_values", unreachable)
         monkeypatch.setattr(chain_opt, "_MAX_DP_CELLS", 0)
         with pytest.raises(ResourceError):
-            minimize_free(self.M, CIRCLE, 3, h=0.25)
+            minimize_free(self.M, CIRCLE, 3, GridSpec(h=0.25))
+
+
+def seeded_model(rng, family, spring, lam):
+    """A catalog model of ``family`` with random amplitudes, at a random environment."""
+    if family == "circle":
+        return circle_model(rng.uniform(0, 3), lam, spring), EnvPoint.circle(rng.uniform())
+    if family == "torus":
+        model = torus_model(rng.uniform(0, 2), rng.uniform(0, 2), lam, spring)
+        return model, EnvPoint.torus(rng.uniform(), rng.uniform())
+    env = translate_env(EnvPoint.quasicrystal(FIB), rng.integers(-64, 64) / 16)
+    return sturm_model(FIB, rng.uniform(0, 1), rng.uniform(0, 1.5), lam), env
+
+
+class TestSignBand:
+    """The DP's lambda-signed jump band finds the least C[0] of the full band [-B, B]."""
+
+    @pytest.mark.parametrize("sign", [1, -1], ids=["lam_pos", "lam_neg"])
+    @pytest.mark.parametrize(
+        "family, spring",
+        [
+            ("circle", "quadratic"),
+            ("circle", "quartic"),
+            ("torus", "quadratic"),
+            ("torus", "quartic"),
+            ("quasicrystal", "quadratic"),
+        ],
+    )
+    def test_signed_band_matches_full_band(self, monkeypatch, family, spring, sign):
+        class Stop(Exception):
+            pass
+
+        def record(*args):
+            calls.append(args)
+            raise Stop
+
+        calls = []
+        monkeypatch.setattr(chain_opt, "_dp_solve", record)
+        rng = np.random.default_rng([28, sign + 1, len(family), len(spring)])
+        for i in range(20):
+            lam = sign * (1e-3 if i == 0 else rng.uniform(0, 2))
+            model, env = seeded_model(rng, family, spring, lam)
+            grid = GridSpec(h=float(rng.choice([0.05, 0.08, 0.1])))
+            with pytest.raises(Stop):
+                minimize_free(model, env, int(rng.integers(1, 17)), grid)
+        for model, env, points, n, dlo, dhi, h in calls:
+            B = dhi - dlo
+            assert (dlo, dhi) == ((-B, 0) if sign < 0 else (0, B))
+            V = lagrangians.potential_values(model, env, points)
+            Wd = lagrangians.spring_value(model, np.arange(-B, B + 1) * h)
+            full = _kernels.chain_dp_backward_np(V, Wd, n, -B).c0
+            signed = _kernels.chain_dp_backward_np(V, Wd[dlo + B : dhi + B + 1], n, dlo).c0
+            assert np.min(signed) == np.min(full)
 
 
 class TestRefinement:
@@ -157,11 +226,11 @@ class TestRefinement:
 
     @pytest.mark.parametrize("model,env", REFINE_CASES, ids=REFINE_IDS)
     @pytest.mark.parametrize("n", [1, 8, 31])
-    def test_free_stationary(self, model, env, n):
-        res = minimize_free(model, env, n, h=0.05)
+    def test_free_stationary(self, monkeypatch, model, env, n):
+        res, (_, dp_energy) = solve_with_dp(monkeypatch, model, env, n, GridSpec(h=0.05))
         assert not res.polish_used
         assert np.max(np.abs(chain_gradient(model, env, res.chain.positions))) <= 1e-7
-        assert res.energy <= res.dp_energy + 1e-12
+        assert res.chain.energy <= dp_energy + 1e-12
 
     def test_saddle_start_escapes(self):
         # lam = 1/2 from 0 puts every odd site on a maximum of the K = 8 cosine:
@@ -183,8 +252,9 @@ class TestRefinement:
             return chain_energy(model, env, positions)
 
         monkeypatch.setattr(chain_opt, "chain_energy", recording)
-        res = minimize_free(circle_model(1.0, 0.5), CIRCLE, 8, h=0.05)
-        assert sum(np.array_equal(xs, res.dp_positions) for xs in seen) == 1
+        m, grid = circle_model(1.0, 0.5), GridSpec(h=0.05)
+        _, (dp_positions, _) = solve_with_dp(monkeypatch, m, CIRCLE, 8, grid)
+        assert sum(np.array_equal(xs, dp_positions) for xs in seen) == 1
 
     def test_newton_step_finds_the_bump_gaps_once(self, monkeypatch):
         # V' and V'' of one gradient-and-Hessian evaluation share one gap lookup
@@ -227,17 +297,17 @@ class TestRefinement:
         # expected minima come from a red-black Gauss-Seidel sweep solver
         m = circle_model(K, lam)
         env = EnvPoint.circle(0.17)
-        res = minimize_free(m, env, n, h=0.05)
+        res = minimize_free(m, env, n, GridSpec(h=0.05))
         assert np.max(np.abs(chain_gradient(m, env, res.chain.positions))) <= 1e-7
-        assert res.energy == pytest.approx(expected, abs=1e-9)
+        assert res.chain.energy == pytest.approx(expected, abs=1e-9)
 
-    def test_soft_chain_converges(self):
+    def test_soft_chain_converges(self, monkeypatch):
         # K = 0.1 leaves soft modes, which site-by-site relaxation resolves slowly
         m = circle_model(0.1, 0.5)
-        res = minimize_free(m, CIRCLE, 64, h=0.05)
+        res, (_, dp_energy) = solve_with_dp(monkeypatch, m, CIRCLE, 64, GridSpec(h=0.05))
         assert res.sweeps <= 50
         assert np.max(np.abs(chain_gradient(m, CIRCLE, res.chain.positions))) <= 1e-7
-        assert res.energy <= res.dp_energy + 1e-12
+        assert res.chain.energy <= dp_energy + 1e-12
 
 
 class TestGroundEnergy:
@@ -393,7 +463,7 @@ class TestStructureReport:
     # the minimizers' local structure, read from the site-by-site oracle
     def test_equally_spaced(self):
         m = circle_model(0.0, 1.0)
-        res = minimize_free(m, CIRCLE, 8, h=0.05)
+        res = minimize_free(m, CIRCLE, 8, GridSpec(h=0.05))
         monotone, max_jump, _, defect = chain_structure_loop(res.chain, m, CIRCLE, 4.0)
         assert monotone
         assert max_jump == pytest.approx(1.0, abs=1e-9)
@@ -401,7 +471,7 @@ class TestStructureReport:
 
     def test_minimizer_monotone_with_bounded_jumps(self):
         m = circle_model(1.0, 0.5)
-        res = minimize_free(m, CIRCLE, 32, h=0.05)
+        res = minimize_free(m, CIRCLE, 32, GridSpec(h=0.05))
         monotone, _, within_R, defect = chain_structure_loop(res.chain, m, CIRCLE, 3.5)
         assert monotone
         assert within_R
@@ -410,7 +480,7 @@ class TestStructureReport:
     def test_perturbed_chain_has_defect(self):
         # the defect check above can fail: one kicked site shows up
         m = circle_model(1.0, 0.5)
-        res = minimize_free(m, CIRCLE, 16, h=0.05)
+        res = minimize_free(m, CIRCLE, 16, GridSpec(h=0.05))
         xs = res.chain.positions.copy()
         xs[8] += 0.1
         _, _, _, defect = chain_structure_loop(make_chain(m, CIRCLE, xs), m, CIRCLE, 3.5)
@@ -438,5 +508,5 @@ class TestTorusDegenerate:
         env = EnvPoint.torus(0.0, 0.0)
         est = ground_energy(m, env, [4, 8, 16], GridSpec(h=0.05))
         assert est.extrapolated == pytest.approx(0.0, abs=1e-6)
-        res = minimize_free(m, env, 8, h=0.05)
+        res = minimize_free(m, env, 8, GridSpec(h=0.05))
         assert res.chain.positions == pytest.approx(np.zeros(9), abs=1e-6)

@@ -150,6 +150,15 @@ class TestConfig:
         assert "n_list must hold at least two" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_chain_length_below_one_rejected(self, tmp_path, capsys):
+        # every command loads the config, so every one refuses it, lp included
+        config = CIRCLE_K1.replace("n_list = 4,8,16", "n_list = 0,8,16")
+        for command in ("ground-energy", "mane", "calibrate", "tower", "lp", "env-report"):
+            code, out = run(tmp_path, config, command)
+            assert code == 2
+            assert "[grid] n_list must hold" in capsys.readouterr().err
+            assert not out.exists()
+
     def test_missing_file(self, tmp_path):
         assert main(["ground-energy", "--config", str(tmp_path / "nope.ini")]) == 2
 

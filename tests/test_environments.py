@@ -3,6 +3,7 @@ import time
 import tracemalloc
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -121,6 +122,35 @@ class TestAlphaValue:
                 else:
                     with pytest.raises(DomainError):
                         AlphaValue.rational(p, q)
+
+    def test_range_check_against_mpmath(self):
+        # seeded (a + b sqrt d)/c, a third drawn at random and the rest one unit
+        # either side of 0 or of 1; the constructor accepts exactly the values
+        # that 60-digit mpmath puts strictly inside (0, 1)
+        rng = np.random.default_rng(28)
+        nonsquare = [d for d in range(2, 100) if math.isqrt(d) ** 2 != d]
+        near = {True: 0, False: 0}
+        with mp.workdps(60):
+            for i in range(600):
+                b = 0 if i % 5 == 0 else int(rng.integers(1, 10**6)) * int(rng.choice([-1, 1]))
+                d = int(rng.choice(nonsquare)) if b else 0
+                c = int(rng.integers(1, 10**6))
+                if i % 3 == 0:
+                    a = int(rng.integers(-2 * c - 2 * abs(b) * 10, 2 * c + 2 * abs(b) * 10))
+                else:
+                    # a + b sqrt(d) lies within one unit of 0 (or of c, so alpha near 1)
+                    r = -math.isqrt(b * b * d) if b > 0 else math.isqrt(b * b * d)
+                    a = r + int(rng.integers(-1, 2)) + (c if i % 3 == 2 else 0)
+                x = (a + b * mp.sqrt(d)) / c
+                inside = bool(0 < x < 1)
+                if min(abs(x), abs(1 - x)) < mp.mpf(1) / c:
+                    near[inside] += 1
+                if inside:
+                    assert 0 < AlphaValue(a, b, c, d).value < 1
+                else:
+                    with pytest.raises(DomainError, match="strictly in"):
+                        AlphaValue(a, b, c, d)
+        assert min(near.values()) >= 100
 
     @pytest.mark.parametrize("text", ["1/0", "0/0", "(1+1√5)/0"])
     def test_zero_denominator_is_domain_error(self, text):

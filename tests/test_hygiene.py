@@ -1,5 +1,7 @@
 """Source hygiene: every name a module imports is referenced in that module,
-and every public function or class of the library is read by the library.
+every public function or class of the library is read by the library, and
+every optional parameter of a public library function is passed by a library
+call.
 
 The package's ``__init__.py`` is left out of both, since its imports are the
 public surface it re-exports.
@@ -19,6 +21,10 @@ UNREAD_ALLOWED = {
     "equidistribution_counts": "waits for calibrate's quasicrystal count spread (item 15)",
     "cylinder_at": "waits for calibrate's quasicrystal count spread (item 15)",
     "read_csv": "the reader of the CLI's own CSV format, for its users",
+}
+# optional parameters that no library call passes, each with the reason it stays
+UNPASSED_ALLOWED = {
+    ("main", "argv"): "the console entry point; fkbench/child.py and the tests pass a command line",
 }
 
 
@@ -97,3 +103,51 @@ def test_every_public_library_name_is_read():
     assert unread_public_names(sources, roots=UNREAD_ALLOWED) == []
     for name in UNREAD_ALLOWED:
         assert name in unread_public_names(sources, roots=UNREAD_ALLOWED.keys() - {name})
+
+
+def unpassed_optional_parameters(sources):
+    """(function, parameter) for each optional parameter of a public top-level
+    function of ``sources`` (name -> text) that no call in ``sources`` passes,
+    by position or by keyword: a knob that only outside callers set.
+
+    Calls match by the called name, ``f(..)`` or ``m.f(..)``; a call with
+    ``*args`` or ``**kwargs`` passes every parameter.
+    """
+    optional, passed = {}, set()
+    trees = [ast.parse(source) for source in sources.values()]
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                args = node.args
+                positional = args.posonlyargs + args.args
+                first = len(positional) - len(args.defaults)
+                optional[node.name] = [(i, a.arg) for i, a in enumerate(positional) if i >= first]
+                optional[node.name] += [
+                    (None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None
+                ]
+    for tree in trees:
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            name = getattr(call.func, "id", getattr(call.func, "attr", None))
+            keywords = {k.arg for k in call.keywords}
+            spread = None in keywords or any(isinstance(a, ast.Starred) for a in call.args)
+            for i, param in optional.get(name, ()):
+                if spread or param in keywords or (i is not None and i < len(call.args)):
+                    passed.add((name, param))
+    return sorted((f, p) for f, params in optional.items() for _, p in params if (f, p) not in passed)
+
+
+def test_unpassed_scanner_reads_positions_and_keywords():
+    sources = {
+        "a": "def f(x, y=1, *, z=2): pass\ndef g(u=0, v=0): pass\ndef h(s=0): pass\n"
+        "def _p(w=0): pass\n",
+        "b": "import a\na.f(1, 2)\ng(v=3)\nh(*[])\n",
+    }
+    assert unpassed_optional_parameters(sources) == [("f", "z"), ("g", "u")]
+
+
+def test_every_optional_parameter_is_passed():
+    """Nothing outside UNPASSED_ALLOWED goes unpassed, and everything in it still does."""
+    sources = {p.name: p.read_text(encoding="utf-8") for p in LIBRARY}
+    assert unpassed_optional_parameters(sources) == sorted(UNPASSED_ALLOWED)

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from fklab import _kernels
-from fklab.chain_opt import minimize_free
+from fklab.chain_opt import GridSpec, minimize_free
 from fklab.environments import EnvPoint
 from fklab.lagrangians import circle_model
 
@@ -95,7 +95,7 @@ class TestKernelPairs:
 
         kernel = _kernels.chain_dp_backward_np
         monkeypatch.setattr(_kernels, "chain_dp_backward_np", spy)
-        minimize_free(circle_model(1.0, 0.5), EnvPoint.circle(0.0), 32, h=0.05)
+        minimize_free(circle_model(1.0, 0.5), EnvPoint.circle(0.0), 32, GridSpec(h=0.05))
         [(G, D, n, relaxed)] = calls
         assert (G, D, n) == (2381, 71, 32)
         assert relaxed <= 0.5 * n * D
@@ -112,7 +112,7 @@ class TestKernelPairs:
             return kernel(*args)
 
         monkeypatch.setattr(_kernels, "chain_dp_backward_np", spy)
-        minimize_free(circle_model(0.1, 0.5), EnvPoint.circle(0.0), 64, h=0.05)
+        minimize_free(circle_model(0.1, 0.5), EnvPoint.circle(0.0), 64, GridSpec(h=0.05))
         monkeypatch.undo()
         [(V, Wd, n, dlo)] = calls
         assert (V.size, Wd.size, n) == (4621, 71, 64)

@@ -10,6 +10,7 @@ from fklab import (
     AlphaValue,
     DomainError,
     EnvPoint,
+    GridSpec,
     chain_energy,
     circle_model,
     energy,
@@ -71,7 +72,7 @@ class TestEnergy:
         with pytest.raises(DomainError):
             energy(m, env, 0.3, 1.9)
         with pytest.raises(DomainError):
-            minimize_free(m, env, 8, h=0.1)
+            minimize_free(m, env, 8, GridSpec(h=0.1))
 
     @pytest.mark.parametrize("model,env", CATALOG)
     def test_equivariance(self, model, env):

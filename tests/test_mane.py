@@ -171,7 +171,8 @@ class TestStackedDPs:
 
         monkeypatch.setattr(_kernels, "phi_dp", spy)
         m = sturm_model(FIB, 0.5, 1.0, 1.618)
-        calibrate_window(m, EnvPoint.quasicrystal(FIB), 0.0122, 64, 8, GridSpec(h=0.08, X=2.0))
+        grid = GridSpec(h=0.08, X=2.0, N_outer=64, W=8)
+        calibrate_window(m, EnvPoint.quasicrystal(FIB), 0.0122, grid)
         assert sum(len(sizes) for _, sizes, _ in shapes) == 16  # one set per m
         assert len(shapes) < 16
         for (M, G, G2), sizes, steps in shapes:
@@ -229,7 +230,7 @@ class TestCocycleDefects:
 class TestCalibration:
     def test_zero_potential_window(self):
         m = circle_model(0.0, 1.0)
-        rep = calibrate_window(m, CIRCLE, 0.0, 32, 8, GridSpec(h=0.05))
+        rep = calibrate_window(m, CIRCLE, 0.0, GridSpec(h=0.05, N_outer=32, W=8))
         assert rep.max_defect <= 1e-6
         assert rep.rotation == pytest.approx(1.0, abs=1e-8)
 
@@ -238,20 +239,20 @@ class TestCalibration:
         env = EnvPoint.torus(0.0, 0.0)
         est = ground_energy(m, env, [4, 8, 16], GridSpec(h=0.05))
         assert est.lower_bound == pytest.approx(0.0, abs=1e-6)
-        rep = calibrate_window(m, env, est.lower_bound, 32, 8, GridSpec(h=0.05))
+        rep = calibrate_window(m, env, est.lower_bound, GridSpec(h=0.05, N_outer=32, W=8))
         assert rep.max_defect <= 1e-6
 
     def test_defects_nonnegative(self):
         m = circle_model(1.0, 0.5)
         est = ground_energy(m, CIRCLE, [4, 8, 16], GridSpec(h=0.05))
-        rep = calibrate_window(m, CIRCLE, est.lower_bound, 32, 8, GridSpec(h=0.05))
+        rep = calibrate_window(m, CIRCLE, est.lower_bound, GridSpec(h=0.05, N_outer=32, W=8))
         assert rep.defects[:, 2].min() >= -1e-8
 
     def test_defect_nonincreasing_with_outer_length(self):
         m = circle_model(1.0, 0.5)
         est = ground_energy(m, CIRCLE, [4, 8, 16], GridSpec(h=0.05))
-        r32 = calibrate_window(m, CIRCLE, est.lower_bound, 32, 8, GridSpec(h=0.05))
-        r64 = calibrate_window(m, CIRCLE, est.lower_bound, 64, 8, GridSpec(h=0.05))
+        r32 = calibrate_window(m, CIRCLE, est.lower_bound, GridSpec(h=0.05, N_outer=32, W=8))
+        r64 = calibrate_window(m, CIRCLE, est.lower_bound, GridSpec(h=0.05, N_outer=64, W=8))
         assert r64.max_defect <= r32.max_defect + 1e-12
 
 
@@ -293,7 +294,7 @@ class TestEquidistribution:
     def test_fibonacci_minimizer_counts(self):
         m = sturm_model(FIB, 0.5, 1.0, PHI)
         env = EnvPoint.quasicrystal(FIB)
-        res = minimize_free(m, env, 64, h=0.08)
+        res = minimize_free(m, env, 64, GridSpec(h=0.08))
         R = float(FIB.inv_floor() + 1)
         mid = res.chain.positions[len(res.chain.positions) // 2]
         sec = cylinder_at(env, float(mid), R)
