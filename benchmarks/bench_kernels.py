@@ -10,7 +10,10 @@ nodes sent in the stacks ``mane._stacks`` forms.  The chain DP row times the
 checkpointed DP and the backtrack of its optimal chain; its cells are G
 times the (layer, offset) pairs the band pruning relaxed, as the kernel
 counts them, out of n * G * (B + 1) nominal cells, and its name carries the
-peak of the two calls as ``tracemalloc`` sees it; the Mane DP relaxes each
+peak of the two calls as ``tracemalloc`` sees it.  The ladder row reads the
+soft-chain workload's ground-energy ladder, n = 8, 16, 32 and 64, from one
+DP over its n = 64 grid (G = 4621, B = 70) that keeps layers 56, 48, 32 and 0,
+and backtracks from each; its cells count the same way.  The Mane DP relaxes each
 of a set's g(g-1)/2 monotone steps once.  The LP row times
 ``discretize_circle`` plus ``solve`` at the arc cap (N = 512, T_max = 2,
 K = 1, lambda = 0.5); its cells are the arcs of the grid graph.  The Beatty
@@ -53,8 +56,10 @@ from fklab import (
     ground_energy,
     mane,
     solve,
+    spring_value,
     sturm_model,
 )
+from fklab.lagrangians import potential_values
 
 
 def timeit(fn, repeat):
@@ -85,6 +90,24 @@ def bench_chain_dp(repeat):
     finally:
         tracemalloc.stop()
     return f"chain DP (G=4000, B=60, n=64, traced peak {peak / 2**20:.2f} MB)", t, relaxed * G
+
+
+def bench_ladder(repeat):
+    # the soft-chain workload's ground-energy grid: K = 0.1, lambda = 0.5,
+    # h = 0.05 and the jump cap 3.5 around the n = 64 chain's midpoint 16
+    model, h, n = circle_model(0.1, 0.5), 0.05, 64
+    V = potential_values(model, EnvPoint.circle(0.0), -99.5 + h * np.arange(4621))
+    Wd = spring_value(model, h * np.arange(71))
+    keep = [n - m for m in (8, 16, 32, 64)]
+
+    def ladder():
+        dp = _kernels.chain_dp_backward_np(V, Wd, n, 0, keep)
+        for k in keep:
+            _kernels.chain_dp_path(dp, int(np.argmin(dp.layers[k])), k)
+        return dp
+
+    t = timeit(ladder, repeat)
+    return "chain DP ladder (soft chain, n=8,16,32,64 from one DP)", t, ladder().relaxed * V.size
 
 
 # node counts of the 16 Mane DPs of the quasicrystal workload's calibrate window
@@ -234,6 +257,7 @@ def main():
     args = ap.parse_args()
     rows = [
         bench_chain_dp(args.repeat),
+        bench_ladder(args.repeat),
         bench_phi_dp(args.repeat),
         bench_lp(args.repeat),
         bench_membership(args.repeat),

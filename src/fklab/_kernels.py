@@ -1,18 +1,21 @@
 """The two dynamic-programming kernels, in numpy.
 
 ``chain_dp_backward_np`` is the banded chain DP behind ground energies and
-minimizers (``chain_opt._dp_solve``): chains with both ends free, whose
+minimizers (``chain_opt._solve_free``): chains with both ends free, whose
 jumps lie in one band of offsets (jumps of the sign of lambda, one run per
-solve).  ``chain_dp_path`` backtracks its optimal chain.  Each
-layer relaxes only a run of jump offsets around the cheapest spring, in one
-strided add and one minimum, and stops when a certificate shows that no
-other offset can lower any row: the least spring cost beyond the run plus a
-suffix or prefix minimum of the next layer bounds every skipped candidate
-from below, and float addition rounds monotonically, so a bound above a
-row's best value proves that the full band gives the same bits.  The DP keeps
-every STRIDE-th layer and each layer's run, not the (n + 1) x G table of all
-layers; the backtrack recomputes one STRIDE-step segment at a time from the
-layer kept above it, on the rows the path can reach, and so reads the bits
+solve).  Its top layer is zero, so layer n - m holds the cost-to-go of every
+m-step chain, and one DP over the longest chain serves a whole ladder of
+lengths.  ``chain_dp_path`` backtracks an optimal chain from any stored
+layer.  Each layer relaxes only a run of jump offsets around the cheapest
+spring, in one strided add and one minimum, and stops when a certificate
+shows that no other offset can lower any row: the least spring cost beyond
+the run plus a suffix or prefix minimum of the next layer bounds every
+skipped candidate from below, and float addition rounds monotonically, so a
+bound above a row's best value proves that the full band gives the same
+bits.  The DP keeps every STRIDE-th layer, the layers the caller asks for and
+each layer's run, not the (n + 1) x G table of all layers; the backtrack
+recomputes one segment of at most STRIDE steps at a time from the
+checkpoint above it, on the rows the path can reach, and so reads the bits
 the full table would hold.  ``phi_dp`` is the Mane DP behind Phi and the
 calibration defects (``mane._phi_over_nodes``), one pass over the DAG of
 monotone steps, so chains of any length are searched; it returns Phi and,
@@ -23,10 +26,11 @@ holonomic LP has no kernel: its policy iteration (``holonomic_lp._howard``)
 walks each policy graph once in Python and improves it in one numpy pass.
 
 Each kernel has this one definition; ``tests/oracles.py`` holds plain-loop
-versions that the tests compare against bit for bit (the chain DP's C[0] and
-path against a full table and its backtrack).  The ``_np`` suffix of the
-chain DP stays because ``fkbench/tracer.py`` keys its ``kernels.chain_dp_*``
-counters on that name.  ``benchmarks/bench_kernels.py`` times both kernels.
+versions that the tests compare against bit for bit (the chain DP's stored
+layers and paths against a full table and its backtrack).  The ``_np``
+suffix of the chain DP stays because ``fkbench/tracer.py`` keys its
+``kernels.chain_dp_*`` counters on that name.  ``benchmarks/bench_kernels.py``
+times both kernels and a ground-energy ladder read from one chain DP.
 """
 
 from __future__ import annotations
@@ -51,21 +55,22 @@ BLOCK = 1 << 18
 class ChainDP:
     """What ``chain_dp_backward_np`` keeps of its cost-to-go layers C[0..n].
 
-    ``checkpoints[q]`` is C[min(q * STRIDE, n)], so ``checkpoints[0]`` is C[0];
-    ``runs[k]`` is the certified offset run (a_k, b_k) of layer k; ``relaxed``
-    counts the (layer, offset) pairs relaxed, out of n * len(Wd).  A plain
-    slotted class: a ``NamedTuple`` would add about 0.6 ms to every import.
+    ``layers[k]`` is C[k] for each stored layer k: the checkpoints 0, STRIDE,
+    2 STRIDE, .. and n, and every kept layer; ``runs[k]`` is the certified
+    offset run (a_k, b_k) of layer k; ``relaxed`` counts the (layer, offset)
+    pairs relaxed, out of n * len(Wd).  A plain slotted class: a
+    ``NamedTuple`` would add about 0.6 ms to every import.
     """
 
-    __slots__ = ("V", "Wd", "dlo", "checkpoints", "runs", "relaxed")
+    __slots__ = ("V", "Wd", "dlo", "layers", "runs", "relaxed")
 
-    def __init__(self, V, Wd, dlo, checkpoints, runs, relaxed):
+    def __init__(self, V, Wd, dlo, layers, runs, relaxed):
         self.V, self.Wd, self.dlo = V, Wd, dlo
-        self.checkpoints, self.runs, self.relaxed = checkpoints, runs, relaxed
+        self.layers, self.runs, self.relaxed = layers, runs, relaxed
 
     @property
     def c0(self) -> np.ndarray:
-        return self.checkpoints[0]
+        return self.layers[0]
 
 
 def _pads(D, dlo):
@@ -116,25 +121,32 @@ def _cleared(w, m, cap, s):
     return bool(w + m[0] > cap[:-s].max()) and bool((w + m[: G + s] > cap[-s:]).all())
 
 
-def chain_dp_bytes(G, D, n, dlo):
+def _stored(n, keep):
+    """The layers an n-step DP stores, ascending: the checkpoints and ``keep``."""
+    return sorted({*range(0, n, STRIDE), n, *keep})
+
+
+def chain_dp_bytes(G, D, n, dlo, keep=()):
     """An upper bound on the bytes ``chain_dp_backward_np`` and then ``chain_dp_path`` hold.
 
-    Both hold the checkpoints.  The DP adds two padded working layers, a run
-    buffer of at most min(D G, max(D, BLOCK)) cells and a few temporary rows
-    for its certificate; the backtrack adds a segment of STRIDE padded rows,
-    a run buffer no larger and the path.  Every row is counted padded and G
-    wide.
+    Both hold the stored layers: the checkpoints and the kept layers that are
+    not checkpoints.  The DP adds two padded working layers, a run buffer of
+    at most min(D G, max(D, BLOCK)) cells and a few temporary rows for its
+    certificate; the backtrack adds a segment of STRIDE padded rows, a run
+    buffer no larger and the path.  Every row is counted padded and G wide.
     """
     L, R = _pads(D, dlo)
-    rows = -(-n // STRIDE) + 1 + STRIDE + 2
+    rows = len(_stored(n, keep)) + STRIDE + 2
     return 8 * (rows * (L + G + R) + min(D * G, max(D, BLOCK)) + n + 1)
 
 
-def chain_dp_backward_np(V, Wd, n, dlo):
+def chain_dp_backward_np(V, Wd, n, dlo, keep=()):
     """Backward cost-to-go layers C[k, j] of a free n-step chain on the grid, checkpointed.
 
     Step cost j -> j+delta is V[j] + Wd[delta - dlo]; the top layer C[n] is
-    zero, so the final point is free.  Returns a ``ChainDP``.
+    zero, so the final point is free, and C[n - m] is the least cost of the
+    m-step chains from each row.  Returns a ``ChainDP`` that stores the
+    checkpoints and the layers listed in ``keep`` (each in 0..n).
 
     Each layer relaxes a run [a, b] of offsets and stops once no other offset
     can lower any row: an offset d > b reaches row j only through nxt[i] with
@@ -149,19 +161,23 @@ def chain_dp_backward_np(V, Wd, n, dlo):
     catalog it stays a fraction of the band.  The run is relaxed in one
     strided add into a reused buffer and one minimum per block of rows;
     offsets a failed bound adds are relaxed one at a time.  Layers 0, STRIDE,
-    2 STRIDE, .. and n are kept, the others dropped once the layer below is
-    done.
+    2 STRIDE, .., n and those in ``keep`` are stored, the others dropped once
+    the layer below is done.
     """
     G = V.shape[0]
     D = Wd.shape[0]
     L, R = _pads(D, dlo)
-    # layer k lives in layers[k % 2, L : L + G], with +inf rows around it, and
+    # layer k lives in work[k % 2, L : L + G], with +inf rows around it, and
     # shifted[k % 2, d] is that layer shifted by offset dlo + d
-    layers = np.full((2, L + G + R), np.inf)
-    shifted = _shifted(layers, L + dlo, D, G)
-    layers[n % 2, L : L + G] = 0.0
-    checkpoints = np.empty((-(-n // STRIDE) + 1, G))
-    checkpoints[-1] = 0.0
+    work = np.full((2, L + G + R), np.inf)
+    shifted = _shifted(work, L + dlo, D, G)
+    work[n % 2, L : L + G] = 0.0
+    # the stored layers share one array: rows allocated one by one, each
+    # under the mmap threshold, leave the heap fragmented and raise a
+    # command's peak RSS by about 0.3 MB
+    stored = _stored(n, keep)
+    layers = dict(zip(stored, np.empty((len(stored), G))))
+    layers[n][:] = 0.0
     runs = [None] * n
     # least spring cost right of offset b and left of offset a
     right = np.append(np.minimum.accumulate(Wd[::-1])[::-1][1:], np.inf)
@@ -171,9 +187,9 @@ def chain_dp_backward_np(V, Wd, n, dlo):
     buf = _run_buffer(1, G)
     relaxed = 0
     for k in range(n - 1, -1, -1):
-        nxt = layers[(k + 1) % 2, L : L + G]
+        nxt = work[(k + 1) % 2, L : L + G]
         view = shifted[(k + 1) % 2]
-        best = layers[k % 2, L : L + G]
+        best = work[k % 2, L : L + G]
         if buf.shape[0] < b - a + 1:
             # room for one more widening on each side: fewer reallocations
             # fragment the heap less, which a command's peak RSS shows
@@ -205,17 +221,20 @@ def chain_dp_backward_np(V, Wd, n, dlo):
         runs[k] = (a, b)
         relaxed += b - a + 1
         best += V
-        if k % STRIDE == 0:
-            checkpoints[k // STRIDE] = best
-    return ChainDP(V, Wd, dlo, checkpoints, runs, relaxed)
+        if k in layers:
+            layers[k][:] = best
+    return ChainDP(V, Wd, dlo, layers, runs, relaxed)
 
 
-def chain_dp_path(dp, j):
-    """Grid rows of the optimal chain from row j of layer 0, which must have finite cost.
+def chain_dp_path(dp, j, k=0):
+    """Grid rows of the optimal (n - k)-step chain from row j of stored layer k, which
+    must have finite cost.
 
     Each step takes the first offset whose Wd[d] + C[k+1] lies within 1e-12 of
     the least one (the smallest successor row, the lexicographic rule).  The
-    layers of each segment of m <= STRIDE steps are recomputed from the
+    path runs in segments that end at checkpoints: the first from layer k to
+    the next multiple of STRIDE (or n), the others STRIDE steps each.  The
+    layers inside a segment of m <= STRIDE steps are recomputed from the
     checkpoint above it with the runs ``dp`` stored.  From row j the path
     reaches only rows j + t dlo .. j + t dhi at step t (dhi = dlo + D - 1);
     layer t is recomputed on those rows alone, from rows of layer t + 1 that
@@ -230,15 +249,17 @@ def chain_dp_path(dp, j):
     W = min(G, max(dhi, STRIDE * dhi) - min(dlo, STRIDE * dlo) + 1)
     # seg[t, L + i] holds C[k0 + 1 + t][w0 + i] on the rows the path can reach,
     # +inf around the window
-    seg = np.full((min(STRIDE, n), L + W + R), np.inf)
+    seg = np.full((min(STRIDE, n - k), L + W + R), np.inf)
     shifted = _shifted(seg, L + dlo, D, W)
-    buf = _run_buffer(max((b - a for a, b in runs), default=0) + 1, W)
-    path = np.empty(n + 1, dtype=np.intp)
+    buf = _run_buffer(max((b - a for a, b in runs[k:]), default=0) + 1, W)
+    path = np.empty(n - k + 1, dtype=np.intp)
     path[0] = j
-    for q, k0 in enumerate(range(0, n, STRIDE)):
-        m = min(STRIDE, n - k0)
+    k0 = k
+    while k0 < n:
+        k1 = min((k0 // STRIDE + 1) * STRIDE, n)
+        m = k1 - k0
         w0 = min(max(0, j + min(dlo, m * dlo)), G - W)
-        seg[m - 1, L : L + W] = dp.checkpoints[q + 1][w0 : w0 + W]
+        seg[m - 1, L : L + W] = dp.layers[k1][w0 : w0 + W]
         for t in range(m - 1, 0, -1):
             s, e = max(0, j + t * dlo) - w0, min(G, j + t * dhi + 1) - w0
             a, b = runs[k0 + t]
@@ -249,7 +270,8 @@ def chain_dp_path(dp, j):
             # rows off the grid read +inf and are never the first within 1e-12
             vals = Wd + seg[t, L + j + dlo - w0 : L + j + dhi + 1 - w0]
             j += dlo + int((vals <= np.minimum.reduce(vals) + 1e-12).argmax())
-            path[k0 + t + 1] = j
+            path[k0 - k + t + 1] = j
+        k0 = k1
     return path
 
 

@@ -3,13 +3,17 @@
 Solver layout: one banded grid DP finds the global structure over chains
 with both ends free, banded to jumps of the sign of lambda (a minimizer's
 jumps take that sign); then one safeguarded Newton method refines the whole
-chain off-grid.  The chain energy has a tridiagonal Hessian, so each Newton
-step is an O(n) L D L^T factorization and solve; a diagonal shift handles
-indefinite Hessians, a negative-curvature step escapes saddles, and halving
-on the chain energy keeps every step a descent.  At most MAX_ITER steps are
-taken; a solve that does not converge raises NumericalFailure carrying the
-best iterate, naming whether the budget ran out or the line search stalled,
-so no solver returns a silently worse chain.
+chain off-grid.  The DP runs over the longest chain asked for, on its grid,
+and its layer N - m gives every shorter length m: the whole ground-energy
+ladder takes one grid, one potential evaluation and one DP, and each length
+is backtracked and refined on its own.  The chain energy has a tridiagonal
+Hessian, so each Newton step is an O(n) L D L^T factorization and solve; a
+diagonal shift handles indefinite Hessians, a negative-curvature step
+escapes saddles, and halving on the chain energy keeps every step a
+descent.  At most MAX_ITER steps are taken; a solve that does not converge
+raises NumericalFailure carrying the best iterate, naming whether the
+budget ran out or the line search stalled, so no solver returns a silently
+worse chain.
 """
 
 from __future__ import annotations
@@ -92,10 +96,12 @@ class GridSpec(NamedTuple):
 class GroundEnergyEstimate(NamedTuple):
     """Found n-chain minima m_n, their chains, and two estimates of Ebar.
 
-    ``lower_bound`` is max m_n/n, a lower estimate of Ebar rather than a
-    certified bound: a found chain never has less energy than the true
-    minimum, so m_n/n can exceed the true ratio.  ``positions`` holds each
-    n's refined minimizer.
+    Each m_n is the refined least n-chain on the grid of the longest chain
+    of ``n_list`` that starts in the n-chain's own window, read from that
+    longest chain's DP.  ``lower_bound`` is max m_n/n, a lower estimate of
+    Ebar rather than a certified bound: a found chain never has less energy
+    than the true minimum, so m_n/n can exceed the true ratio.
+    ``positions`` holds each n's refined minimizer.
     """
 
     n_list: Tuple[int, ...]
@@ -117,31 +123,6 @@ class GroundEnergyEstimate(NamedTuple):
         A = np.column_stack([np.ones_like(ns), -1.0 / ns])
         coef, *_ = np.linalg.lstsq(A, ys, rcond=None)
         return max(float(coef[0]), self.lower_bound)
-
-
-# -- DP stage ------------------------------------------------------------------
-
-
-def _dp_solve(model, env, points, n, dlo, dhi, h):
-    """Free-chain backward DP over the uniform grid ``points`` of step h, with
-    jumps of dlo .. dhi grid steps; returns the DP chain's (positions, energy)."""
-    G, D = points.size, dhi - dlo + 1
-    cells, nbytes = n * G * D, _kernels.chain_dp_bytes(G, D, n, int(dlo))
-    if cells > _MAX_DP_CELLS or nbytes > _MAX_DP_BYTES:
-        raise ResourceError(
-            f"chain DP of {cells} cells holding {nbytes} bytes exceeds the caps "
-            f"of {_MAX_DP_CELLS} cells and {_MAX_DP_BYTES} bytes"
-        )
-    V = potential_values(model, env, points)
-    deltas = np.arange(dlo, dhi + 1)
-    Wd = spring_value(model, deltas * h)
-    dp = _kernels.chain_dp_backward_np(V, Wd, n, int(dlo))
-    c0 = dp.c0
-    j = int(np.argmin(c0))  # ties: smallest index, lexicographic rule
-    if not np.isfinite(c0[j]):
-        raise NumericalFailure("chain DP found no feasible grid chain")
-    positions = points[_kernels.chain_dp_path(dp, j)]
-    return positions, chain_energy(model, env, positions)
 
 
 # -- refinement ----------------------------------------------------------------
@@ -265,21 +246,63 @@ def _refine(model, env, xs, fixed_ends, e_cur):
 # -- public solvers --------------------------------------------------------------
 
 
+def _window(lam, R, n):
+    """The span searched for a free n-step chain: n jump caps R around the drifted
+    midpoint n lam / 2, plus one cap on each side."""
+    c, half = 0.5 * n * lam, 0.5 * n * R
+    return c - half - R, c + half + R
+
+
+def _solve_free(model, env, lengths, grid):
+    """Refined free chains of each length in ``lengths`` (increasing), from one DP.
+
+    The grid has step ``grid.h`` and spans the window of the longest chain,
+    N = lengths[-1] steps.  Jumps run over the band of lambda's sign, since
+    jumps all against lambda's sign cost at least the constant chain at the
+    least grid V, which that band holds.  The m-step chain starts at the
+    first least row of layer N - m among the rows in its own window (ties:
+    smallest index, the lexicographic rule), and its path may leave that
+    window.  The caps are checked before the potential is evaluated.
+    """
+    if lengths[0] < 1:
+        raise DomainError("need at least one step")
+    N = lengths[-1]
+    R, h = grid.jump_cap(model), grid.h
+    lo, hi = _window(model.lam, R, N)
+    B = int(math.ceil(R / h))
+    G, D = int(math.ceil((hi - lo) / h)) + 1, B + 1
+    dlo = -B if model.lam < 0 else 0
+    keep = [N - m for m in lengths]
+    cells, nbytes = N * G * D, _kernels.chain_dp_bytes(G, D, N, dlo, keep)
+    if cells > _MAX_DP_CELLS or nbytes > _MAX_DP_BYTES:
+        raise ResourceError(
+            f"chain DP of {cells} cells holding {nbytes} bytes exceeds the caps "
+            f"of {_MAX_DP_CELLS} cells and {_MAX_DP_BYTES} bytes"
+        )
+    points = lo + h * np.arange(G)
+    V = potential_values(model, env, points)
+    Wd = spring_value(model, np.arange(dlo, dlo + D) * h)
+    dp = _kernels.chain_dp_backward_np(V, Wd, N, dlo, keep)
+    results = []
+    for m, k in zip(lengths, keep):
+        # a start anywhere on the grid can lie N R / 2 from the origin, where
+        # the chain energy's roundoff stalls the refinement more often
+        lo_m, hi_m = _window(model.lam, R, m)
+        a = max(0, math.ceil((lo_m - lo) / h - 1e-9))
+        layer = dp.layers[k][a : a + math.ceil((hi_m - lo_m) / h) + 1]
+        j = int(np.argmin(layer))
+        if not np.isfinite(layer[j]):
+            raise NumericalFailure("chain DP found no feasible grid chain")
+        xs = points[_kernels.chain_dp_path(dp, a + j, k)]
+        xs, steps, e = _refine(model, env, xs, False, chain_energy(model, env, xs))
+        results.append(MinimizeResult(Chain(xs, e, env), steps, False))
+    return results
+
+
 def minimize_free(model: LagrangianSpec, env: EnvPoint, n: int, grid: GridSpec) -> MinimizeResult:
     """Minimize over all n-step chains (both endpoints free) on a ladder of step ``grid.h``."""
-    if n < 1:
-        raise DomainError("need at least one step")
-    R, h = grid.jump_cap(model), grid.h
-    c, half = 0.5 * n * model.lam, 0.5 * n * R
-    lo, hi = c - half - R, c + half + R
-    B = int(math.ceil(R / h))
-    points = lo + h * np.arange(int(math.ceil((hi - lo) / h)) + 1)
-    # jumps all against lambda's sign cost at least the constant chain at the
-    # least grid V, and the lambda-signed band holds that chain
-    dlo, dhi = (-B, 0) if model.lam < 0 else (0, B)
-    xs, e = _dp_solve(model, env, points, n, dlo, dhi, h)
-    xs, steps, e = _refine(model, env, xs, False, e)
-    return MinimizeResult(Chain(xs, e, env), steps, False)
+    [res] = _solve_free(model, env, (n,), grid)
+    return res
 
 
 def ground_energy(
@@ -288,13 +311,14 @@ def ground_energy(
     n_list: Sequence[int],
     grid: GridSpec,
 ) -> GroundEnergyEstimate:
-    """Per-n free minima, the lower estimate max m_n/n, and a 1/n fit."""
+    """Free minima m_n for n in ``n_list`` from one chain DP, the lower estimate
+    max m_n/n, and a 1/n fit."""
     n_list = tuple(int(n) for n in n_list)
     if len(n_list) < 2 or any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise DomainError("the 1/n fit needs at least two strictly increasing lengths")
     if n_list[-1] > 64:
         raise DomainError("chain lengths above 64 are out of the desk-scale budget")
-    chains = [minimize_free(model, env, n, grid).chain for n in n_list]
+    chains = [res.chain for res in _solve_free(model, env, n_list, grid)]
     m_values = tuple(c.energy for c in chains)
     return GroundEnergyEstimate(
         n_list=n_list,

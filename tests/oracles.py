@@ -267,15 +267,16 @@ def chain_dp_backward_loop(V, Wd, n, dlo):
     return C
 
 
-def chain_dp_path_loop(C, Wd, dlo, j):
-    """Backtrack of a full table from ``chain_dp_backward_loop``, from row j of layer 0.
+def chain_dp_path_loop(C, Wd, dlo, j, start=0):
+    """Backtrack of a full table from ``chain_dp_backward_loop``, from row j of layer
+    ``start``.
 
     Each step scans the successors on the grid in row order and takes the
     first whose Wd + C[k+1] lies within 1e-12 of the least of them.
     """
     G = C.shape[1]
     path = [j]
-    for k in range(C.shape[0] - 1):
+    for k in range(start, C.shape[0] - 1):
         rows = [j + dlo + di for di in range(len(Wd)) if 0 <= j + dlo + di < G]
         vals = [Wd[r - j - dlo] + C[k + 1, r] for r in rows]
         least = min(vals)

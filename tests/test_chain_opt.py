@@ -38,16 +38,17 @@ PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
 
 def solve_with_dp(monkeypatch, *args):
-    """``minimize_free(*args)`` and the (positions, energy) of its grid DP chain."""
+    """``minimize_free(*args)`` and the (positions, energy) of its grid DP chain, the
+    chain its refinement starts from."""
     seen = []
-    dp_solve = chain_opt._dp_solve
+    refine = chain_opt._refine
 
-    def spy(*dp_args):
-        seen.append(dp_solve(*dp_args))
-        return seen[-1]
+    def spy(model, env, xs, fixed_ends, e_cur):
+        seen.append((xs.copy(), e_cur))
+        return refine(model, env, xs, fixed_ends, e_cur)
 
     with monkeypatch.context() as mp:
-        mp.setattr(chain_opt, "_dp_solve", spy)
+        mp.setattr(chain_opt, "_refine", spy)
         res = minimize_free(*args)
     [dp] = seen
     return res, dp
@@ -66,8 +67,11 @@ class TestMinimizeFree:
         h = 0.25
         grid = -2.0 + h * np.arange(17)
         best = brute_force_free_chain(m, CIRCLE, grid, 2)
-        _, dp_energy = chain_opt._dp_solve(m, CIRCLE, grid, 2, 0, 8, h)
-        assert dp_energy == pytest.approx(best, abs=1e-12)
+        V = lagrangians.potential_values(m, CIRCLE, grid)
+        Wd = lagrangians.spring_value(m, h * np.arange(9))
+        dp = _kernels.chain_dp_backward_np(V, Wd, 2, 0)
+        path = _kernels.chain_dp_path(dp, int(np.argmin(dp.c0)))
+        assert chain_energy(m, CIRCLE, grid[path]) == pytest.approx(best, abs=1e-12)
 
     def test_dp_dominance(self, monkeypatch):
         m = circle_model(1.0, 0.5)
@@ -122,9 +126,10 @@ class TestDPSizeCap:
         seen = []
         kernel = _kernels.chain_dp_backward_np
 
-        def spy(V, Wd, n, dlo):
-            seen.append((n * V.size * Wd.size, _kernels.chain_dp_bytes(V.size, Wd.size, n, dlo)))
-            return kernel(V, Wd, n, dlo)
+        def spy(V, Wd, n, dlo, keep):
+            nbytes = _kernels.chain_dp_bytes(V.size, Wd.size, n, dlo, keep)
+            seen.append((n * V.size * Wd.size, nbytes))
+            return kernel(V, Wd, n, dlo, keep)
 
         with monkeypatch.context() as mp:
             mp.setattr(_kernels, "chain_dp_backward_np", spy)
@@ -154,6 +159,38 @@ class TestDPSizeCap:
         monkeypatch.setattr(chain_opt, "_MAX_DP_CELLS", 0)
         with pytest.raises(ResourceError):
             minimize_free(self.M, CIRCLE, 3, GridSpec(h=0.25))
+
+    @pytest.mark.parametrize("cap", ["_MAX_DP_CELLS", "_MAX_DP_BYTES"])
+    def test_ladder_refused_before_the_potential_is_evaluated(self, monkeypatch, cap):
+        def unreachable(*args):
+            raise AssertionError("potential evaluated for an over-cap DP")
+
+        monkeypatch.setattr(chain_opt, "potential_values", unreachable)
+        monkeypatch.setattr(chain_opt, cap, 0)
+        with pytest.raises(ResourceError):
+            ground_energy(self.M, CIRCLE, [3, 8], GridSpec(h=0.25))
+
+    def test_ladder_counts_its_kept_row(self, monkeypatch):
+        # the ladder 4, 8, 16, 32 keeps layer 28, which is no checkpoint: at the
+        # bytes of the bare n = 32 DP, that DP runs and the ladder is refused
+        grid = GridSpec(h=0.25)
+        seen = []
+        kernel = _kernels.chain_dp_backward_np
+
+        def spy(V, Wd, n, dlo, keep):
+            seen.append((V.size, Wd.size, n, dlo))
+            return kernel(V, Wd, n, dlo, keep)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(_kernels, "chain_dp_backward_np", spy)
+            minimize_free(self.M, CIRCLE, 32, grid)
+        [(G, D, n, dlo)] = seen
+        bare = _kernels.chain_dp_bytes(G, D, n, dlo)
+        assert _kernels.chain_dp_bytes(G, D, n, dlo, [28, 24, 16, 0]) == bare + 8 * (G + D - 1)
+        monkeypatch.setattr(chain_opt, "_MAX_DP_BYTES", bare)
+        minimize_free(self.M, CIRCLE, 32, grid)
+        with pytest.raises(ResourceError):
+            ground_energy(self.M, CIRCLE, [4, 8, 16, 32], grid)
 
 
 def seeded_model(rng, family, spring, lam):
@@ -186,11 +223,11 @@ class TestSignBand:
             pass
 
         def record(*args):
-            calls.append(args)
+            calls.append((model, grid.h, *args))
             raise Stop
 
         calls = []
-        monkeypatch.setattr(chain_opt, "_dp_solve", record)
+        monkeypatch.setattr(_kernels, "chain_dp_backward_np", record)
         rng = np.random.default_rng([28, sign + 1, len(family), len(spring)])
         for i in range(20):
             lam = sign * (1e-3 if i == 0 else rng.uniform(0, 2))
@@ -198,13 +235,14 @@ class TestSignBand:
             grid = GridSpec(h=float(rng.choice([0.05, 0.08, 0.1])))
             with pytest.raises(Stop):
                 minimize_free(model, env, int(rng.integers(1, 17)), grid)
-        for model, env, points, n, dlo, dhi, h in calls:
-            B = dhi - dlo
-            assert (dlo, dhi) == ((-B, 0) if sign < 0 else (0, B))
-            V = lagrangians.potential_values(model, env, points)
-            Wd = lagrangians.spring_value(model, np.arange(-B, B + 1) * h)
-            full = _kernels.chain_dp_backward_np(V, Wd, n, -B).c0
-            signed = _kernels.chain_dp_backward_np(V, Wd[dlo + B : dhi + B + 1], n, dlo).c0
+        monkeypatch.undo()
+        for model, h, V, Wd, n, dlo, keep in calls:
+            B = Wd.size - 1
+            assert dlo == (-B if sign < 0 else 0)
+            full_Wd = lagrangians.spring_value(model, np.arange(-B, B + 1) * h)
+            assert Wd.tobytes() == full_Wd[dlo + B : dlo + 2 * B + 1].tobytes()
+            full = _kernels.chain_dp_backward_np(V, full_Wd, n, -B).c0
+            signed = _kernels.chain_dp_backward_np(V, Wd, n, dlo).c0
             assert np.min(signed) == np.min(full)
 
 
@@ -389,6 +427,87 @@ class TestGroundEnergy:
             env = EnvPoint.circle(rng.uniform(0, 1))
             vals.append(ground_energy(m, env, [4, 8, 16], GridSpec(h=0.05)).extrapolated)
         assert max(vals) - min(vals) <= 3 * 2e-3
+
+
+QC_ALPHA = AlphaValue.parse("(-1+1√5)/2")
+
+
+def workload_config(workload, seed):
+    """(model, env, grid, n_list) of a benchmark workload's config at ``seed``: the
+    quasicrystal offset (37 seed mod 64)/16, the circle phase (seed mod 4)/4."""
+    if workload == "quasicrystal":
+        env = EnvPoint.quasicrystal(QC_ALPHA, (37 * seed) % 64 / 16)
+        return sturm_model(QC_ALPHA, 0.5, 1.0, 1.618), env, GridSpec(h=0.08), (4, 8, 16, 32)
+    K, n_list = (1.0, (4, 8, 16, 32)) if workload == "circle" else (0.1, (8, 16, 32, 64))
+    return circle_model(K, 0.5), EnvPoint.circle(seed % 4 / 4), GridSpec(h=0.05, X=4.0), n_list
+
+
+class TestLadder:
+    """The ladder read from the longest chain's DP against one solve per length."""
+
+    @pytest.mark.parametrize("workload", ["quasicrystal", "circle", "soft-chain"])
+    def test_workload_ladders_match_per_length_solves(self, workload):
+        # seeds 0..5; the circle phases repeat after seed 3
+        seeds = range(6) if workload == "quasicrystal" else range(4)
+        for seed in seeds:
+            model, env, grid, n_list = workload_config(workload, seed)
+            est = ground_energy(model, env, n_list, grid)
+            alone = [minimize_free(model, env, n, grid).chain.energy for n in n_list]
+            for n, m_n, m_alone in zip(n_list, est.m_values, alone):
+                assert abs(m_n - m_alone) <= 1e-12, (workload, seed, n)
+            lower = max(m / n for m, n in zip(alone, n_list))
+            assert est.lower_bound.hex() == lower.hex(), (workload, seed)
+
+    def test_aligned_torus_layers_reach_the_per_length_minimum(self, monkeypatch):
+        # with lambda > 0 and the default jump cap the grid of N steps starts
+        # 1.5 (N - m) below the m-step grid, a whole number of steps of 0.05,
+        # and holds it: from each row of the m-step grid, layer N - m finds a
+        # grid chain at least as good, and so does its least entry
+        class Stop(Exception):
+            pass
+
+        kernel = _kernels.chain_dp_backward_np
+
+        def first_dp(*args):
+            dps.append(kernel(*args))
+            raise Stop
+
+        monkeypatch.setattr(_kernels, "chain_dp_backward_np", first_dp)
+        rng = np.random.default_rng(31)
+        grid = GridSpec(h=0.05)
+        for _ in range(12):
+            model = torus_model(rng.uniform(0, 2), rng.uniform(0, 2), rng.uniform(0, 2))
+            env = EnvPoint.torus(rng.uniform(), rng.uniform())
+            n_list = sorted(int(n) for n in rng.choice(np.arange(1, 33), 3, replace=False))
+            dps = []
+            with pytest.raises(Stop):
+                ground_energy(model, env, n_list, grid)
+            for m in n_list:
+                with pytest.raises(Stop):
+                    minimize_free(model, env, m, grid)
+            ladder, *alone = dps
+            N, R = n_list[-1], grid.jump_cap(model)
+            for m, dp in zip(n_list, alone):
+                lo_m, lo_N = (chain_opt._window(model.lam, R, n)[0] for n in (m, N))
+                shift = (lo_m - lo_N) / 0.05
+                a = round(shift)
+                assert abs(shift - a) < 1e-9 and a == 30 * (N - m)
+                layer = ladder.layers[N - m]
+                assert np.all(layer[a : a + dp.c0.size] <= dp.c0 + 1e-12), (model, env, m)
+                assert np.min(layer) <= np.min(dp.c0) + 1e-12
+
+
+    def test_short_chains_start_in_their_own_window(self):
+        # the first least row of the whole layer 56 starts the 8-chain near
+        # x = 62, where the line search stalls at max|g| = 1.0e-8 (exit 3);
+        # from its own window [-15.4, 19.0] it converges, as an 8-step DP does
+        model = circle_model(2.0778652849103256, 0.44951242961465576)
+        env, grid = EnvPoint.circle(0.695720854954777), GridSpec(h=0.05)
+        est = ground_energy(model, env, [4, 8, 16, 32], grid)
+        R = grid.jump_cap(model)
+        for n, xs in zip(est.n_list, est.positions):
+            lo, hi = chain_opt._window(model.lam, R, n)
+            assert lo - 0.05 <= xs[0] <= hi + 0.05, n
 
 
 class TestRepair:

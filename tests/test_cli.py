@@ -273,7 +273,7 @@ class TestConfig:
         ids=["calibrate-n_outer-4096", "ground-energy-h-1e-4"],
     )
     def test_chain_dp_cap_is_config_error(self, tmp_path, capsys, old, new, command):
-        # 8e10 and 3e10 cells: refused before the cost-to-go table is allocated
+        # 8e10 and 3.5e11 cells: refused before the cost-to-go table is allocated
         t0 = time.perf_counter()
         code, _ = run(tmp_path, CIRCLE_K1.replace(old, new), command)
         assert code == 2

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from fklab import _kernels
-from fklab.chain_opt import GridSpec, minimize_free
+from fklab.chain_opt import GridSpec, ground_energy, minimize_free
 from fklab.environments import EnvPoint
 from fklab.lagrangians import circle_model
 
@@ -37,17 +37,26 @@ def _site_table(kind, G, rng):
     return rng.uniform(-1, 1, G)
 
 
-def _check_chain_dp(V, Wd, n, dlo, starts, case):
-    """C[0] bits and the backtrack from argmin C[0] and each finite start row against
-    the loop oracles."""
+def _check_chain_dp(V, Wd, n, dlo, starts, keep, case):
+    """The stored layers' bits and the backtracks from each kept layer, from its
+    argmin and from each finite start row, against the loop oracles.
+
+    The DP stores exactly the checkpoints and ``keep``; layer 0 is always
+    checked, kept or not.
+    """
     C = chain_dp_backward_loop(V, Wd, n, dlo)
-    dp = _kernels.chain_dp_backward_np(V, Wd, n, dlo)
+    dp = _kernels.chain_dp_backward_np(V, Wd, n, dlo, keep)
+    checkpoints = {*range(0, n, _kernels.STRIDE), n}
+    assert set(dp.layers) == checkpoints | set(keep), case
+    for k, layer in dp.layers.items():
+        assert layer.tobytes() == C[k].tobytes(), (case, k)
     assert dp.c0.tobytes() == C[0].tobytes(), case
     assert 1 <= dp.relaxed <= n * Wd.size, case
-    for j in [int(np.argmin(C[0])), *starts]:
-        if np.isfinite(C[0, j]):
-            path = _kernels.chain_dp_path(dp, j)
-            assert path.tolist() == chain_dp_path_loop(C, Wd, dlo, j), (case, j)
+    for k in sorted({0, *keep}):
+        for j in [int(np.argmin(C[k])), *starts]:
+            if np.isfinite(C[k, j]):
+                path = _kernels.chain_dp_path(dp, j, k)
+                assert path.tolist() == chain_dp_path_loop(C, Wd, dlo, j, k), (case, k, j)
 
 
 class TestKernelPairs:
@@ -57,7 +66,10 @@ class TestKernelPairs:
         Bands reaching down to -D+1, straddling 0 and starting at 0; convex,
         non-convex, integer-tie and near-tie springs;
         G < D; n = 1, 7, 8, 9 and 64 (one step, checkpoint stride - 1, stride,
-        stride + 1 and eight strides); every third start row.
+        stride + 1 and eight strides); every third start row.  Kept layers: n
+        (the zero layer, a one-point path), n - 1, a layer inside the first
+        segment above 0 and, at n = 64, a ladder's 28 and 60 beside its
+        checkpoints 56, 48 and 32.
         """
         shapes = [(40, 9, 1), (40, 9, 7), (40, 9, 8), (40, 9, 9), (40, 9, 64), (5, 9, 9)]
         for (G, D, n), dlo, kind in itertools.product(
@@ -66,7 +78,8 @@ class TestKernelPairs:
             rng = np.random.default_rng([G, D, n, dlo + 8])
             V = _site_table(kind, G, rng)
             Wd = _spring_table(kind, D, rng)
-            _check_chain_dp(V, Wd, n, dlo, range(0, G, 3), (G, D, n, dlo, kind))
+            keep = {n, n - 1, min(3, n)} | ({28, 32, 48, 56, 60} if n == 64 else set())
+            _check_chain_dp(V, Wd, n, dlo, range(0, G, 3), keep, (G, D, n, dlo, kind))
 
     def test_chain_dp_random_sweep(self, monkeypatch):
         """Random shapes, every other one with a run buffer of 7 cells, so in
@@ -82,14 +95,15 @@ class TestKernelPairs:
             Wd = _spring_table(kind, D, rng)
             if rng.random() < 0.2:
                 Wd[rng.integers(D)] = np.inf  # a forbidden offset
-            _check_chain_dp(V, Wd, n, dlo, [int(rng.integers(G))], (G, D, n))
+            keep = {int(k) for k in rng.integers(0, n + 1, 3)}
+            _check_chain_dp(V, Wd, n, dlo, [int(rng.integers(G))], keep, (G, D, n))
 
     def test_chain_dp_prunes_the_circle_band(self, monkeypatch):
         """A circle-workload free solve relaxes at most half of its band."""
         calls = []
 
-        def spy(V, Wd, n, dlo):
-            dp = kernel(V, Wd, n, dlo)
+        def spy(V, Wd, n, dlo, keep):
+            dp = kernel(V, Wd, n, dlo, keep)
             calls.append((V.size, Wd.size, n, dp.relaxed))
             return dp
 
@@ -101,9 +115,10 @@ class TestKernelPairs:
         assert relaxed <= 0.5 * n * D
 
     def test_chain_dp_memory_on_the_soft_chain(self, monkeypatch):
-        """The soft-chain workload's n = 64 free solve: the DP and its backtrack peak
-        under 1.2 MB, where the full (n + 1) x G table alone takes 2.4 MB, and
-        within what ``chain_dp_bytes`` counts."""
+        """The soft-chain workload's ladder, one n = 64 DP and a backtrack from each of
+        its layers 56, 48, 32 and 0: they peak under 1.2 MB, where the full
+        (n + 1) x G table alone takes 2.4 MB, and within what ``chain_dp_bytes``
+        counts."""
         calls = []
         kernel = _kernels.chain_dp_backward_np
 
@@ -112,20 +127,21 @@ class TestKernelPairs:
             return kernel(*args)
 
         monkeypatch.setattr(_kernels, "chain_dp_backward_np", spy)
-        minimize_free(circle_model(0.1, 0.5), EnvPoint.circle(0.0), 64, GridSpec(h=0.05))
+        ground_energy(circle_model(0.1, 0.5), EnvPoint.circle(0.0), [8, 16, 32, 64], GridSpec(h=0.05))
         monkeypatch.undo()
-        [(V, Wd, n, dlo)] = calls
-        assert (V.size, Wd.size, n) == (4621, 71, 64)
+        [(V, Wd, n, dlo, keep)] = calls
+        assert (V.size, Wd.size, n, list(keep)) == (4621, 71, 64, [56, 48, 32, 0])
         assert (n + 1) * V.size * 8 > 2.4e6
         tracemalloc.start()
         try:
-            dp = _kernels.chain_dp_backward_np(V, Wd, n, dlo)
-            _kernels.chain_dp_path(dp, int(np.argmin(dp.c0)))
+            dp = _kernels.chain_dp_backward_np(V, Wd, n, dlo, keep)
+            for k in keep:
+                _kernels.chain_dp_path(dp, int(np.argmin(dp.layers[k])), k)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 1.2e6
-        assert peak <= _kernels.chain_dp_bytes(V.size, Wd.size, n, dlo)
+        assert peak <= _kernels.chain_dp_bytes(V.size, Wd.size, n, dlo, keep)
 
     def test_phi_dp_pair(self):
         """Each set of a stack gets the layered oracle's phi and least step counts.
@@ -174,8 +190,8 @@ class TestKernelPairs:
 
 
 def test_bench_kernels_smoke():
-    """The kernel benchmark still runs against the current kernels, LP solve, Beatty reads
-    and start-up."""
+    """The kernel benchmark still runs against the current kernels, ladder, LP solve,
+    Beatty reads and start-up."""
     root = Path(__file__).resolve().parents[1]
     proc = subprocess.run(
         [sys.executable, str(root / "benchmarks" / "bench_kernels.py"), "--repeat", "1"],
@@ -189,6 +205,7 @@ def test_bench_kernels_smoke():
     assert header.split() == ["kernel", "time", "cells", "ns/cell"]
     assert [r.split("(")[0].strip() for r in rows] == [
         "chain DP",
+        "chain DP ladder",
         "Mane phi DP",
         "LP solve",
         "Beatty membership",
