@@ -78,8 +78,8 @@ def bench_chain_dp(repeat):
     Wd = 0.5 * (0.08 * np.arange(0, B + 1) - 1.618) ** 2
 
     def solve():
-        dp = _kernels.chain_dp_backward_np(V, Wd, n, 0)
-        _kernels.chain_dp_path(dp, int(np.argmin(dp.c0)))
+        dp = _kernels.chain_dp_backward_np(V, Wd, n, 0, ())
+        _kernels.chain_dp_path(dp, int(np.argmin(dp.c0)), 0)
         return dp
 
     t = timeit(solve, repeat)

@@ -126,7 +126,7 @@ def _stored(n, keep):
     return sorted({*range(0, n, STRIDE), n, *keep})
 
 
-def chain_dp_bytes(G, D, n, dlo, keep=()):
+def chain_dp_bytes(G, D, n, dlo, keep):
     """An upper bound on the bytes ``chain_dp_backward_np`` and then ``chain_dp_path`` hold.
 
     Both hold the stored layers: the checkpoints and the kept layers that are
@@ -140,7 +140,7 @@ def chain_dp_bytes(G, D, n, dlo, keep=()):
     return 8 * (rows * (L + G + R) + min(D * G, max(D, BLOCK)) + n + 1)
 
 
-def chain_dp_backward_np(V, Wd, n, dlo, keep=()):
+def chain_dp_backward_np(V, Wd, n, dlo, keep):
     """Backward cost-to-go layers C[k, j] of a free n-step chain on the grid, checkpointed.
 
     Step cost j -> j+delta is V[j] + Wd[delta - dlo]; the top layer C[n] is
@@ -226,7 +226,7 @@ def chain_dp_backward_np(V, Wd, n, dlo, keep=()):
     return ChainDP(V, Wd, dlo, layers, runs, relaxed)
 
 
-def chain_dp_path(dp, j, k=0):
+def chain_dp_path(dp, j, k):
     """Grid rows of the optimal (n - k)-step chain from row j of stored layer k, which
     must have finite cost.
 

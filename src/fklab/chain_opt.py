@@ -3,10 +3,11 @@
 Solver layout: one banded grid DP finds the global structure over chains
 with both ends free, banded to jumps of the sign of lambda (a minimizer's
 jumps take that sign); then one safeguarded Newton method refines the whole
-chain off-grid.  The DP runs over the longest chain asked for, on its grid,
-and its layer N - m gives every shorter length m: the whole ground-energy
-ladder takes one grid, one potential evaluation and one DP, and each length
-is backtracked and refined on its own.  The chain energy has a tridiagonal
+chain off-grid.  The DP runs over the longest chain asked for, on a grid
+that holds every length's window, and its layer N - m gives every shorter
+length m: the whole ground-energy ladder takes one grid, one potential
+evaluation and one DP, and each length is backtracked and refined on its
+own.  The chain energy has a tridiagonal
 Hessian, so each Newton step is an O(n) L D L^T factorization and solve; a
 diagonal shift handles indefinite Hessians, a negative-curvature step
 escapes saddles, and halving on the chain energy keeps every step a
@@ -96,11 +97,13 @@ class GridSpec(NamedTuple):
 class GroundEnergyEstimate(NamedTuple):
     """Found n-chain minima m_n, their chains, and two estimates of Ebar.
 
-    Each m_n is the refined least n-chain on the grid of the longest chain
-    of ``n_list`` that starts in the n-chain's own window, read from that
-    longest chain's DP.  ``lower_bound`` is max m_n/n, a lower estimate of
-    Ebar rather than a certified bound: a found chain never has less energy
-    than the true minimum, so m_n/n can exceed the true ratio.
+    Each m_n is the refined least n-chain on one grid, read from one DP over
+    the longest chain of ``n_list``, among those that start in the n-chain's
+    own window; the grid is the longest chain's window, widened to hold every
+    shorter window when the jump cap is below |lambda|.  ``lower_bound`` is
+    max m_n/n, a lower estimate of Ebar rather than a certified bound: a
+    found chain never has less energy than the true minimum, so m_n/n can
+    exceed the true ratio.
     ``positions`` holds each n's refined minimizer.
     """
 
@@ -256,19 +259,23 @@ def _window(lam, R, n):
 def _solve_free(model, env, lengths, grid):
     """Refined free chains of each length in ``lengths`` (increasing), from one DP.
 
-    The grid has step ``grid.h`` and spans the window of the longest chain,
-    N = lengths[-1] steps.  Jumps run over the band of lambda's sign, since
-    jumps all against lambda's sign cost at least the constant chain at the
-    least grid V, which that band holds.  The m-step chain starts at the
-    first least row of layer N - m among the rows in its own window (ties:
-    smallest index, the lexicographic rule), and its path may leave that
-    window.  The caps are checked before the potential is evaluated.
+    The grid has step ``grid.h`` and spans the union of the lengths'
+    windows: the window of the longest chain, N = lengths[-1] steps, when
+    the jump cap R is at least |lambda|, and when it is not, also the
+    shorter windows that drift out of it.  Jumps run over the band of
+    lambda's sign, since jumps all against lambda's sign cost at least the
+    constant chain at the least grid V, which that band holds.  The m-step
+    chain starts at the first least row of layer N - m among the rows in its
+    own window (ties: smallest index, the lexicographic rule), and its path
+    may leave that window.  The caps are checked before the potential is
+    evaluated.
     """
     if lengths[0] < 1:
         raise DomainError("need at least one step")
     N = lengths[-1]
     R, h = grid.jump_cap(model), grid.h
-    lo, hi = _window(model.lam, R, N)
+    windows = [_window(model.lam, R, m) for m in lengths]
+    lo, hi = min(w[0] for w in windows), max(w[1] for w in windows)
     B = int(math.ceil(R / h))
     G, D = int(math.ceil((hi - lo) / h)) + 1, B + 1
     dlo = -B if model.lam < 0 else 0
@@ -284,11 +291,10 @@ def _solve_free(model, env, lengths, grid):
     Wd = spring_value(model, np.arange(dlo, dlo + D) * h)
     dp = _kernels.chain_dp_backward_np(V, Wd, N, dlo, keep)
     results = []
-    for m, k in zip(lengths, keep):
+    for k, (lo_m, hi_m) in zip(keep, windows):
         # a start anywhere on the grid can lie N R / 2 from the origin, where
         # the chain energy's roundoff stalls the refinement more often
-        lo_m, hi_m = _window(model.lam, R, m)
-        a = max(0, math.ceil((lo_m - lo) / h - 1e-9))
+        a = math.ceil((lo_m - lo) / h - 1e-9)
         layer = dp.layers[k][a : a + math.ceil((hi_m - lo_m) / h) + 1]
         j = int(np.argmin(layer))
         if not np.isfinite(layer[j]):

@@ -69,8 +69,8 @@ class TestMinimizeFree:
         best = brute_force_free_chain(m, CIRCLE, grid, 2)
         V = lagrangians.potential_values(m, CIRCLE, grid)
         Wd = lagrangians.spring_value(m, h * np.arange(9))
-        dp = _kernels.chain_dp_backward_np(V, Wd, 2, 0)
-        path = _kernels.chain_dp_path(dp, int(np.argmin(dp.c0)))
+        dp = _kernels.chain_dp_backward_np(V, Wd, 2, 0, ())
+        path = _kernels.chain_dp_path(dp, int(np.argmin(dp.c0)), 0)
         assert chain_energy(m, CIRCLE, grid[path]) == pytest.approx(best, abs=1e-12)
 
     def test_dp_dominance(self, monkeypatch):
@@ -185,7 +185,7 @@ class TestDPSizeCap:
             mp.setattr(_kernels, "chain_dp_backward_np", spy)
             minimize_free(self.M, CIRCLE, 32, grid)
         [(G, D, n, dlo)] = seen
-        bare = _kernels.chain_dp_bytes(G, D, n, dlo)
+        bare = _kernels.chain_dp_bytes(G, D, n, dlo, ())
         assert _kernels.chain_dp_bytes(G, D, n, dlo, [28, 24, 16, 0]) == bare + 8 * (G + D - 1)
         monkeypatch.setattr(chain_opt, "_MAX_DP_BYTES", bare)
         minimize_free(self.M, CIRCLE, 32, grid)
@@ -241,8 +241,8 @@ class TestSignBand:
             assert dlo == (-B if sign < 0 else 0)
             full_Wd = lagrangians.spring_value(model, np.arange(-B, B + 1) * h)
             assert Wd.tobytes() == full_Wd[dlo + B : dlo + 2 * B + 1].tobytes()
-            full = _kernels.chain_dp_backward_np(V, full_Wd, n, -B).c0
-            signed = _kernels.chain_dp_backward_np(V, Wd, n, dlo).c0
+            full = _kernels.chain_dp_backward_np(V, full_Wd, n, -B, ()).c0
+            signed = _kernels.chain_dp_backward_np(V, Wd, n, dlo, ()).c0
             assert np.min(signed) == np.min(full)
 
 
@@ -508,6 +508,31 @@ class TestLadder:
         for n, xs in zip(est.n_list, est.positions):
             lo, hi = chain_opt._window(model.lam, R, n)
             assert lo - 0.05 <= xs[0] <= hi + 0.05, n
+
+
+    @pytest.mark.parametrize("lam", [-2.0, 2.0])
+    def test_short_jump_cap_holds_every_window(self, monkeypatch, lam):
+        # with the jump cap 1 below |lambda| the windows drift apart: the
+        # 4-chain's window [-7, -1] lies above the 32-chain's [-49, -15] at
+        # lambda = -2, and [1, 7] below [15, 49] at lambda = 2.  The grid
+        # spans them all, here in whole steps of 0.05 from each window's
+        # lower end, so each chain starts in its own window and matches its
+        # own DP
+        starts = []
+        refine = chain_opt._refine
+
+        def spy(model, env, xs, fixed_ends, e_cur):
+            starts.append(xs[0])
+            return refine(model, env, xs, fixed_ends, e_cur)
+
+        model, grid, n_list = circle_model(1.0, lam), GridSpec(h=0.05, R_max=1.0), (4, 8, 16, 32)
+        with monkeypatch.context() as mp:
+            mp.setattr(chain_opt, "_refine", spy)
+            est = ground_energy(model, CIRCLE, n_list, grid)
+        for n, x0, m_n in zip(n_list, starts, est.m_values):
+            lo, hi = chain_opt._window(lam, 1.0, n)
+            assert lo - 1e-9 <= x0 <= hi + 0.05, n
+            assert abs(m_n - minimize_free(model, CIRCLE, n, grid).chain.energy) <= 1e-12, n
 
 
 class TestRepair:

@@ -221,6 +221,17 @@ class TestConfig:
         cfg.write_text(CIRCLE_K1.replace("[grid]\n", "[grid]\nr_max = 2.5\n"), "utf-8")
         assert load_config(str(cfg)).grid.R_max == 2.5
 
+    @pytest.mark.parametrize("lam", ["-2.0", "2.0"])
+    def test_r_max_below_lambda_solves(self, tmp_path, lam):
+        # the shorter chains' windows lie outside the 32-chain's; the ladder's
+        # one grid spans them all
+        config = CIRCLE_K1.replace("lambda = 0.5", f"lambda = {lam}")
+        config = config.replace("n_list = 4,8,16\n", "n_list = 4,8,16,32\nr_max = 1.0\n")
+        code, out = run(tmp_path, config, "ground-energy")
+        assert code == 0
+        rows = (out / "ground_energy.csv").read_text("utf-8").splitlines()[2:]
+        assert [row.split(",")[0] for row in rows] == ["4", "8", "16", "32"]
+
     @pytest.mark.parametrize("value", ["inf", "nan", "1e12", "1e300", "-1e300"])
     def test_unrepresentable_offset_is_config_error(self, tmp_path, capsys, value):
         # the far offsets put the chain beyond int64 Beatty arithmetic
