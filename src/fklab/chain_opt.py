@@ -25,7 +25,6 @@ from typing import NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from . import _kernels
-from ._rng import Rng
 from .environments import EnvPoint
 from .errors import DomainError, NumericalFailure, ResourceError
 from .lagrangians import (
@@ -333,20 +332,3 @@ def ground_energy(
         lower_bound=max(m / n for m, n in zip(m_values, n_list)),
     )
 
-
-def sampled_infima(
-    model: LagrangianSpec, env: EnvPoint, R: float, seed: int
-) -> Tuple[float, float]:
-    """Sampled inf E(x, x + t) over |t| <= R and inf E(x, x), at 400 seeded x in [-5, 5].
-
-    Ebar is at least the infimum of E(x, x + t) over the steps a chain can
-    take and at most every E(x, x), the per-step cost of a constant chain;
-    each sampled minimum estimates its infimum from above.
-    """
-    rng = Rng(seed)
-    xs = rng.uniform(-5.0, 5.0, size=400)
-    ts = rng.uniform(-R, R, size=400)
-    vx = potential_values(model, env, xs)
-    inf_pair = float(np.min(spring_value(model, ts) + vx))
-    inf_diag = float(np.min(spring_value(model, 0.0) + vx))
-    return inf_pair, inf_diag

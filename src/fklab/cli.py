@@ -251,14 +251,14 @@ def write_summary(path: Path, text: str) -> None:
 
 def cmd_ground_energy(cfg: RunConfig, seed: int):
     est = chain_opt.ground_energy(cfg.model, cfg.env, cfg.n_list, cfg.grid)
-    R = cfg.grid.jump_cap(cfg.model)
-    inf_pair, inf_diag = chain_opt.sampled_infima(cfg.model, cfg.env, R, seed)
+    rot = mane.rotation_number(cfg.model, est)
     rows = [(n, m, m / n) for n, m in zip(est.n_list, est.m_values)]
     results = {
         "lower_bound": est.lower_bound,
         "extrapolated": est.extrapolated,
-        "inf_pair_sampled": inf_pair,
-        "inf_diag_sampled": inf_diag,
+        "inf_diag": rot.inf_diag,
+        "rotations": [r for _, r in rot.values],
+        "degenerate": rot.degenerate,
         "h": cfg.grid.h,
     }
     csvs = {"ground_energy.csv": (["n", "m_n", "m_n_over_n"], rows)}
@@ -389,7 +389,7 @@ def cmd_env_report(cfg: RunConfig, seed: int):
     rng = Rng(seed)
     dists = []
     for _ in range(cfg.seeds):
-        off = float(rng.uniform(0.0, 10.0))
+        off = rng.uniform(0.0, 10.0)
         dists.append(hull_distance(env, translate_env(env, off), 16.0))
     results.update(
         {

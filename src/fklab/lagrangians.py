@@ -16,6 +16,13 @@ nothing samples them:
   potential is bounded (0 <= V <= 2K/(2 pi)^2 per cosine, max(a0, a1)/16
   per bump), so E(x, y)/|y - x| -> infinity uniformly in x.
 
+``LagrangianSpec`` refuses a negative or NaN amplitude, so inf V = 0 for
+every model: at x = -phase on the circle, near the common zeros of both
+cosines that the dense (1, sqrt 2) line passes arbitrarily close to, and at
+each Beatty point.  The a-priori ends of the ground energy,
+inf E <= Ebar <= inf_x E(x, x), are then exactly 0 = W(lam) + inf V and W(0).
+``potential_slope_sup`` gives sup |V'| in closed form as well.
+
 Each term has two evaluators: ``spring_value``/``potential_values`` for the
 energy and ``spring_derivs``/``potential_derivs`` for the first and second
 derivatives that the Newton refinement needs together, so the family
@@ -67,6 +74,10 @@ class LagrangianSpec(_LagrangianFields):
                 raise DomainError("bump potential needs the point-set slope alpha")
             if self.spring == "quartic":
                 raise DomainError("quartic spring is only cataloged with circle/torus potentials")
+        for name in ("K", "K1", "K2", "a0", "a1"):
+            amp = getattr(self, name)
+            if not amp >= 0.0:  # negated, so that a NaN amplitude is refused too
+                raise DomainError(f"amplitude {name} must be nonnegative, got {amp}")
         return self
 
     @property
@@ -181,6 +192,23 @@ def potential_derivs(model, env, xs):
     d1 = amp * 2.0 * s * (1.0 - s) * (1.0 - 2.0 * s) / L
     d2 = amp * 2.0 * (6.0 * s * s - 6.0 * s + 1.0) / (L * L)
     return d1, d2
+
+
+def potential_slope_sup(model: LagrangianSpec) -> float:
+    """sup |V'| over every environment of the model's family, in closed form.
+
+    K/2pi for the circle and (K1 + sqrt 2 K2)/2pi for the torus, whose line is
+    dense.  A bump on a gap L has |V'| = amp 2 |s (1 - s)(1 - 2s)| / L, and
+    s (1 - s)(1 - 2s) peaks at sqrt 3/18 (s = (3 - sqrt 3)/6); the short gap
+    g0 = ``inv_floor()`` carries a0 and the long gap g0 + 1 carries a1 (at
+    alpha = 1/q every gap is short, and the value is a bound, not attained).
+    """
+    if model.potential == "circle_cosine":
+        return model.K / TWO_PI
+    if model.potential == "torus_double_cosine":
+        return (model.K1 + SQRT2 * model.K2) / TWO_PI
+    g0 = model.alpha.inv_floor()
+    return math.sqrt(3.0) / 9.0 * max(model.a0 / g0, model.a1 / (g0 + 1))
 
 
 # -- energies -----------------------------------------------------------------

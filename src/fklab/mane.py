@@ -29,7 +29,7 @@ from .errors import DomainError, InsufficientDataError, ResourceError
 from .lagrangians import (
     LagrangianSpec,
     energy,
-    potential_derivs,
+    potential_slope_sup,
     potential_values,
     spring_derivs,
     spring_value,
@@ -68,7 +68,7 @@ class CalibrationReport(NamedTuple):
 class RotationReport(NamedTuple):
     values: Tuple[Tuple[int, float], ...]
     degenerate: bool
-    inf_diag_sampled: float
+    inf_diag: float
     chains: Tuple[np.ndarray, ...]
 
 
@@ -212,13 +212,14 @@ def _strictly_monotone(xs) -> bool:
     return bool(np.all(d > 0) or np.all(d < 0))
 
 
-def lipschitz_bound(model: LagrangianSpec, env: EnvPoint, X: float) -> float:
-    """Sampled bound on |dE/dx| + |dE/dt| over the table range."""
-    ts = np.linspace(-2.0 * X, 2.0 * X, 201)
-    xs = np.linspace(-X, X, 201)
-    w1 = np.max(np.abs(spring_derivs(model, ts)[0]))
-    v1 = np.max(np.abs(potential_derivs(model, env, xs)[0]))
-    return float(w1 + v1)
+def lipschitz_bound(model: LagrangianSpec, X: float) -> float:
+    """A bound on |dE/dx| + |dE/dt| for E(x, x + t) over every x and |t| <= 2X.
+
+    W' is monotone, so its largest magnitude is at t = -2X or t = 2X; sup |V'|
+    is the catalog's closed form.
+    """
+    w1 = np.max(np.abs(spring_derivs(model, [-2.0 * X, 2.0 * X])[0]))
+    return float(w1) + potential_slope_sup(model)
 
 
 def cocycle_defects(
@@ -238,22 +239,21 @@ def cocycle_defects(
         raise DomainError("need at least 10 sampled pairs")
     env = table.env
     targets = table.targets
-    mid = (targets.size - 1) // 2  # targets[mid + k] = k h
+    K = (targets.size - 1) // 2  # targets[K + k] = k h
     rng = Rng(seed)
-    K = int(round(table.X / table.h))
     pairs = []
     guard = 0
     while len(pairs) < samples and guard < 100 * samples:
         guard += 1
         s = rng.integers(-K, K + 1)
         t = rng.integers(-K, K + 1)
-        if s != 0 and max(abs(s), abs(t), abs(s + t)) <= mid:
+        if s != 0 and abs(s + t) <= K:
             pairs.append((s, t))
-    jobs = [(translate_env(env, s * table.h), targets[mid + t : mid + t + 1]) for s, t in pairs]
+    jobs = [(translate_env(env, s * table.h), targets[K + t : K + t + 1]) for s, t in pairs]
     subadd = -np.inf
     for (s, t), (phi_t, _) in zip(pairs, _phi_to(model, jobs, table.h, table.ebar)):
-        lhs = table.phi[mid + s + t]
-        rhs = table.phi[mid + s] + phi_t[0]
+        lhs = table.phi[K + s + t]
+        rhs = table.phi[K + s] + phi_t[0]
         subadd = max(subadd, float(lhs - rhs))
     one_step = energy(model, env, 0.0, targets) - table.ebar
     one_step_max = float(np.max(table.phi - one_step))
@@ -265,7 +265,7 @@ def cocycle_defects(
         "one_step_max": one_step_max,
         "lower_bound_max": lower_bound_max,
         "sublinearity_ratio": ratio,
-        "lip_bound": lipschitz_bound(model, env, table.X),
+        "lip_bound": lipschitz_bound(model, table.X),
         "samples": float(len(pairs)),
     }
 
@@ -281,7 +281,7 @@ def grid_sensitivity(model: LagrangianSpec, coarse: ManeTable) -> Dict[str, floa
     idx = np.searchsorted(fine_targets, coarse.targets)
     idx = np.clip(idx, 0, fine_targets.size - 1)
     delta = float(np.max(np.abs(fine_phi[idx] - coarse.phi)))
-    return {"max_change": delta, "h": h, "bound_Ch": lipschitz_bound(model, env, X) * h}
+    return {"max_change": delta, "h": h, "bound_Ch": lipschitz_bound(model, X) * h}
 
 
 def phi_shift(model: LagrangianSpec, table: ManeTable, ebar: float) -> float:
@@ -336,24 +336,20 @@ def calibrate_window(
     )
 
 
-def rotation_number(
-    model: LagrangianSpec, env: EnvPoint, est: GroundEnergyEstimate
-) -> RotationReport:
+def rotation_number(model: LagrangianSpec, est: GroundEnergyEstimate) -> RotationReport:
     """Per-n rotation estimates |x_n - x_0| / n from the free minimizers of ``est``.
 
-    When inf_x E(x, x) does not exceed the ground-energy estimate the model is
-    in the degenerate branch of the dichotomy (constant configurations are
-    already calibrated); the report carries the flag and the computed chains.
+    inf_x E(x, x) is exactly W(0), since inf V = 0 for every catalog model.
+    When it does not exceed the ground-energy estimate the model is in the
+    degenerate branch of the dichotomy (constant configurations are already
+    calibrated); the report carries the flag and the computed chains.
     """
     values = tuple((n, float(abs(xs[-1] - xs[0]) / n)) for n, xs in zip(est.n_list, est.positions))
-    xs_samp = np.linspace(-8.0, 8.0, 801)
-    diag = float(spring_value(model, 0.0)) + potential_values(model, env, xs_samp)
-    inf_diag = float(diag.min())
-    degenerate = inf_diag <= est.lower_bound + 1e-9
+    inf_diag = float(spring_value(model, 0.0))
     return RotationReport(
         values=values,
-        degenerate=degenerate,
-        inf_diag_sampled=inf_diag,
+        degenerate=inf_diag <= est.lower_bound + 1e-9,
+        inf_diag=inf_diag,
         chains=est.positions,
     )
 

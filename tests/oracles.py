@@ -21,6 +21,7 @@ from typing import NamedTuple
 import mpmath as mp
 import numpy as np
 
+from fklab._rng import Rng
 from fklab.chain_opt import Chain
 from fklab.environments import MATCH_TOL, translate_env
 from fklab.errors import DomainError, InsufficientDataError
@@ -123,14 +124,14 @@ def subadditivity_loop(model, table, samples, seed):
     """
     h = table.h
     grid_idx = {int(round(float(t) / h)): i for i, t in enumerate(table.targets)}
-    rng = np.random.default_rng(seed)
-    K = int(round(table.X / h))
+    rng = Rng(seed)
+    K = (table.targets.size - 1) // 2
     pairs = []
     guard = 0
     while len(pairs) < samples and guard < 100 * samples:
         guard += 1
-        s = int(rng.integers(-K, K + 1))
-        t = int(rng.integers(-K, K + 1))
+        s = rng.integers(-K, K + 1)
+        t = rng.integers(-K, K + 1)
         if s != 0 and s in grid_idx and t in grid_idx and (s + t) in grid_idx:
             pairs.append((s, t))
     shifted = {}

@@ -174,7 +174,7 @@ def test_criterion_08_quasicrystal_structure():
     env = EnvPoint.quasicrystal(FIB)
     grid = GridSpec(h=0.08)
     R_cap = grid.jump_cap(m)
-    rep = rotation_number(m, env, ground_energy(m, env, [16, 32, 64], grid))
+    rep = rotation_number(m, ground_energy(m, env, [16, 32, 64], grid))
     assert not rep.degenerate
     rots = [r for _, r in rep.values]
     assert all(r > 0 for r in rots)

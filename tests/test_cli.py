@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fklab import AlphaValue, chain_opt, cli, environments, mane
+from fklab import AlphaValue, chain_opt, cli, environments
 from fklab._rng import Rng
 from fklab.cli import load_config, main, read_csv
 
@@ -439,23 +439,25 @@ class TestSampledDraws:
         assert proc.returncode == 0, proc.stderr
 
     def test_only_the_sampled_outputs_draw(self, tmp_path, monkeypatch):
-        # calibrate writes no sampled value, so it makes no draw; mane draws
-        # its cocycle pairs and ground-energy its sampled infima
+        # the spy sits on Rng itself, so a draw from any module is seen:
+        # calibrate and ground-energy write no sampled value and make none,
+        # mane draws its cocycle pairs and env-report its hull offsets
         made = []
-        for mod in (chain_opt, mane, cli):
+        init = Rng.__init__
 
-            def spy(seed, _name=mod.__name__):
-                made.append(_name)
-                return Rng(seed)
+        def spy(self, seed):
+            made.append(seed)
+            init(self, seed)
 
-            monkeypatch.setattr(mod, "Rng", spy)
-        for command, want in (
-            ("calibrate", []),
-            ("mane", ["fklab.mane"]),
-            ("ground-energy", ["fklab.chain_opt"]),
+        monkeypatch.setattr(Rng, "__init__", spy)
+        for config, command, want in (
+            (CIRCLE_K1, "calibrate", []),
+            (CIRCLE_K1, "ground-energy", []),
+            (CIRCLE_K1, "mane", [5]),
+            (QC_CONFIG, "env-report", [5]),
         ):
             made.clear()
-            assert run(tmp_path, CIRCLE_K1, command)[0] == 0
+            assert run(tmp_path, config, command, seed=5)[0] == 0
             assert made == want, command
 
 
@@ -468,6 +470,25 @@ class TestGroundEnergyCommand:
         assert abs(data["rows"][-1][2]) <= 1e-8
         summary = json.loads((out / "ground_energy_summary.json").read_text())
         assert abs(summary["results"]["extrapolated"]) <= 1e-8
+        # W(0) = lambda^2 / 2, and every free minimizer drifts at lambda = 1
+        assert summary["results"]["inf_diag"] == 0.5
+        assert summary["results"]["rotations"] == pytest.approx([1.0] * 3, abs=1e-8)
+        assert summary["results"]["degenerate"] is False
+
+    @pytest.mark.parametrize("config", [CIRCLE_K1, QC_CONFIG], ids=["circle", "quasicrystal"])
+    def test_output_does_not_depend_on_the_seed(self, tmp_path, config):
+        # ground-energy draws nothing: the extreme seeds give the same files,
+        # apart from the seed stamped into the summary
+        files = {}
+        for seed in (0, 2**64 - 1):
+            _, out = run(tmp_path, config, "ground-energy", seed=seed)
+            text = (out / "ground_energy_summary.json").read_text(encoding="utf-8")
+            assert f'"seed": {seed},' in text
+            files[seed] = (
+                (out / "ground_energy.csv").read_bytes(),
+                text.replace(f'"seed": {seed},', '"seed": 0,').encode("utf-8"),
+            )
+        assert files[0] == files[2**64 - 1]
 
     def test_rerun_byte_identical(self, tmp_path):
         _, out = run(tmp_path, CIRCLE_K1, "ground-energy")

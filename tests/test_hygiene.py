@@ -17,7 +17,6 @@ LIBRARY = sorted(p for p in (ROOT / "src" / "fklab").glob("*.py") if p.name != "
 MODULES = LIBRARY + sorted((ROOT / "tests").glob("*.py"))
 # public names that no library module reads yet, each with the reason it stays
 UNREAD_ALLOWED = {
-    "rotation_number": "waits for ground-energy to report per-n rotations (ROADMAP item 15)",
     "equidistribution_counts": "waits for calibrate's quasicrystal count spread (item 15)",
     "cylinder_at": "waits for calibrate's quasicrystal count spread (item 15)",
     "read_csv": "the reader of the CLI's own CSV format, for its users",

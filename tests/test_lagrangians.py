@@ -26,6 +26,7 @@ from fklab.environments import PointSet
 from fklab.lagrangians import (
     LagrangianSpec,
     potential_derivs,
+    potential_slope_sup,
     potential_values,
     spring_derivs,
     spring_value,
@@ -103,6 +104,18 @@ class TestEnergy:
             got = energy(model, env, xx, yy)
             assert isinstance(got, np.ndarray)
             assert np.array_equal(got, loop(xx, yy))
+
+    @pytest.mark.parametrize("bad", [-1e-300, -1.0, math.nan])
+    def test_amplitudes_must_be_nonnegative(self, bad):
+        for build in (
+            lambda: circle_model(bad, 0.5),
+            lambda: torus_model(bad, 1.0, 0.0),
+            lambda: torus_model(1.0, bad, 0.0),
+            lambda: sturm_model(FIB, bad, 1.0, PHI),
+            lambda: sturm_model(FIB, 0.5, bad, PHI),
+        ):
+            with pytest.raises(DomainError, match="nonnegative"):
+                build()
 
     def test_quartic_needs_periodic_potential(self):
         with pytest.raises(DomainError):
@@ -429,6 +442,21 @@ class TestDerivatives:
         for got, column in zip(both, zip(*per_x)):
             assert got.shape == xs.shape
             assert got.tobytes() == np.concatenate(column).tobytes()
+
+    @pytest.mark.parametrize(
+        "model,env",
+        CATALOG + [(sturm_model(AlphaValue.rational(2, 5), 0.3, 1.1, 2.5), None)],
+    )
+    def test_slope_sup_is_the_dense_maximum(self, model, env):
+        # 4e5 points over [-200, 200]: the circle and bump maxima are met to
+        # the sampling step; on the torus the line only comes near the peak
+        env = env or EnvPoint.quasicrystal(model.alpha)
+        xs = np.linspace(-200.0, 200.0, 400_001)
+        dense = np.max(np.abs(potential_derivs(model, env, xs)[0]))
+        sup = potential_slope_sup(model)
+        assert dense <= sup * (1.0 + 1e-12)
+        rel = 1e-3 if model.potential == "torus_double_cosine" else 1e-6
+        assert dense >= sup * (1.0 - rel)
 
     @pytest.mark.parametrize("spring", ["quadratic", "quartic"])
     def test_spring_derivatives_fd(self, spring):

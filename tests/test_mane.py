@@ -214,6 +214,28 @@ class TestCocycleDefects:
         d = cocycle_defects(m, table, samples=12, seed=seed)
         assert d["subadd_max"] == subadditivity_loop(m, table, 12, seed)
 
+    @pytest.mark.parametrize(
+        "m,env",
+        [
+            (circle_model(1.0, 0.5), CIRCLE),
+            (circle_model(2.0, 0.5, spring="quartic"), CIRCLE),
+            (torus_model(1.0, 2.0, 0.3), EnvPoint.torus(0.1, 0.7)),
+            (sturm_model(FIB, 0.5, 1.0, PHI), EnvPoint.quasicrystal(FIB)),
+        ],
+        ids=["circle", "circle-quartic", "torus", "quasicrystal"],
+    )
+    def test_lipschitz_bound_holds_on_nearby_pairs(self, m, env):
+        # E(x, x + t) moves by at most lip_bound (|dx| + |dt|) for |t| <= 2X
+        X = 2.0
+        lip = mane.lipschitz_bound(m, X)
+        rng = np.random.default_rng(17)
+        x = rng.uniform(-30.0, 30.0, size=4000)
+        t = rng.uniform(-2.0 * X, 2.0 * X, size=x.size)
+        dx = rng.uniform(-0.05, 0.05, size=x.size)
+        dt = np.clip(t + rng.uniform(-0.05, 0.05, size=x.size), -2.0 * X, 2.0 * X) - t
+        change = np.abs(energy(m, env, x + dx, x + dx + t + dt) - energy(m, env, x, x + t))
+        assert np.all(change <= lip * (np.abs(dx) + np.abs(dt)) + 1e-12)
+
     def test_zero_potential_ratio_matches_closed_form(self):
         # the convex closed form makes the ratio computable independently;
         # negative displacements dominate because they fight the drift
@@ -260,15 +282,16 @@ class TestRotationNumber:
     def test_unit_drift(self):
         m = circle_model(0.0, 1.0)
         est = ground_energy(m, CIRCLE, [8, 16], GridSpec(h=0.05))
-        rep = rotation_number(m, CIRCLE, est)
+        rep = rotation_number(m, est)
         for _, r in rep.values:
             assert r == pytest.approx(1.0, abs=1e-8)
+        assert rep.inf_diag == 0.5  # W(0) = lambda^2 / 2, exactly
         assert not rep.degenerate
 
     def test_circle_positive_and_cauchy(self):
         m = circle_model(1.0, 0.5)
         est = ground_energy(m, CIRCLE, [16, 32, 64], GridSpec(h=0.05))
-        rep = rotation_number(m, CIRCLE, est)
+        rep = rotation_number(m, est)
         rots = [r for _, r in rep.values]
         assert all(r > 0 for r in rots)
         assert max(rots) - min(rots) <= 5e-2
@@ -276,7 +299,7 @@ class TestRotationNumber:
     def test_degenerate_flag(self):
         m = circle_model(0.0, 0.0)
         est = ground_energy(m, CIRCLE, [8, 16], GridSpec(h=0.05))
-        rep = rotation_number(m, CIRCLE, est)
+        rep = rotation_number(m, est)
         assert rep.degenerate
         assert rep.chains[0] == pytest.approx(np.full(9, rep.chains[0][0]), abs=1e-9)
 
