@@ -1,10 +1,11 @@
 """fklab: a desk-scale laboratory for Frenkel-Kontorova chains in periodic,
 torus, and Beatty-quasicrystal environments.
 
-Modules: environments (hulls, patterns, return times), towers (Kakutani-Rohlin
-induction), lagrangians (model catalog), chain_opt (free-chain minimization
-and ground energies), mane (cocycle tables and calibration), holonomic_lp
-(finite measure LP with dual), cli (config-driven front end).
+Modules: environments (hulls, Beatty point sets, hull distance), towers
+(Kakutani-Rohlin induction), lagrangians (model catalog), chain_opt
+(free-chain minimization and ground energies), mane (cocycle tables and
+calibration), holonomic_lp (finite measure LP with dual), cli
+(config-driven front end).
 """
 
 from .chain_opt import (
@@ -15,19 +16,7 @@ from .chain_opt import (
     ground_energy,
     minimize_free,
 )
-from .environments import (
-    CylinderSpec,
-    EnvPoint,
-    Pattern,
-    PointSet,
-    canonical_point_section,
-    cylinder_at,
-    hull_distance,
-    pattern_at,
-    return_times,
-    translate_env,
-    transverse_frequency,
-)
+from .environments import EnvPoint, PointSet, hull_distance, translate_env
 from .errors import (
     ConfigError,
     DomainError,
@@ -53,11 +42,10 @@ from .mane import (
     RotationReport,
     calibrate_window,
     cocycle_defects,
-    equidistribution_counts,
     grid_sensitivity,
     mane_table,
     rotation_number,
 )
-from .towers import HomologyMatrix, Tower, induce_tower, level0_tower, tower_measure_residual
+from .towers import Tower, induce_tower, level0_tower, tower_measure_residual
 
 __version__ = "0.1.0"

@@ -52,13 +52,7 @@ except ImportError:
 
 from . import chain_opt, holonomic_lp, mane, towers
 from ._rng import Rng
-from .environments import (
-    EnvPoint,
-    canonical_point_section,
-    hull_distance,
-    translate_env,
-    transverse_frequency,
-)
+from .environments import EnvPoint, hull_distance, translate_env
 from .errors import ConfigError, DomainError, FKError, NumericalFailure, ResourceError
 from .exact import AlphaValue
 from .lagrangians import LagrangianSpec, circle_model, energy, sturm_model, torus_model
@@ -314,9 +308,9 @@ def cmd_tower(cfg: RunConfig, seed: int):
             )
     hom_rows = []
     for lvl, m in ((0, m01), (1, m12)):
-        for a in range(m.entries.shape[0]):
-            for b in range(m.entries.shape[1]):
-                hom_rows.append((lvl, a, b, int(m.entries[a, b])))
+        for a in range(m.shape[0]):
+            for b in range(m.shape[1]):
+                hom_rows.append((lvl, a, b, int(m[a, b])))
     csvs = {
         "tower_floors.csv": (["level", "floor", "label", "height", "nu"], floor_rows),
         "tower_homology.csv": (["lower_level", "row", "col", "count"], hom_rows),
@@ -386,6 +380,9 @@ def cmd_env_report(cfg: RunConfig, seed: int):
     hist = np.bincount(gaps)
     letters = np.flatnonzero(hist)
     counts = hist[letters]
+    # the set's points in the open ball (-2000, 2000), per unit length
+    pts = env.pset.points_in(-2000.0, 2000.0)
+    point_frequency = int(np.count_nonzero(np.abs(pts) < 2000.0 - 1e-12)) / 4000.0
     rng = Rng(seed)
     dists = []
     for _ in range(cfg.seeds):
@@ -398,7 +395,7 @@ def cmd_env_report(cfg: RunConfig, seed: int):
             "inv_floor": alpha.inv_floor(),
             "count_in_1_to_N": count_law,
             "floor_N_alpha": floor_law,
-            "point_frequency": transverse_frequency(env, canonical_point_section(env), 2000.0),
+            "point_frequency": point_frequency,
             "hull_distance_samples": dists,
         }
     )

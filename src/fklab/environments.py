@@ -10,13 +10,18 @@ and the quasicrystal branch of ``translate_env``), so a circle or torus run
 never loads it (nor ``decimal``, which it imports); a bare ``PointSet`` has
 the integer offset 0, which has the same ``numerator``, ``denominator`` and
 exact sum with a ``Fraction``.
+
+The hull is read through windows of the point set (``PointSet.points_in``)
+and the ladder metric ``hull_distance``.  env-report's point frequency counts
+the set's points directly: they are the return times of the section "a set
+point sits at the origin".
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 import numpy as np
 
@@ -28,10 +33,8 @@ if TYPE_CHECKING:
 
 SQRT2 = math.sqrt(2.0)
 
-MATCH_TOL = 1e-9  # absolute tolerance for pattern / point matching
+MATCH_TOL = 1e-9  # absolute tolerance for point matching
 _MAX_WINDOW_POINTS = 10_000_000  # hard cap on materialized points
-_MAX_RETURN_WINDOW = 1_000_000.0
-_RETURN_BLOCK = 1 << 16  # return-time candidates matched per gather
 _BLOCK = 1 << 10  # integers per memoized block of Beatty indices
 _MAX_BLOCKS = 64  # memoized blocks, over all slopes
 
@@ -145,47 +148,9 @@ def translate_env(env: EnvPoint, t) -> EnvPoint:
     return EnvPoint("quasicrystal", pset=PointSet(env.pset.alpha, env.pset.offset + dt))
 
 
-class Pattern(NamedTuple):
-    """Recentered points of a set inside a closed ball of the given radius."""
-
-    radius: float
-    points: tuple
-
-
 def _require_quasicrystal(env: EnvPoint):
     if env.kind != "quasicrystal":
         raise DomainError(f"operation requires a quasicrystal environment, got {env.kind!r}")
-
-
-def pattern_at(env: EnvPoint, x: float, rho: float) -> Pattern:
-    """The recentered pattern (omega - x) within the closed ball of radius rho."""
-    _require_quasicrystal(env)
-    if rho <= 0:
-        raise DomainError("pattern radius must be positive")
-    pts = env.pset.points_in(x - rho - 1.0, x + rho + 1.0) - x
-    keep = np.abs(pts) <= rho + MATCH_TOL
-    return Pattern(float(rho), tuple(float(p) for p in pts[keep]))
-
-
-class CylinderSpec(NamedTuple):
-    """Cylinder set: environments whose pattern at the origin equals the anchor."""
-
-    anchor: Pattern
-
-
-def cylinder_at(env: EnvPoint, x: float, rho: float) -> CylinderSpec:
-    return CylinderSpec(pattern_at(env, x, rho))
-
-
-def canonical_point_section(env: EnvPoint) -> CylinderSpec:
-    """Section 'a set point sits at the origin', expressed with a small radius.
-
-    The radius is half the short gap, so the anchor pattern is the single
-    point 0 and matching is exactly 'the set contains the origin'.
-    """
-    _require_quasicrystal(env)
-    rho = 0.5 * env.pset.alpha.inv_floor()
-    return CylinderSpec(Pattern(rho, (0.0,)))
 
 
 def hull_distance(env_a: EnvPoint, env_b: EnvPoint, r_max: float) -> float:
@@ -228,61 +193,3 @@ def hull_distance(env_a: EnvPoint, env_b: EnvPoint, r_max: float) -> float:
         if matched:
             return 1.0 / (r + 1.0)
     return 1.0
-
-
-def return_times(env: EnvPoint, section: CylinderSpec, window: Sequence[float]) -> np.ndarray:
-    """All t in [T-, T+] with tau_t(env) in the section's cylinder.
-
-    Candidates come from aligning a set point with an anchor point; a match
-    must produce such an alignment because the anchor is nonempty.
-    """
-    _require_quasicrystal(env)
-    t_lo, t_hi = float(window[0]), float(window[1])
-    if t_hi < t_lo:
-        return np.empty(0)
-    if t_hi - t_lo > _MAX_RETURN_WINDOW:
-        raise ResourceError("return-time window too large")
-    anchor = np.asarray(section.anchor.points)
-    if anchor.size == 0:
-        raise DomainError("section anchor pattern must be nonempty")
-    rho = section.anchor.radius
-    master = env.pset.points_in(t_lo - rho - 2.0, t_hi + rho + 2.0)
-    if master.size == 0:
-        return np.empty(0)
-    cand = (master[:, None] - anchor[None, :]).ravel()
-    cand = cand[(cand >= t_lo - MATCH_TOL) & (cand <= t_hi + MATCH_TOL)]
-    cand = _unique(np.round(cand, 9))
-    hit = np.zeros(cand.size, dtype=bool)
-    for start in range(0, cand.size, _RETURN_BLOCK):
-        block = cand[start : start + _RETURN_BLOCK]
-        hit[start : start + _RETURN_BLOCK] = _matches_anchor(master, block, anchor, rho)
-    return cand[hit]
-
-
-def _matches_anchor(master: np.ndarray, cand: np.ndarray, anchor: np.ndarray, rho: float):
-    """Whether (master - t) within the closed rho-ball equals the anchor, per t in cand.
-
-    Each candidate's window of master points is gathered into one row of a
-    (candidates) x (widest window) array.  The points kept by the ball test
-    are contiguous in a row, so the anchor is compared from the first kept one.
-    """
-    lo = np.searchsorted(master, cand - rho - MATCH_TOL, side="left")
-    hi = np.searchsorted(master, cand + rho + MATCH_TOL, side="right")
-    last = master.size - 1
-    # at least one column, so argmax is defined when no window holds a point
-    pos = lo[:, None] + np.arange(max(int(np.max(hi - lo)), 1))
-    local = master[np.minimum(pos, last)] - cand[:, None]
-    kept = (pos < hi[:, None]) & (np.abs(local) <= rho + MATCH_TOL)
-    at = lo + np.argmax(kept, axis=1)
-    at = np.minimum(at[:, None] + np.arange(anchor.size), last)
-    ok = np.count_nonzero(kept, axis=1) == anchor.size
-    return ok & (np.max(np.abs(master[at] - cand[:, None] - anchor), axis=1) <= MATCH_TOL)
-
-
-def transverse_frequency(env: EnvPoint, section: CylinderSpec, T: float) -> float:
-    """Return count in the open ball B_T(0) divided by Leb(B_T) = 2T."""
-    if T <= 0:
-        raise DomainError("T must be positive")
-    rt = return_times(env, section, (-T, T))
-    n = int(np.sum(np.abs(rt) < T - 1e-12))
-    return n / (2.0 * T)

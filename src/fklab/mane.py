@@ -12,6 +12,9 @@ points clear of them, so in calibration the tested sub-chain is always inside
 the search space and defects stay nonnegative up to roundoff.  The node sets
 of one call go to the kernel in stacks of at most 2 MB of costs, largest
 first, so small sets share the kernel's Python loop.
+
+No command reads equidistribution counts over return intervals; they live
+with the test oracles.
 """
 
 from __future__ import annotations
@@ -24,8 +27,8 @@ import numpy as np
 from . import _kernels
 from ._rng import Rng
 from .chain_opt import GridSpec, GroundEnergyEstimate, minimize_free
-from .environments import CylinderSpec, EnvPoint, _unique, return_times, translate_env
-from .errors import DomainError, InsufficientDataError, ResourceError
+from .environments import EnvPoint, _unique, translate_env
+from .errors import DomainError, ResourceError
 from .lagrangians import (
     LagrangianSpec,
     energy,
@@ -69,7 +72,6 @@ class RotationReport(NamedTuple):
     values: Tuple[Tuple[int, float], ...]
     degenerate: bool
     inf_diag: float
-    chains: Tuple[np.ndarray, ...]
 
 
 # Largest Mane node set: its G x G cost matrix is 34 MB.  On a 2-core x86 host a
@@ -342,7 +344,7 @@ def rotation_number(model: LagrangianSpec, est: GroundEnergyEstimate) -> Rotatio
     inf_x E(x, x) is exactly W(0), since inf V = 0 for every catalog model.
     When it does not exceed the ground-energy estimate the model is in the
     degenerate branch of the dichotomy (constant configurations are already
-    calibrated); the report carries the flag and the computed chains.
+    calibrated); the report carries the flag.
     """
     values = tuple((n, float(abs(xs[-1] - xs[0]) / n)) for n, xs in zip(est.n_list, est.positions))
     inf_diag = float(spring_value(model, 0.0))
@@ -350,27 +352,5 @@ def rotation_number(model: LagrangianSpec, est: GroundEnergyEstimate) -> Rotatio
         values=values,
         degenerate=inf_diag <= est.lower_bound + 1e-9,
         inf_diag=inf_diag,
-        chains=est.positions,
     )
 
-
-def equidistribution_counts(chain, env: EnvPoint, section: CylinderSpec, R: float):
-    """Chain-point counts over non-exceptional return intervals (a-R, a+R).
-
-    Returns (counts, n_exceptional): counts for intervals fully inside the
-    chain span, plus the number of boundary intervals set aside.
-    """
-    xs = np.asarray(chain.positions, dtype=float)
-    if not _strictly_monotone(xs):
-        raise DomainError("equidistribution counts need a strictly monotone chain")
-    lo, hi = float(min(xs[0], xs[-1])), float(max(xs[0], xs[-1]))
-    rts = return_times(env, section, (lo, hi))
-    if rts.size < 3:
-        raise InsufficientDataError("section returns fewer than 3 times inside the span")
-    xs_sorted = np.sort(xs)
-    inner = (rts - R >= lo - 1e-9) & (rts + R <= hi + 1e-9)
-    a = rts[inner]
-    counts = np.searchsorted(xs_sorted, a + R, side="left") - np.searchsorted(
-        xs_sorted, a - R, side="right"
-    )
-    return counts, int(rts.size - np.count_nonzero(inner))

@@ -9,7 +9,7 @@ measure is replaced by empirical occurrence frequencies over a finite window.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Tuple
+from typing import Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -53,12 +53,6 @@ class Tower:
         return float(np.dot(self.nu, self.heights))
 
 
-class HomologyMatrix(NamedTuple):
-    entries: np.ndarray  # (lower floors) x (upper floors), integer letter counts
-    row_labels: Tuple[Tuple[int, ...], ...]
-    col_labels: Tuple[Tuple[int, ...], ...]
-
-
 def level0_tower(alpha: AlphaValue, window_length: float) -> Tower:
     """Floors are the gap letters of omega(alpha) read over [0, window_length]."""
     if window_length < 1000.0 * alpha.max_gap():
@@ -87,8 +81,11 @@ def level0_tower(alpha: AlphaValue, window_length: float) -> Tower:
     )
 
 
-def induce_tower(t: Tower, alpha: AlphaValue, window_length: float) -> Tuple[Tower, HomologyMatrix]:
+def induce_tower(t: Tower, alpha: AlphaValue, window_length: float) -> Tuple[Tower, np.ndarray]:
     """Induce on the base floor: new floors are the distinct return words.
+
+    Returns the induced tower and the homology matrix M, an int64 array of
+    (lower floors) x (upper floors): M[a, b] counts lower floor a in word b.
 
     The window is cut at the base occurrences into one row per return word,
     gathered from a sliding window view of the floor sequence and padded
@@ -159,14 +156,14 @@ def induce_tower(t: Tower, alpha: AlphaValue, window_length: float) -> Tuple[Tow
         span=span1,
         periodic=t.periodic,
     )
-    return tower1, HomologyMatrix(entries=M, row_labels=t.labels, col_labels=labels)
+    return tower1, M
 
 
-def tower_measure_residual(lower: Tower, upper: Tower, M: HomologyMatrix) -> float:
+def tower_measure_residual(lower: Tower, upper: Tower, M: np.ndarray) -> float:
     """max_a | nu^l_a - sum_b M[a, b] nu^{l+1}_b | for empirical frequencies."""
-    if M.entries.shape != (len(lower.labels), len(upper.labels)):
+    if M.shape != (len(lower.labels), len(upper.labels)):
         raise DomainError("homology matrix shape does not match the tower pair")
     if upper.level != lower.level + 1:
         raise DomainError("towers must be consecutive levels")
-    predicted = M.entries.astype(float) @ upper.nu
+    predicted = M.astype(float) @ upper.nu
     return float(np.max(np.abs(lower.nu - predicted)))

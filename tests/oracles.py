@@ -11,6 +11,8 @@ tables for the subadditivity check, and Karp's algorithm for the minimum
 mean cycle.  The Aubry order checks live here alone, since no command reads
 them: the crossing gain of the twist condition, and the repair that reduces
 a chain to a monotone one (one pair at a time), which brute force checks.
+So do the hull's patterns and cylinder sets and the chain-point counts over
+return intervals that test equidistribution.
 """
 
 import itertools
@@ -23,11 +25,11 @@ import numpy as np
 
 from fklab._rng import Rng
 from fklab.chain_opt import Chain
-from fklab.environments import MATCH_TOL, translate_env
+from fklab.environments import MATCH_TOL, _require_quasicrystal, translate_env
 from fklab.errors import DomainError, InsufficientDataError
 from fklab.lagrangians import chain_energy, energy, potential_values, spring_value
 from fklab.mane import _strictly_monotone, mane_table
-from fklab.towers import HomologyMatrix, Tower
+from fklab.towers import Tower
 
 
 def floor_mul_mp(alpha, n: int) -> int:
@@ -375,11 +377,43 @@ def induce_tower_loop(t, alpha, window_length):
         span=span1,
         periodic=t.periodic,
     )
-    return tower1, HomologyMatrix(entries=M, row_labels=t.labels, col_labels=labels)
+    return tower1, M
+
+
+class Pattern(NamedTuple):
+    """Recentered points of a set inside a closed ball of the given radius."""
+
+    radius: float
+    points: tuple
+
+
+def pattern_at(env, x: float, rho: float) -> Pattern:
+    """The recentered pattern (omega - x) within the closed ball of radius rho."""
+    _require_quasicrystal(env)
+    if rho <= 0:
+        raise DomainError("pattern radius must be positive")
+    pts = env.pset.points_in(x - rho - 1.0, x + rho + 1.0) - x
+    keep = np.abs(pts) <= rho + MATCH_TOL
+    return Pattern(float(rho), tuple(float(p) for p in pts[keep]))
+
+
+class CylinderSpec(NamedTuple):
+    """Cylinder set: environments whose pattern at the origin equals the anchor."""
+
+    anchor: Pattern
+
+
+def cylinder_at(env, x: float, rho: float) -> CylinderSpec:
+    return CylinderSpec(pattern_at(env, x, rho))
 
 
 def return_times_loop(env, section, window):
-    """Candidate-by-candidate version of ``environments.return_times``."""
+    """All t in [T-, T+] with tau_t(env) in the section's cylinder, one candidate
+    at a time.
+
+    Candidates come from aligning a set point with an anchor point; a match
+    must produce such an alignment when the anchor is nonempty.
+    """
     t_lo, t_hi = float(window[0]), float(window[1])
     if t_hi < t_lo:
         return np.empty(0)
@@ -402,3 +436,26 @@ def return_times_loop(env, section, window):
         ):
             out.append(float(t))
     return np.asarray(sorted(out))
+
+
+def equidistribution_counts(chain, env, section, R: float):
+    """Chain-point counts over non-exceptional return intervals (a-R, a+R).
+
+    Returns (counts, n_exceptional): counts for intervals fully inside the
+    chain span, plus the number of boundary intervals set aside.  The return
+    times come from ``return_times_loop``.
+    """
+    xs = np.asarray(chain.positions, dtype=float)
+    if not _strictly_monotone(xs):
+        raise DomainError("equidistribution counts need a strictly monotone chain")
+    lo, hi = float(min(xs[0], xs[-1])), float(max(xs[0], xs[-1]))
+    rts = return_times_loop(env, section, (lo, hi))
+    if rts.size < 3:
+        raise InsufficientDataError("section returns fewer than 3 times inside the span")
+    xs_sorted = np.sort(xs)
+    inner = (rts - R >= lo - 1e-9) & (rts + R <= hi + 1e-9)
+    a = rts[inner]
+    counts = np.searchsorted(xs_sorted, a + R, side="left") - np.searchsorted(
+        xs_sorted, a - R, side="right"
+    )
+    return counts, int(rts.size - np.count_nonzero(inner))

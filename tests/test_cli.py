@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from fklab._rng import Rng
 from fklab.cli import load_config, main, read_csv
 
 GOLDEN = Path(__file__).parent / "golden" / "lp_circle"
+GOLDEN_ENV = Path(__file__).parent / "golden" / "env_report_quasicrystal"
 
 CIRCLE_K0 = """
 [environment]
@@ -708,6 +710,41 @@ class TestOtherCommands:
         monkeypatch.setattr(AlphaValue, "membership_range", one_flipped)
         code, _ = run(tmp_path, QC_CONFIG, "env-report")
         assert code == 3
+
+    def test_env_report_golden_outputs(self, tmp_path):
+        # the quasicrystal benchmark workload's config (QC_WORKLOAD) at seed 0;
+        # the expected bytes were written when the point frequency still came
+        # from the return times of the section "a set point sits at the origin"
+        out = tmp_path / "out"
+        cfg = GOLDEN_ENV / "quasicrystal.ini"
+        assert cfg.read_text(encoding="utf-8") == QC_WORKLOAD.lstrip("\n")
+        assert main(["env-report", "--config", str(cfg), "--out", str(out), "--seed", "0"]) == 0
+        for name in ("env_gaps.csv", "env_report.json"):
+            assert (out / name).read_bytes() == (GOLDEN_ENV / name).read_bytes()
+
+    @pytest.mark.parametrize(
+        "alpha, slack", [("1/2", 1.0), ("(-1+1√5)/2", 2.0)], ids=["half", "golden"]
+    )
+    def test_env_report_point_frequency_density(self, tmp_path, alpha, slack):
+        config = QC_CONFIG.replace("alpha = (-1+1√5)/2", f"alpha = {alpha}")
+        code, out = run(tmp_path, config, "env-report")
+        assert code == 0
+        res = json.loads((out / "env_report.json").read_text())["results"]
+        assert abs(res["point_frequency"] - AlphaValue.parse(alpha).value) <= slack / 2000.0
+
+    @pytest.mark.parametrize("offset", ["2939.0000000001", "-610.9999999999"])
+    def test_point_frequency_counts_points_at_the_edge(self, tmp_path, offset):
+        # a set point lies 1e-10 inside the open ball (-2000, 2000); the count
+        # law over the ball's integers n, |n - offset| < 2000, counts it
+        config = QC_CONFIG.replace("offset = 0.0", f"offset = {offset}")
+        code, out = run(tmp_path, config, "env-report")
+        assert code == 0
+        res = json.loads((out / "env_report.json").read_text())["results"]
+        off = Fraction(float(offset))
+        n_lo, n_hi = math.floor(off - 2000) + 1, math.ceil(off + 2000) - 1
+        golden = AlphaValue.fibonacci()
+        law = golden.floor_mul(n_hi) - golden.floor_mul(n_lo - 1)
+        assert res["point_frequency"] == law / 4000 == 0.618
 
     def test_numerical_failure_exit_code(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(chain_opt, "MAX_ITER", 0)

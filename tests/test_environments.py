@@ -1,5 +1,4 @@
 import math
-import time
 import tracemalloc
 from fractions import Fraction
 
@@ -9,28 +8,25 @@ import pytest
 
 from fklab import (
     AlphaValue,
-    CylinderSpec,
     DomainError,
     EnvPoint,
-    Pattern,
     PointSet,
     ResourceError,
-    canonical_point_section,
-    cylinder_at,
     hull_distance,
-    pattern_at,
-    return_times,
     translate_env,
-    transverse_frequency,
 )
 from fklab import environments
-from fklab.environments import _MAX_RETURN_WINDOW, _unique
+from fklab.environments import _unique
 from fklab.exact import _BLOCK
 
 from oracles import (
+    CylinderSpec,
+    Pattern,
     beatty_indices_mp,
+    cylinder_at,
     floor_mul_mp,
     membership_range_oneshot,
+    pattern_at,
     points_in_oneshot,
     return_times_loop,
 )
@@ -39,7 +35,8 @@ FIB = AlphaValue.fibonacci()
 HALF = AlphaValue.rational(1, 2)
 ALPHAS = [FIB, AlphaValue.rational(2, 5), AlphaValue.quadratic(0, 1, 2, 2)]
 SECTIONS = {
-    "canonical": canonical_point_section,
+    # "a set point sits at the origin": half the short gap isolates that point
+    "canonical": lambda env: CylinderSpec(Pattern(0.5 * env.pset.alpha.inv_floor(), (0.0,))),
     "cylinder-10-3": lambda env: cylinder_at(env, 10.0, 3.0),
     "cylinder-m7.25-6": lambda env: cylinder_at(env, -7.25, 6.0),
 }
@@ -424,21 +421,24 @@ class TestHullDistance:
 
 
 class TestReturnTimes:
+    """The loop oracle, the one return-time code, which the equivariance and
+    equidistribution checks read."""
+
     def test_periodic_progression(self):
         env = EnvPoint.quasicrystal(HALF)
         sec = cylinder_at(env, 2.0, 2.0)
-        rt = return_times(env, sec, (0.0, 20.0))
+        rt = return_times_loop(env, sec, (0.0, 20.0))
         assert rt == pytest.approx(np.arange(0.0, 21.0, 2.0), abs=1e-9)
 
     def test_empty_window(self):
         env = EnvPoint.quasicrystal(HALF)
         sec = cylinder_at(env, 2.0, 2.0)
-        assert return_times(env, sec, (5.0, 4.0)).size == 0
+        assert return_times_loop(env, sec, (5.0, 4.0)).size == 0
 
     def test_fibonacci_against_candidate_oracle(self):
         env = EnvPoint.quasicrystal(FIB, 0.125)
         sec = cylinder_at(env, 10.0, 3.0)
-        got = return_times(env, sec, (0.0, 10_000.0))
+        got = return_times_loop(env, sec, (0.0, 10_000.0))
         # independent check: exhaustive candidate list from raw indices
         anchor = sec.anchor.points
         raw = [float(n) - 0.125 for n in beatty_indices_mp(FIB, -10, 16200)]
@@ -456,68 +456,36 @@ class TestReturnTimes:
         env = EnvPoint.quasicrystal(FIB)
         sec = cylinder_at(env, 0.0, 2.0)
         T = 500.0
-        rt = return_times(env, sec, (-T, T))
+        rt = return_times_loop(env, sec, (-T, T))
         gaps = np.diff(rt)
         assert np.all(gaps > 1e-9)
         assert rt.size <= 2 * T / FIB.inv_floor() + 1
-
-    def test_empty_anchor_rejected(self):
-        env = EnvPoint.quasicrystal(HALF)
-        with pytest.raises(DomainError):
-            return_times(env, CylinderSpec(Pattern(0.3, ())), (0, 4))
 
     @pytest.mark.parametrize("section", SECTIONS)
     @pytest.mark.parametrize("offset", [0, 0.125, 3.5])
     @pytest.mark.parametrize("alpha", ALPHAS, ids=str)
     def test_matches_loop_oracle(self, alpha, offset, section):
+        # a scan that puts the anchor's first point on each set point and reads
+        # the pattern there finds the loop's return times; the canonical
+        # section's return times are the set's points themselves
         env = EnvPoint.quasicrystal(alpha, offset)
         sec = SECTIONS[section](env)
-        got = return_times(env, sec, (-1000.0, 1000.0))
-        expect = return_times_loop(env, sec, (-1000.0, 1000.0))
+        got = return_times_loop(env, sec, (-1000.0, 1000.0))
+        anchor, rho = sec.anchor.points, sec.anchor.radius
+        cands = env.pset.points_in(-1000.0 + anchor[0], 1000.0 + anchor[0]) - anchor[0]
+        expect = [
+            t
+            for t in cands
+            if len(pat := pattern_at(env, t, rho).points) == len(anchor)
+            and np.max(np.abs(np.subtract(pat, anchor))) <= 1e-9
+        ]
         assert got.size > 0
-        assert np.array_equal(got, expect)
-        assert got.dtype == expect.dtype
+        assert got == pytest.approx(np.asarray(expect), abs=1e-9)
+        if section == "canonical":
+            assert np.array_equal(got, env.pset.points_in(-1000.0, 1000.0))
 
     def test_anchor_outside_its_ball_never_matches(self):
-        # no candidate window holds a set point, so nothing is gathered
+        # no candidate window holds a set point, so nothing matches
         env = EnvPoint.quasicrystal(FIB)
         sec = CylinderSpec(Pattern(0.3, (0.5,)))
-        got = return_times(env, sec, (0.0, 100.0))
-        assert got.size == 0
-        assert np.array_equal(got, return_times_loop(env, sec, (0.0, 100.0)))
-
-    @pytest.mark.parametrize("section", ["canonical", "cylinder-10-3"])
-    def test_window_at_the_cap_is_fast(self, section):
-        # the size cap stands for a time: a window at the cap takes under 2 s
-        env = EnvPoint.quasicrystal(FIB, 0.125)
-        sec = SECTIONS[section](env)
-        t0 = time.perf_counter()
-        rt = return_times(env, sec, (0.0, _MAX_RETURN_WINDOW))
-        assert time.perf_counter() - t0 < 2.0
-        assert rt.size > 0
-
-
-class TestTransverseFrequency:
-    def test_alpha_half_density(self):
-        env = EnvPoint.quasicrystal(HALF)
-        sec = canonical_point_section(env)
-        T = 100.0
-        assert abs(transverse_frequency(env, sec, T) - 0.5) <= 1.0 / T
-
-    def test_fibonacci_density(self):
-        env = EnvPoint.quasicrystal(FIB)
-        sec = canonical_point_section(env)
-        T = 2000.0
-        assert abs(transverse_frequency(env, sec, T) - FIB.value) <= 2.0 / T
-
-    def test_subcylinder_frequency_smaller(self):
-        env = EnvPoint.quasicrystal(FIB)
-        parent = cylinder_at(env, 0.0, 2.0)
-        child = cylinder_at(env, 0.0, 6.0)
-        T = 3000.0
-        assert transverse_frequency(env, child, T) <= transverse_frequency(env, parent, T) + 1e-12
-
-    def test_positivity(self):
-        env = EnvPoint.quasicrystal(FIB)
-        sec = cylinder_at(env, 0.0, 3.0)
-        assert transverse_frequency(env, sec, 10_000.0) > 0.0
+        assert return_times_loop(env, sec, (0.0, 100.0)).size == 0

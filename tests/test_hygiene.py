@@ -1,7 +1,7 @@
 """Source hygiene: every name a module imports is referenced in that module,
-every public function or class of the library is read by the library, and
-every optional parameter of a public library function is passed by a library
-call.
+every public function or class of the library is read by the library, every
+record field of a library class is read by the library, and every optional
+parameter of a public library function is passed by a library call.
 
 The package's ``__init__.py`` is left out of both, since its imports are the
 public surface it re-exports.
@@ -17,9 +17,15 @@ LIBRARY = sorted(p for p in (ROOT / "src" / "fklab").glob("*.py") if p.name != "
 MODULES = LIBRARY + sorted((ROOT / "tests").glob("*.py"))
 # public names that no library module reads yet, each with the reason it stays
 UNREAD_ALLOWED = {
-    "equidistribution_counts": "waits for calibrate's quasicrystal count spread (item 15)",
-    "cylinder_at": "waits for calibrate's quasicrystal count spread (item 15)",
     "read_csv": "the reader of the CLI's own CSV format, for its users",
+}
+# record fields that no library module reads, each with the reason it stays
+UNREAD_FIELDS_ALLOWED = {
+    "MinimizeResult.sweeps": "read only by the benchmark's tracer, fkbench/tracer.py (item 1)",
+    "MinimizeResult.polish_used": "read only by the benchmark's tracer, fkbench/tracer.py (item 1)",
+    "ManeTable.n_max": "read only by the benchmark's tracer, fkbench/tracer.py (item 1)",
+    "ChainDP.relaxed": "waits for the tracer's kernels.chain_dp_cells counter (item 1)",
+    "LPSolution.u": "the dual potential, which waits for the LP lower bound (item 2)",
 }
 # optional parameters that no library call passes, each with the reason it stays
 UNPASSED_ALLOWED = {
@@ -102,6 +108,52 @@ def test_every_public_library_name_is_read():
     assert unread_public_names(sources, roots=UNREAD_ALLOWED) == []
     for name in UNREAD_ALLOWED:
         assert name in unread_public_names(sources, roots=UNREAD_ALLOWED.keys() - {name})
+
+
+def unread_record_fields(sources):
+    """``Class.field`` for each ``NamedTuple`` field or ``__slots__`` entry of a
+    top-level class of ``sources`` (name -> text) whose name no module of
+    ``sources`` reads as an attribute.
+
+    Name-based: a read ``x.f`` of any object counts for every field named f;
+    a write ``self.f = ...`` is no read.
+    """
+    fields, read = [], set()
+    for source in sources.values():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if not isinstance(node, ast.ClassDef):
+                continue
+            bases = {getattr(b, "id", getattr(b, "attr", None)) for b in node.bases}
+            for item in node.body:
+                if "NamedTuple" in bases and isinstance(item, ast.AnnAssign):
+                    fields.append((node.name, item.target.id))
+                elif isinstance(item, ast.Assign) and any(
+                    getattr(t, "id", None) == "__slots__" for t in item.targets
+                ):
+                    fields += [(node.name, elt.value) for elt in item.value.elts]
+        read |= {
+            n.attr
+            for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+        }
+    return sorted(f"{cls}.{name}" for cls, name in fields if name not in read)
+
+
+def test_unread_field_scanner_counts_attribute_reads():
+    sources = {
+        "a": "from typing import NamedTuple\nclass R(NamedTuple):\n    x: int\n    y: int = 0\n"
+        "    z: int\n    def f(self): return self.z\nclass S:\n    __slots__ = ('p', 'q')\n"
+        "    def __init__(self): self.p = self.q = 0\nclass T:\n    w: int\n",
+        "b": "def g(r, s):\n    return r.x, s.p\n",
+    }
+    assert unread_record_fields(sources) == ["R.y", "S.q"]
+
+
+def test_every_record_field_is_read():
+    """Nothing outside UNREAD_FIELDS_ALLOWED goes unread, and everything in it still does."""
+    sources = {p.name: p.read_text(encoding="utf-8") for p in LIBRARY}
+    assert unread_record_fields(sources) == sorted(UNREAD_FIELDS_ALLOWED)
 
 
 def unpassed_optional_parameters(sources):

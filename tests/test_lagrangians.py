@@ -15,8 +15,6 @@ from fklab import (
     circle_model,
     energy,
     minimize_free,
-    return_times,
-    cylinder_at,
     sturm_model,
     torus_model,
     translate_env,
@@ -32,7 +30,7 @@ from fklab.lagrangians import (
     spring_value,
 )
 
-from oracles import membership_range_oneshot, points_in_oneshot
+from oracles import cylinder_at, membership_range_oneshot, points_in_oneshot, return_times_loop
 
 FIB = AlphaValue.fibonacci()
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
@@ -162,7 +160,7 @@ class TestBumpPotential:
         m = sturm_model(FIB, 0.5, 1.0, PHI)
         R = FIB.inv_floor() + 1
         sec = cylinder_at(QC, 7.0, float(R))
-        rts = return_times(QC, sec, (0.0, 800.0))[:100]
+        rts = return_times_loop(QC, sec, (0.0, 800.0))[:100]
         base = rts[0]
         rng = np.random.default_rng(5)
         offs = rng.uniform(-0.49, 0.49, size=20)
@@ -179,7 +177,7 @@ class TestBumpPotential:
         S = 3.0
         R = FIB.inv_floor() + 1 + S
         sec = cylinder_at(QC, 11.0, R)
-        rts = return_times(QC, sec, (0.0, 2000.0))[:50]
+        rts = return_times_loop(QC, sec, (0.0, 2000.0))[:50]
         envs = [translate_env(QC, float(t)) for t in rts]
         rng = np.random.default_rng(6)
         for _ in range(100):
