@@ -79,7 +79,7 @@ def bench_chain_dp(repeat):
 
     def solve():
         dp = _kernels.chain_dp_backward_np(V, Wd, n, 0, ())
-        _kernels.chain_dp_path(dp, int(np.argmin(dp.c0)), 0)
+        _kernels.chain_dp_path(dp, int(np.argmin(dp.layers[0])), 0)
         return dp
 
     t = timeit(solve, repeat)
@@ -139,13 +139,13 @@ def bench_lp(repeat):
 
 
 def bench_membership(repeat):
-    alpha, n = AlphaValue.fibonacci(), 10**6
+    alpha, n = AlphaValue.parse("(-1+1√5)/2"), 10**6
     t = timeit(lambda: alpha.membership_range(0, n - 1), repeat)
     return "Beatty membership (1e6 window)", t, n
 
 
 def bench_point_reads(repeat):
-    alpha = AlphaValue.fibonacci()
+    alpha = AlphaValue.parse("(-1+1√5)/2")
     model, env = sturm_model(alpha, 0.5, 1.0, 1.618), EnvPoint.quasicrystal(alpha)
     grid = GridSpec(h=0.08, X=2.0, N_outer=64, W=8)
     windows = []

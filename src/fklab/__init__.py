@@ -9,7 +9,6 @@ calibration), holonomic_lp (finite measure LP with dual), cli
 """
 
 from .chain_opt import (
-    Chain,
     GridSpec,
     GroundEnergyEstimate,
     MinimizeResult,

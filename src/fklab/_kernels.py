@@ -68,10 +68,6 @@ class ChainDP:
         self.V, self.Wd, self.dlo = V, Wd, dlo
         self.layers, self.runs, self.relaxed = layers, runs, relaxed
 
-    @property
-    def c0(self) -> np.ndarray:
-        return self.layers[0]
-
 
 def _pads(D, dlo):
     """The +inf rows a layer needs below and above the grid for offsets dlo .. dlo + D - 1."""

@@ -48,33 +48,18 @@ _MAX_DP_CELLS = 4_000_000_000
 _MAX_DP_BYTES = 512 << 20
 
 
-class _ChainFields(NamedTuple):
-    positions: np.ndarray
-    energy: float
-    env: EnvPoint
-
-
-class Chain(_ChainFields):
-    """A chain's sites, read-only, with its energy and environment."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        self.positions.setflags(write=False)
-        return self
-
-
 class MinimizeResult(NamedTuple):
-    """A refined chain.
+    """A refined chain: its sites, read-only, and its energy.
 
     Every returned result is converged: a refinement that does not converge
-    raises NumericalFailure.  ``sweeps`` counts the Newton steps of the
-    refinement and ``polish_used`` is always False; both keep their names only
-    because the benchmark's tracer reads them.
+    raises NumericalFailure carrying its best iterate as a MinimizeResult.
+    ``sweeps`` counts the Newton steps of the refinement and ``polish_used``
+    is always False; both keep their names only because the benchmark's
+    tracer reads them.
     """
 
-    chain: Chain
+    positions: np.ndarray
+    energy: float
     sweeps: int
     polish_used: bool
 
@@ -241,7 +226,7 @@ def _refine(model, env, xs, fixed_ends, e_cur):
             break
     raise NumericalFailure(
         f"refinement did not converge: {stop} at max|g| = {g_max:.3g}",
-        best=Chain(xs, e_cur, env),
+        best=MinimizeResult(xs, e_cur, it, False),
     )
 
 
@@ -300,7 +285,8 @@ def _solve_free(model, env, lengths, grid):
             raise NumericalFailure("chain DP found no feasible grid chain")
         xs = points[_kernels.chain_dp_path(dp, a + j, k)]
         xs, steps, e = _refine(model, env, xs, False, chain_energy(model, env, xs))
-        results.append(MinimizeResult(Chain(xs, e, env), steps, False))
+        xs.setflags(write=False)
+        results.append(MinimizeResult(xs, e, steps, False))
     return results
 
 
@@ -323,12 +309,12 @@ def ground_energy(
         raise DomainError("the 1/n fit needs at least two strictly increasing lengths")
     if n_list[-1] > 64:
         raise DomainError("chain lengths above 64 are out of the desk-scale budget")
-    chains = [res.chain for res in _solve_free(model, env, n_list, grid)]
-    m_values = tuple(c.energy for c in chains)
+    results = _solve_free(model, env, n_list, grid)
+    m_values = tuple(res.energy for res in results)
     return GroundEnergyEstimate(
         n_list=n_list,
         m_values=m_values,
-        positions=tuple(c.positions for c in chains),
+        positions=tuple(res.positions for res in results),
         lower_bound=max(m / n for m, n in zip(m_values, n_list)),
     )
 

@@ -298,8 +298,8 @@ def cmd_tower(cfg: RunConfig, seed: int):
     alpha = cfg.model.alpha
     window = max(100_000.0, 2000.0 * alpha.max_gap())
     t0 = towers.level0_tower(alpha, window)
-    t1, m01 = towers.induce_tower(t0, alpha, window)
-    t2, m12 = towers.induce_tower(t1, alpha, window)
+    t1, m01 = towers.induce_tower(t0)
+    t2, m12 = towers.induce_tower(t1)
     floor_rows = []
     for tw in (t0, t1, t2):
         for i, (lab, hgt) in enumerate(zip(tw.labels, tw.heights)):
@@ -320,7 +320,7 @@ def cmd_tower(cfg: RunConfig, seed: int):
         "residual_01": towers.tower_measure_residual(t0, t1, m01),
         "residual_12": towers.tower_measure_residual(t1, t2, m12),
         "mass_level0": t0.measure_mass(),
-        "periodic": t0.periodic,
+        "periodic": alpha.is_rational,
         "floors": [len(t0.labels), len(t1.labels), len(t2.labels)],
     }
     return csvs, "tower_summary.json", results

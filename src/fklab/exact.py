@@ -105,11 +105,6 @@ class AlphaValue(_AlphaFields):
             return cls.quadratic(int(a), bval, int(d), int(c))
         raise DomainError(f"cannot parse slope {text!r}; use 'p/q' or '(a+b√d)/c'")
 
-    @classmethod
-    def fibonacci(cls) -> "AlphaValue":
-        """(sqrt(5) - 1)/2, the golden rotation number."""
-        return cls.quadratic(-1, 1, 5, 2)
-
     # -- exact queries ------------------------------------------------------
 
     @property

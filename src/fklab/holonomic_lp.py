@@ -53,7 +53,7 @@ def discretize_circle(model: LagrangianSpec, N: int, T_max: float) -> LPProblem:
     the phase of a circle environment does not enter it.  Jumps run over
     |k| <= T_max * N.
     """
-    if model.potential != "circle_cosine":
+    if model.potential != "circle":
         raise DomainError("only the circle cosine family is discretized")
     if not (8 <= N <= 512):
         raise DomainError("N must lie in [8, 512]")

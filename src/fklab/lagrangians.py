@@ -1,10 +1,11 @@
 """Model catalog: two-point energies E_omega(x, y) = W(y - x) + V(tau_x omega).
 
 Springs: quadratic W(t) = |t - lam|^2/2 or quartic W(t) = |t - lam|^4/4.
-Potentials: circle cosine, torus double cosine along the (1, sqrt 2) line, or
-strongly equivariant bump potentials over a Beatty point set.  The bump shape
-is b(s) = s^2 (1-s)^2 rescaled to the gap support, which gives closed-form
-test values (b(1/2) = 1/16).
+Potentials, each named by the environment kind it binds: ``"circle"`` (a
+cosine), ``"torus"`` (a double cosine along the (1, sqrt 2) line), or
+``"quasicrystal"`` (strongly equivariant bumps over a Beatty point set).
+The bump shape is b(s) = s^2 (1-s)^2 rescaled to the gap support, which
+gives closed-form test values (b(1/2) = 1/16).
 
 The paper's two hypotheses hold in closed form for every catalog model, so
 nothing samples them:
@@ -45,7 +46,7 @@ from .exact import AlphaValue
 TWO_PI = 2.0 * math.pi
 
 _SPRINGS = ("quadratic", "quartic")
-_POTENTIALS = ("circle_cosine", "torus_double_cosine", "quasicrystal_bumps")
+_POTENTIALS = ("circle", "torus", "quasicrystal")
 
 
 class _LagrangianFields(NamedTuple):
@@ -69,7 +70,7 @@ class LagrangianSpec(_LagrangianFields):
             raise DomainError(f"unknown spring {self.spring!r}")
         if self.potential not in _POTENTIALS:
             raise DomainError(f"unknown potential {self.potential!r}")
-        if self.potential == "quasicrystal_bumps":
+        if self.potential == "quasicrystal":
             if self.alpha is None:
                 raise DomainError("bump potential needs the point-set slope alpha")
             if self.spring == "quartic":
@@ -80,34 +81,26 @@ class LagrangianSpec(_LagrangianFields):
                 raise DomainError(f"amplitude {name} must be nonnegative, got {amp}")
         return self
 
-    @property
-    def env_kind(self) -> str:
-        return {
-            "circle_cosine": "circle",
-            "torus_double_cosine": "torus",
-            "quasicrystal_bumps": "quasicrystal",
-        }[self.potential]
-
 
 def circle_model(K: float, lam: float, spring: str = "quadratic") -> LagrangianSpec:
-    return LagrangianSpec(spring, float(lam), "circle_cosine", K=float(K))
+    return LagrangianSpec(spring, float(lam), "circle", K=float(K))
 
 
 def torus_model(K1: float, K2: float, lam: float, spring: str = "quadratic") -> LagrangianSpec:
-    return LagrangianSpec(spring, float(lam), "torus_double_cosine", K1=float(K1), K2=float(K2))
+    return LagrangianSpec(spring, float(lam), "torus", K1=float(K1), K2=float(K2))
 
 
 def sturm_model(
     alpha: AlphaValue, a0: float, a1: float, lam: float, spring: str = "quadratic"
 ) -> LagrangianSpec:
     return LagrangianSpec(
-        spring, float(lam), "quasicrystal_bumps", a0=float(a0), a1=float(a1), alpha=alpha
+        spring, float(lam), "quasicrystal", a0=float(a0), a1=float(a1), alpha=alpha
     )
 
 
 def _check_variant(model: LagrangianSpec, env: EnvPoint):
-    if model.env_kind != env.kind:
-        raise DomainError(f"model binds {model.env_kind!r} environments, got {env.kind!r}")
+    if model.potential != env.kind:
+        raise DomainError(f"model binds {model.potential!r} environments, got {env.kind!r}")
     if model.alpha is not None and model.alpha != env.pset.alpha:
         raise DomainError("the bump model and the point set have different slopes alpha")
 
@@ -162,9 +155,9 @@ def _bump_tables(model, env, xs):
 
 def potential_values(model, env, xs):
     xs_arr = np.atleast_1d(np.asarray(xs, dtype=float))
-    if model.potential == "circle_cosine":
+    if model.potential == "circle":
         v = model.K / TWO_PI ** 2 * (1.0 - np.cos(TWO_PI * (env.phase + xs_arr)))
-    elif model.potential == "torus_double_cosine":
+    elif model.potential == "torus":
         v = model.K1 / TWO_PI ** 2 * (1.0 - np.cos(TWO_PI * (env.w1 + xs_arr)))
         v = v + model.K2 / TWO_PI ** 2 * (1.0 - np.cos(TWO_PI * (env.w2 + xs_arr * SQRT2)))
     else:
@@ -180,10 +173,10 @@ def potential_derivs(model, env, xs):
     gaps around xs once.
     """
     xs = np.asarray(xs, dtype=float)
-    if model.potential == "circle_cosine":
+    if model.potential == "circle":
         arg = TWO_PI * (env.phase + xs)
         return model.K / TWO_PI * np.sin(arg), model.K * np.cos(arg)
-    if model.potential == "torus_double_cosine":
+    if model.potential == "torus":
         arg1, arg2 = TWO_PI * (env.w1 + xs), TWO_PI * (env.w2 + xs * SQRT2)
         d1 = model.K1 / TWO_PI * np.sin(arg1) + model.K2 * SQRT2 / TWO_PI * np.sin(arg2)
         d2 = model.K1 * np.cos(arg1) + 2.0 * model.K2 * np.cos(arg2)
@@ -203,9 +196,9 @@ def potential_slope_sup(model: LagrangianSpec) -> float:
     g0 = ``inv_floor()`` carries a0 and the long gap g0 + 1 carries a1 (at
     alpha = 1/q every gap is short, and the value is a bound, not attained).
     """
-    if model.potential == "circle_cosine":
+    if model.potential == "circle":
         return model.K / TWO_PI
-    if model.potential == "torus_double_cosine":
+    if model.potential == "torus":
         return (model.K1 + SQRT2 * model.K2) / TWO_PI
     g0 = model.alpha.inv_floor()
     return math.sqrt(3.0) / 9.0 * max(model.a0 / g0, model.a1 / (g0 + 1))

@@ -308,8 +308,7 @@ def calibrate_window(
     N_outer, W = grid.N_outer, grid.W
     if N_outer < 4 * W:
         raise DomainError("N_outer must be at least 4 W")
-    res = minimize_free(model, env, N_outer, grid)
-    xs = np.asarray(res.chain.positions)
+    xs = minimize_free(model, env, N_outer, grid).positions
     mid = N_outer // 2
     lo, hi = mid - W, mid + W
     # the chain's pair terms, evaluated once; each sub-chain energy sums its

@@ -22,11 +22,15 @@ from .exact import AlphaValue
 class Tower:
     """One level of the tower: its floors, their heights and frequencies.
 
+    It holds only what the window gave: the span that normalizes ``nu`` is
+    sum_a counts_a H_a, and whether the gap sequence is periodic is the
+    slope's ``is_rational``.
+
     Not a tuple, unlike the other records: ``induce_tower`` returns the pair
     (tower, homology matrix), and a tower must never pass for such a pair.
     """
 
-    __slots__ = ("level", "labels", "heights", "base_index", "nu", "sequence", "span", "periodic")
+    __slots__ = ("level", "labels", "heights", "base_index", "nu", "sequence")
 
     def __init__(
         self,
@@ -36,8 +40,6 @@ class Tower:
         base_index: int,
         nu: np.ndarray,  # empirical transverse frequencies (counts / realized span)
         sequence: np.ndarray,  # floor indices along the window
-        span: float,
-        periodic: bool,
     ):
         self.level = level
         self.labels = labels
@@ -45,8 +47,6 @@ class Tower:
         self.base_index = base_index
         self.nu = nu
         self.sequence = sequence
-        self.span = span
-        self.periodic = periodic
 
     def measure_mass(self) -> float:
         """sum_a nu_a H_a, which approximates 1 for long windows."""
@@ -76,14 +76,13 @@ def level0_tower(alpha: AlphaValue, window_length: float) -> Tower:
         base_index=0,  # lexicographically smallest letter
         nu=counts / span,
         sequence=seq,
-        span=span,
-        periodic=alpha.is_rational,
     )
 
 
-def induce_tower(t: Tower, alpha: AlphaValue, window_length: float) -> Tuple[Tower, np.ndarray]:
+def induce_tower(t: Tower) -> Tuple[Tower, np.ndarray]:
     """Induce on the base floor: new floors are the distinct return words.
 
+    Reads only ``t``: its floor sequence is the window it was built over.
     Returns the induced tower and the homology matrix M, an int64 array of
     (lower floors) x (upper floors): M[a, b] counts lower floor a in word b.
 
@@ -100,9 +99,6 @@ def induce_tower(t: Tower, alpha: AlphaValue, window_length: float) -> Tuple[Tow
     induced tower; no split of the base by follower letter is tried, since a
     unique return word forces a unique follower.
     """
-    # each induction level trims boundary words, so allow a small shortfall
-    if window_length > 1.05 * t.span + 100.0:
-        raise DomainError("tower was built over a much shorter window than requested")
     seq = t.sequence
     occ = np.flatnonzero(seq == t.base_index)
     if occ.size < 100:
@@ -123,10 +119,6 @@ def induce_tower(t: Tower, alpha: AlphaValue, window_length: float) -> Tuple[Tow
     group = np.empty(order.size, dtype=np.intp)
     group[order] = np.cumsum(first) - 1
     words = [tuple(int(v) for v in r[r >= 0]) for r in srt[first]]
-    # A single return word means the sequence is periodic.  The splitting
-    # trick (split the base by the follower letter) cannot separate anything
-    # then, because the unique word forces a unique follower; the general
-    # construction below still yields the correct one-floor induced tower.
     distinct = sorted(words, key=lambda w: (tuple(t.labels[i] for i in w), w))
     rank = np.array([distinct.index(w) for w in words], dtype=np.int32)
     seq1 = rank[group]
@@ -153,8 +145,6 @@ def induce_tower(t: Tower, alpha: AlphaValue, window_length: float) -> Tuple[Tow
         base_index=base1,
         nu=counts_arr / span1,
         sequence=seq1,
-        span=span1,
-        periodic=t.periodic,
     )
     return tower1, M
 

@@ -24,12 +24,17 @@ import mpmath as mp
 import numpy as np
 
 from fklab._rng import Rng
-from fklab.chain_opt import Chain
+from fklab.chain_opt import MinimizeResult
 from fklab.environments import MATCH_TOL, _require_quasicrystal, translate_env
 from fklab.errors import DomainError, InsufficientDataError
+from fklab.exact import AlphaValue
 from fklab.lagrangians import chain_energy, energy, potential_values, spring_value
 from fklab.mane import _strictly_monotone, mane_table
 from fklab.towers import Tower
+
+
+# (sqrt 5 - 1)/2, the golden slope, built without the parser
+FIB = AlphaValue.quadratic(-1, 1, 5, 2)
 
 
 def floor_mul_mp(alpha, n: int) -> int:
@@ -166,9 +171,10 @@ def brute_force_repair(model, env, xs):
     return best
 
 
-def make_chain(model, env, positions) -> Chain:
+def make_chain(model, env, positions) -> MinimizeResult:
+    """A chain at the given sites, as an unrefined result of 0 steps."""
     xs = np.asarray(positions, dtype=float).copy()
-    return Chain(xs, chain_energy(model, env, xs), env)
+    return MinimizeResult(xs, chain_energy(model, env, xs), 0, False)
 
 
 def crossing_gain(model, env, x0, x1, y0, y1) -> float:
@@ -184,7 +190,7 @@ def crossing_gain(model, env, x0, x1, y0, y1) -> float:
 
 
 class RepairResult(NamedTuple):
-    chain: Chain
+    chain: MinimizeResult
     kept: np.ndarray
     energy: float  # E(subsequence) + sum of E(x, x) over dropped points
 
@@ -338,10 +344,8 @@ def lp_edges(lp):
     return out
 
 
-def induce_tower_loop(t, alpha, window_length):
+def induce_tower_loop(t):
     """Word-by-word version of ``towers.induce_tower`` (same errors, same floors)."""
-    if window_length > 1.05 * t.span + 100.0:
-        raise DomainError("tower was built over a much shorter window than requested")
     seq = t.sequence
     occ = np.flatnonzero(seq == t.base_index)
     if occ.size < 100:
@@ -374,8 +378,6 @@ def induce_tower_loop(t, alpha, window_length):
         base_index=base1,
         nu=counts_arr / span1,
         sequence=seq1,
-        span=span1,
-        periodic=t.periodic,
     )
     return tower1, M
 
@@ -423,8 +425,11 @@ def return_times_loop(env, section, window):
     if master.size == 0:
         return np.empty(0)
     cand = (master[:, None] - anchor[None, :]).ravel()
-    cand = cand[(cand >= t_lo - MATCH_TOL) & (cand <= t_hi + MATCH_TOL)]
-    cand = np.unique(np.round(cand, 9))
+    cand = np.sort(cand[(cand >= t_lo) & (cand <= t_hi)])
+    # one candidate per run of candidates closer than MATCH_TOL: the run's first
+    first = np.ones(cand.size, dtype=bool)
+    first[1:] = np.diff(cand) >= MATCH_TOL
+    cand = cand[first]
     out = []
     for t in cand:
         lo_i = np.searchsorted(master, t - rho - MATCH_TOL, side="left")

@@ -23,6 +23,7 @@ from fklab import _kernels, chain_opt, lagrangians
 from fklab.lagrangians import potential_derivs, spring_derivs
 
 from oracles import (
+    FIB,
     brute_force_free_chain,
     brute_force_repair,
     chain_structure_loop,
@@ -33,7 +34,6 @@ from oracles import (
 )
 
 CIRCLE = EnvPoint.circle(0.0)
-FIB = AlphaValue.fibonacci()
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
 
@@ -58,8 +58,8 @@ class TestMinimizeFree:
     def test_zero_potential(self):
         m = circle_model(0.0, 0.7)
         res = minimize_free(m, CIRCLE, 12, GridSpec(h=0.035))
-        assert res.chain.energy == pytest.approx(0.0, abs=1e-12)
-        assert np.diff(res.chain.positions) == pytest.approx(np.full(12, 0.7), abs=1e-9)
+        assert res.energy == pytest.approx(0.0, abs=1e-12)
+        assert np.diff(res.positions) == pytest.approx(np.full(12, 0.7), abs=1e-9)
 
     def test_small_instance_equals_brute_force(self):
         # the DP on the oracle's grid (-2, 2) of step 0.25, with jumps of 0 to 2
@@ -70,23 +70,23 @@ class TestMinimizeFree:
         V = lagrangians.potential_values(m, CIRCLE, grid)
         Wd = lagrangians.spring_value(m, h * np.arange(9))
         dp = _kernels.chain_dp_backward_np(V, Wd, 2, 0, ())
-        path = _kernels.chain_dp_path(dp, int(np.argmin(dp.c0)), 0)
+        path = _kernels.chain_dp_path(dp, int(np.argmin(dp.layers[0])), 0)
         assert chain_energy(m, CIRCLE, grid[path]) == pytest.approx(best, abs=1e-12)
 
     def test_dp_dominance(self, monkeypatch):
         m = circle_model(1.0, 0.5)
         res, (_, dp_energy) = solve_with_dp(monkeypatch, m, CIRCLE, 16, GridSpec(h=0.05))
-        assert res.chain.energy <= dp_energy + 1e-12
+        assert res.energy <= dp_energy + 1e-12
 
     def test_negative_drift(self):
         m = circle_model(0.0, -0.5)
         res = minimize_free(m, CIRCLE, 10, GridSpec(h=0.025))
-        assert res.chain.energy == pytest.approx(0.0, abs=1e-12)
-        assert np.diff(res.chain.positions) == pytest.approx(np.full(10, -0.5), abs=1e-9)
+        assert res.energy == pytest.approx(0.0, abs=1e-12)
+        assert np.diff(res.positions) == pytest.approx(np.full(10, -0.5), abs=1e-9)
 
     def test_per_site_nondecreasing(self):
         m, grid = circle_model(1.0, 0.5), GridSpec(h=0.05)
-        vals = [minimize_free(m, CIRCLE, n, grid).chain.energy / n for n in (4, 8, 16, 32)]
+        vals = [minimize_free(m, CIRCLE, n, grid).energy / n for n in (4, 8, 16, 32)]
         for a, b in zip(vals, vals[1:]):
             assert b >= a - 1e-9
 
@@ -149,7 +149,7 @@ class TestDPSizeCap:
         assert f"{cells} cells holding {nbytes} bytes" in str(err.value)
         monkeypatch.undo()
         again = minimize_free(self.M, CIRCLE, 3, GridSpec(h=0.25))
-        assert at_cap.chain.energy == again.chain.energy
+        assert at_cap.energy == again.energy
 
     def test_refused_before_the_potential_is_evaluated(self, monkeypatch):
         def unreachable(*args):
@@ -241,8 +241,8 @@ class TestSignBand:
             assert dlo == (-B if sign < 0 else 0)
             full_Wd = lagrangians.spring_value(model, np.arange(-B, B + 1) * h)
             assert Wd.tobytes() == full_Wd[dlo + B : dlo + 2 * B + 1].tobytes()
-            full = _kernels.chain_dp_backward_np(V, full_Wd, n, -B, ()).c0
-            signed = _kernels.chain_dp_backward_np(V, Wd, n, dlo, ()).c0
+            full = _kernels.chain_dp_backward_np(V, full_Wd, n, -B, ()).layers[0]
+            signed = _kernels.chain_dp_backward_np(V, Wd, n, dlo, ()).layers[0]
             assert np.min(signed) == np.min(full)
 
 
@@ -267,8 +267,8 @@ class TestRefinement:
     def test_free_stationary(self, monkeypatch, model, env, n):
         res, (_, dp_energy) = solve_with_dp(monkeypatch, model, env, n, GridSpec(h=0.05))
         assert not res.polish_used
-        assert np.max(np.abs(chain_gradient(model, env, res.chain.positions))) <= 1e-7
-        assert res.chain.energy <= dp_energy + 1e-12
+        assert np.max(np.abs(chain_gradient(model, env, res.positions))) <= 1e-7
+        assert res.energy <= dp_energy + 1e-12
 
     def test_saddle_start_escapes(self):
         # lam = 1/2 from 0 puts every odd site on a maximum of the K = 8 cosine:
@@ -336,16 +336,16 @@ class TestRefinement:
         m = circle_model(K, lam)
         env = EnvPoint.circle(0.17)
         res = minimize_free(m, env, n, GridSpec(h=0.05))
-        assert np.max(np.abs(chain_gradient(m, env, res.chain.positions))) <= 1e-7
-        assert res.chain.energy == pytest.approx(expected, abs=1e-9)
+        assert np.max(np.abs(chain_gradient(m, env, res.positions))) <= 1e-7
+        assert res.energy == pytest.approx(expected, abs=1e-9)
 
     def test_soft_chain_converges(self, monkeypatch):
         # K = 0.1 leaves soft modes, which site-by-site relaxation resolves slowly
         m = circle_model(0.1, 0.5)
         res, (_, dp_energy) = solve_with_dp(monkeypatch, m, CIRCLE, 64, GridSpec(h=0.05))
         assert res.sweeps <= 50
-        assert np.max(np.abs(chain_gradient(m, CIRCLE, res.chain.positions))) <= 1e-7
-        assert res.chain.energy <= dp_energy + 1e-12
+        assert np.max(np.abs(chain_gradient(m, CIRCLE, res.positions))) <= 1e-7
+        assert res.energy <= dp_energy + 1e-12
 
 
 class TestGroundEnergy:
@@ -450,7 +450,7 @@ class TestLadder:
         for seed in seeds:
             model, env, grid, n_list = workload_config(workload, seed)
             est = ground_energy(model, env, n_list, grid)
-            alone = [minimize_free(model, env, n, grid).chain.energy for n in n_list]
+            alone = [minimize_free(model, env, n, grid).energy for n in n_list]
             for n, m_n, m_alone in zip(n_list, est.m_values, alone):
                 assert abs(m_n - m_alone) <= 1e-12, (workload, seed, n)
             lower = max(m / n for m, n in zip(alone, n_list))
@@ -490,9 +490,9 @@ class TestLadder:
                 shift = (lo_m - lo_N) / 0.05
                 a = round(shift)
                 assert abs(shift - a) < 1e-9 and a == 30 * (N - m)
-                layer = ladder.layers[N - m]
-                assert np.all(layer[a : a + dp.c0.size] <= dp.c0 + 1e-12), (model, env, m)
-                assert np.min(layer) <= np.min(dp.c0) + 1e-12
+                layer, c0 = ladder.layers[N - m], dp.layers[0]
+                assert np.all(layer[a : a + c0.size] <= c0 + 1e-12), (model, env, m)
+                assert np.min(layer) <= np.min(c0) + 1e-12
 
 
     def test_short_chains_start_in_their_own_window(self):
@@ -530,7 +530,7 @@ class TestLadder:
         for n, x0, m_n in zip(n_list, starts, est.m_values):
             lo, hi = chain_opt._window(lam, 1.0, n)
             assert lo - 1e-9 <= x0 <= hi + 0.05, n
-            assert abs(m_n - minimize_free(model, CIRCLE, n, grid).chain.energy) <= 1e-12, n
+            assert abs(m_n - minimize_free(model, CIRCLE, n, grid).energy) <= 1e-12, n
 
 
 class TestRepair:
@@ -606,7 +606,7 @@ class TestStructureReport:
     def test_equally_spaced(self):
         m = circle_model(0.0, 1.0)
         res = minimize_free(m, CIRCLE, 8, GridSpec(h=0.05))
-        monotone, max_jump, _, defect = chain_structure_loop(res.chain, m, CIRCLE, 4.0)
+        monotone, max_jump, _, defect = chain_structure_loop(res, m, CIRCLE, 4.0)
         assert monotone
         assert max_jump == pytest.approx(1.0, abs=1e-9)
         assert defect <= 1e-10
@@ -614,7 +614,7 @@ class TestStructureReport:
     def test_minimizer_monotone_with_bounded_jumps(self):
         m = circle_model(1.0, 0.5)
         res = minimize_free(m, CIRCLE, 32, GridSpec(h=0.05))
-        monotone, _, within_R, defect = chain_structure_loop(res.chain, m, CIRCLE, 3.5)
+        monotone, _, within_R, defect = chain_structure_loop(res, m, CIRCLE, 3.5)
         assert monotone
         assert within_R
         assert defect <= 1e-8
@@ -623,7 +623,7 @@ class TestStructureReport:
         # the defect check above can fail: one kicked site shows up
         m = circle_model(1.0, 0.5)
         res = minimize_free(m, CIRCLE, 16, GridSpec(h=0.05))
-        xs = res.chain.positions.copy()
+        xs = res.positions.copy()
         xs[8] += 0.1
         _, _, _, defect = chain_structure_loop(make_chain(m, CIRCLE, xs), m, CIRCLE, 3.5)
         assert defect > 1e-6
@@ -639,9 +639,11 @@ class TestChainType:
             assert ch.energy == pytest.approx(chain_energy(m, CIRCLE, xs), abs=1e-10)
 
     def test_positions_frozen(self):
-        ch = make_chain(circle_model(0.0, 0.0), CIRCLE, [0.0, 1.0])
-        with pytest.raises(ValueError):
-            ch.positions[0] = 5.0
+        m, grid = circle_model(1.0, 0.5), GridSpec(h=0.05)
+        est = ground_energy(m, CIRCLE, (4, 8), grid)
+        for xs in (minimize_free(m, CIRCLE, 4, grid).positions, *est.positions):
+            with pytest.raises(ValueError):
+                xs[0] = 5.0
 
 
 class TestTorusDegenerate:
@@ -651,4 +653,4 @@ class TestTorusDegenerate:
         est = ground_energy(m, env, [4, 8, 16], GridSpec(h=0.05))
         assert est.extrapolated == pytest.approx(0.0, abs=1e-6)
         res = minimize_free(m, env, 8, GridSpec(h=0.05))
-        assert res.chain.positions == pytest.approx(np.zeros(9), abs=1e-6)
+        assert res.positions == pytest.approx(np.zeros(9), abs=1e-6)

@@ -583,8 +583,16 @@ class TestOtherCommands:
         summary = json.loads((out / "tower_summary.json").read_text())
         assert summary["results"]["residual_01"] <= 1e-3
         assert summary["results"]["residual_12"] <= 1e-3
+        assert summary["results"]["periodic"] is False
         floors = read_csv(out / "tower_floors.csv")
         assert floors["header"] == ["level", "floor", "label", "height", "nu"]
+
+    def test_tower_rational_slope_is_periodic(self, tmp_path):
+        code, out = run(tmp_path, QC_CONFIG.replace("(-1+1√5)/2", "1/2"), "tower")
+        assert code == 0
+        results = json.loads((out / "tower_summary.json").read_text())["results"]
+        assert results["periodic"] is True
+        assert results["floors"] == [1, 1, 1]
 
     def test_tower_needs_quasicrystal(self, tmp_path):
         code, _ = run(tmp_path, CIRCLE_K0, "tower")
@@ -742,7 +750,7 @@ class TestOtherCommands:
         res = json.loads((out / "env_report.json").read_text())["results"]
         off = Fraction(float(offset))
         n_lo, n_hi = math.floor(off - 2000) + 1, math.ceil(off + 2000) - 1
-        golden = AlphaValue.fibonacci()
+        golden = AlphaValue.parse("(-1+1√5)/2")
         law = golden.floor_mul(n_hi) - golden.floor_mul(n_lo - 1)
         assert res["point_frequency"] == law / 4000 == 0.618
 

@@ -20,6 +20,7 @@ from fklab.environments import _unique
 from fklab.exact import _BLOCK
 
 from oracles import (
+    FIB,
     CylinderSpec,
     Pattern,
     beatty_indices_mp,
@@ -31,7 +32,6 @@ from oracles import (
     return_times_loop,
 )
 
-FIB = AlphaValue.fibonacci()
 HALF = AlphaValue.rational(1, 2)
 ALPHAS = [FIB, AlphaValue.rational(2, 5), AlphaValue.quadratic(0, 1, 2, 2)]
 SECTIONS = {
@@ -462,7 +462,8 @@ class TestReturnTimes:
         assert rt.size <= 2 * T / FIB.inv_floor() + 1
 
     @pytest.mark.parametrize("section", SECTIONS)
-    @pytest.mark.parametrize("offset", [0, 0.125, 3.5])
+    # the last two offsets put a set point 1e-10 inside the window's ends
+    @pytest.mark.parametrize("offset", [0, 0.125, 3.5, 2939.0000000001, -610.9999999999])
     @pytest.mark.parametrize("alpha", ALPHAS, ids=str)
     def test_matches_loop_oracle(self, alpha, offset, section):
         # a scan that puts the anchor's first point on each set point and reads

@@ -1,20 +1,25 @@
 """Source hygiene: every name a module imports is referenced in that module,
 every public function or class of the library is read by the library, every
-record field of a library class is read by the library, and every optional
-parameter of a public library function is passed by a library call.
+record field of a library class is read by the library, every optional
+parameter of a public library function is passed by a library call, every
+parameter of a library function is read in its body, and every public method
+of a library class is read by library code outside its own definition.
 
-The package's ``__init__.py`` is left out of both, since its imports are the
+The package's ``__init__.py`` is left out of these, since its imports are the
 public surface it re-exports.
 """
 
 import ast
+from fnmatch import fnmatch
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 LIBRARY = sorted(p for p in (ROOT / "src" / "fklab").glob("*.py") if p.name != "__init__.py")
-MODULES = LIBRARY + sorted((ROOT / "tests").glob("*.py"))
+MODULES = (
+    LIBRARY + sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "benchmarks").glob("*.py"))
+)
 # public names that no library module reads yet, each with the reason it stays
 UNREAD_ALLOWED = {
     "read_csv": "the reader of the CLI's own CSV format, for its users",
@@ -30,6 +35,11 @@ UNREAD_FIELDS_ALLOWED = {
 # optional parameters that no library call passes, each with the reason it stays
 UNPASSED_ALLOWED = {
     ("main", "argv"): "the console entry point; fkbench/child.py and the tests pass a command line",
+}
+# parameters that a function's body does not read, by function-name pattern,
+# each with the reason it stays
+UNREAD_PARAMETERS_ALLOWED = {
+    ("cmd_*", "seed"): "(cfg, seed) is the command table's shared signature; not every command draws",
 }
 
 
@@ -202,3 +212,89 @@ def test_every_optional_parameter_is_passed():
     """Nothing outside UNPASSED_ALLOWED goes unpassed, and everything in it still does."""
     sources = {p.name: p.read_text(encoding="utf-8") for p in LIBRARY}
     assert unpassed_optional_parameters(sources) == sorted(UNPASSED_ALLOWED)
+
+
+def unread_parameters(sources):
+    """(function, parameter) for each parameter of a function or method of
+    ``sources`` (name -> text), nested ones included, that its body never
+    reads as a name.
+    """
+    unread = []
+    for source in sources.values():
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = node.args
+            params = args.posonlyargs + args.args + args.kwonlyargs
+            params += [a for a in (args.vararg, args.kwarg) if a is not None]
+            read = {n.id for stmt in node.body for n in ast.walk(stmt) if isinstance(n, ast.Name)}
+            unread += [(node.name, a.arg) for a in params if a.arg not in read]
+    return sorted(unread)
+
+
+def test_unread_parameter_scanner_reads_bodies_only():
+    sources = {
+        "a": "def f(x, y=0, *args, z, **kw):\n    return x + z\n"
+        "class C:\n    def m(self, u, v=lambda: 0):\n        def inner(w):\n            return u\n"
+        "        return self\n",
+        "b": "def g(p, q=1):\n    return [p for _ in q]\n",
+    }
+    assert unread_parameters(sources) == [
+        ("f", "args"), ("f", "kw"), ("f", "y"), ("inner", "w"), ("m", "v")
+    ]
+
+
+def test_every_parameter_is_read():
+    """Nothing outside UNREAD_PARAMETERS_ALLOWED goes unread, and every entry of it matches."""
+    sources = {p.name: p.read_text(encoding="utf-8") for p in LIBRARY}
+    unread = unread_parameters(sources)
+    for pattern, param in UNREAD_PARAMETERS_ALLOWED:
+        assert any(fnmatch(f, pattern) and p == param for f, p in unread), (pattern, param)
+        unread = [(f, p) for f, p in unread if not (fnmatch(f, pattern) and p == param)]
+    assert unread == []
+
+
+def unread_public_methods(sources):
+    """``Class.method`` for each public method, property or classmethod of a
+    top-level class of ``sources`` (name -> text) that no code of ``sources``
+    outside the method's own definition reads as an attribute.
+
+    Name-based, like ``unread_record_fields``: a read ``x.m`` of any object
+    counts for every method named m.
+    """
+    trees = [ast.parse(source) for source in sources.values()]
+    methods = [
+        (cls.name, item)
+        for tree in trees
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for item in cls.body
+        if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
+    ]
+    reads = [
+        n
+        for tree in trees
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+    ]
+    unread = []
+    for cls, method in methods:
+        own = {id(n) for n in ast.walk(method)}
+        if not any(n.attr == method.name and id(n) not in own for n in reads):
+            unread.append(f"{cls}.{method.name}")
+    return sorted(unread)
+
+
+def test_unread_method_scanner_skips_own_reads():
+    sources = {
+        "a": "class A:\n    def f(self): return self.f\n    @property\n    def p(self): return 1\n"
+        "    @classmethod\n    def make(cls): return cls.g()\n    def g(self): pass\n"
+        "    def _h(self): pass\n",
+        "b": "from a import A\nA.make().p\n",
+    }
+    assert unread_public_methods(sources) == ["A.f"]
+
+
+def test_every_public_method_is_read():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in LIBRARY}
+    assert unread_public_methods(sources) == []

@@ -50,7 +50,7 @@ def _check_chain_dp(V, Wd, n, dlo, starts, keep, case):
     assert set(dp.layers) == checkpoints | set(keep), case
     for k, layer in dp.layers.items():
         assert layer.tobytes() == C[k].tobytes(), (case, k)
-    assert dp.c0.tobytes() == C[0].tobytes(), case
+    assert dp.layers[0].tobytes() == C[0].tobytes(), case
     assert 1 <= dp.relaxed <= n * Wd.size, case
     for k in sorted({0, *keep}):
         for j in [int(np.argmin(C[k])), *starts]:

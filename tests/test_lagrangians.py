@@ -30,9 +30,8 @@ from fklab.lagrangians import (
     spring_value,
 )
 
-from oracles import cylinder_at, membership_range_oneshot, points_in_oneshot, return_times_loop
+from oracles import FIB, cylinder_at, membership_range_oneshot, points_in_oneshot, return_times_loop
 
-FIB = AlphaValue.fibonacci()
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
 CIRCLE = EnvPoint.circle(0.0)
@@ -117,7 +116,7 @@ class TestEnergy:
 
     def test_quartic_needs_periodic_potential(self):
         with pytest.raises(DomainError):
-            LagrangianSpec("quartic", 1.0, "quasicrystal_bumps", a0=1.0, a1=1.0, alpha=FIB)
+            LagrangianSpec("quartic", 1.0, "quasicrystal", a0=1.0, a1=1.0, alpha=FIB)
         with pytest.raises(DomainError):
             sturm_model(FIB, 1.0, 1.0, 1.0, spring="quartic")
 
@@ -423,7 +422,7 @@ class TestDerivatives:
         ) / (h2 * h2)
         # bump potentials have second-derivative jumps at set points; skip
         # samples within the FD stencil of a point
-        if model.potential == "quasicrystal_bumps":
+        if model.potential == "quasicrystal":
             pts = env.pset.points_in(-1.0, 22.0)
             keep = np.array([np.min(np.abs(pts - x)) > 2 * h2 for x in xs])
         else:
@@ -453,7 +452,7 @@ class TestDerivatives:
         dense = np.max(np.abs(potential_derivs(model, env, xs)[0]))
         sup = potential_slope_sup(model)
         assert dense <= sup * (1.0 + 1e-12)
-        rel = 1e-3 if model.potential == "torus_double_cosine" else 1e-6
+        rel = 1e-3 if model.potential == "torus" else 1e-6
         assert dense >= sup * (1.0 - rel)
 
     @pytest.mark.parametrize("spring", ["quadratic", "quartic"])

@@ -26,6 +26,7 @@ from fklab import _kernels, mane
 from fklab.environments import translate_env
 
 from oracles import (
+    FIB,
     brute_force_phi,
     cylinder_at,
     equidistribution_counts,
@@ -34,7 +35,6 @@ from oracles import (
 )
 
 CIRCLE = EnvPoint.circle(0.0)
-FIB = AlphaValue.fibonacci()
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
 
@@ -323,9 +323,9 @@ class TestEquidistribution:
         env = EnvPoint.quasicrystal(FIB)
         res = minimize_free(m, env, 64, GridSpec(h=0.08))
         R = float(FIB.inv_floor() + 1)
-        mid = res.chain.positions[len(res.chain.positions) // 2]
+        mid = res.positions[len(res.positions) // 2]
         sec = cylinder_at(env, float(mid), R)
-        counts, _ = equidistribution_counts(res.chain, env, sec, R)
+        counts, _ = equidistribution_counts(res, env, sec, R)
         assert counts.size >= 3
         assert counts.max() - counts.min() <= 2
 

@@ -14,9 +14,8 @@ from fklab import (
 )
 from fklab.towers import Tower
 
-from oracles import beatty_indices_mp, induce_tower_loop
+from oracles import FIB, beatty_indices_mp, induce_tower_loop
 
-FIB = AlphaValue.fibonacci()
 HALF = AlphaValue.rational(1, 2)
 ALPHAS = [FIB, AlphaValue.rational(2, 5), AlphaValue.quadratic(0, 1, 2, 2)]
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
@@ -28,7 +27,6 @@ class TestLevel0:
         assert t.labels == ((2,),)
         assert t.heights.tolist() == [2.0]
         assert t.nu[0] == pytest.approx(0.5, abs=1e-12)
-        assert t.periodic
 
     def test_fibonacci_two_floors(self):
         t = level0_tower(FIB, 1e5)
@@ -36,7 +34,6 @@ class TestLevel0:
         assert t.heights.tolist() == [1.0, 2.0]
         # long/short frequency ratio converges to (phi-1)/(2-phi)
         assert t.nu[1] / t.nu[0] == pytest.approx((PHI - 1) / (2 - PHI), abs=5e-3)
-        assert not t.periodic
 
     def test_mass_near_one(self):
         t = level0_tower(FIB, 1e5)
@@ -49,11 +46,12 @@ class TestLevel0:
     @pytest.mark.parametrize("alpha", ALPHAS + [AlphaValue.rational(3, 7)], ids=str)
     def test_bincount_letters_match_unique(self, alpha):
         t = level0_tower(alpha, 1e5)
-        gaps = np.diff(PointSet(alpha).raw_indices_in(0, 10**5))
+        idx = PointSet(alpha).raw_indices_in(0, 10**5)
+        gaps = np.diff(idx)
         letters, seq, counts = np.unique(gaps, return_inverse=True, return_counts=True)
         assert t.labels == tuple((int(g),) for g in letters)
         assert np.array_equal(t.heights, letters.astype(float))
-        assert np.array_equal(t.nu, counts / t.span)
+        assert np.array_equal(t.nu, counts / float(idx[-1] - idx[0]))
         assert np.array_equal(t.sequence, seq)
         assert t.sequence.dtype == np.int32
 
@@ -68,13 +66,13 @@ class TestLevel0:
 class TestInduction:
     def test_periodic_fixed_point(self):
         t0 = level0_tower(HALF, 5000.0)
-        t1, m = induce_tower(t0, HALF, 5000.0)
+        t1, m = induce_tower(t0)
         assert t1.labels == t0.labels
         assert m.tolist() == [[1]]
 
     def test_fibonacci_return_words_oracle(self):
         t0 = level0_tower(FIB, 20_000.0)
-        t1, m01 = induce_tower(t0, FIB, 20_000.0)
+        t1, m01 = induce_tower(t0)
         # independent symbolic scan for the return words to the short letter
         idx = beatty_indices_mp(FIB, 0, 20_000)
         gaps = [int(g) for g in np.diff(np.asarray(idx))]
@@ -87,8 +85,8 @@ class TestInduction:
 
     def test_two_levels_exact_heights_and_growth(self):
         t0 = level0_tower(FIB, 1e5)
-        t1, m01 = induce_tower(t0, FIB, 1e5)
-        t2, m12 = induce_tower(t1, FIB, 1e5)
+        t1, m01 = induce_tower(t0)
+        t2, m12 = induce_tower(t1)
         assert np.array_equal(m01.T.astype(float) @ t0.heights, t1.heights)
         assert np.array_equal(m12.T.astype(float) @ t1.heights, t2.heights)
         # word growth: min height upstairs at least the base height downstairs
@@ -105,7 +103,7 @@ class TestInduction:
         with pytest.raises((DomainError, InsufficientDataError)):
             t = t0
             for _ in range(8):
-                t, _ = induce_tower(t, FIB, 2500.0)
+                t, _ = induce_tower(t)
 
     def test_shallow_word_is_insufficient_data(self):
         # 121 base occurrences: the word (0, 1) is seen 120 times, (0, 1, 1) once
@@ -117,19 +115,17 @@ class TestInduction:
             base_index=0,
             nu=np.array([0.5, 0.25]),
             sequence=seq,
-            span=1000.0,
-            periodic=False,
         )
         with pytest.raises(InsufficientDataError, match=r"^1 return word\(s\) observed"):
-            induce_tower(t, FIB, 1000.0)
+            induce_tower(t)
 
     @pytest.mark.parametrize("alpha", ALPHAS, ids=str)
     def test_matches_loop_oracle_at_two_levels(self, alpha):
         fast = slow = level0_tower(alpha, 1e5)
         for _ in range(2):
             (fast, m_fast), (slow, m_slow) = (
-                induce_tower(fast, alpha, 1e5),
-                induce_tower_loop(slow, alpha, 1e5),
+                induce_tower(fast),
+                induce_tower_loop(slow),
             )
             assert fast.labels == slow.labels
             assert np.array_equal(fast.heights, slow.heights)
@@ -138,32 +134,31 @@ class TestInduction:
             assert np.array_equal(fast.sequence, slow.sequence)
             assert fast.sequence.dtype == slow.sequence.dtype
             assert np.array_equal(fast.nu, slow.nu)
-            assert fast.span == slow.span
             assert fast.base_index == slow.base_index
 
 
 class TestMeasureRelation:
     def test_periodic_residual_zero(self):
         t0 = level0_tower(HALF, 5000.0)
-        t1, m = induce_tower(t0, HALF, 5000.0)
+        t1, m = induce_tower(t0)
         assert tower_measure_residual(t0, t1, m) == pytest.approx(0.0, abs=1e-12)
 
     def test_fibonacci_residual_small(self):
         t0 = level0_tower(FIB, 1e5)
-        t1, m01 = induce_tower(t0, FIB, 1e5)
-        t2, m12 = induce_tower(t1, FIB, 1e5)
+        t1, m01 = induce_tower(t0)
+        t2, m12 = induce_tower(t1)
         assert tower_measure_residual(t0, t1, m01) <= 1e-3
         assert tower_measure_residual(t1, t2, m12) <= 1e-3
 
     def test_residual_scales_with_window(self):
         t0 = level0_tower(FIB, 20_000.0)
-        t1, m01 = induce_tower(t0, FIB, 20_000.0)
+        t1, m01 = induce_tower(t0)
         res = tower_measure_residual(t0, t1, m01)
         assert res <= 10.0 * (1.0 / 20_000.0) * len(t0.labels)
 
     def test_permutation_invariance(self):
         t0 = level0_tower(FIB, 1e5)
-        t1, m = induce_tower(t0, FIB, 1e5)
+        t1, m = induce_tower(t0)
         perm = [1, 0]
         t0p = type(t0)(
             level=t0.level,
@@ -172,8 +167,6 @@ class TestMeasureRelation:
             base_index=perm.index(t0.base_index),
             nu=t0.nu[perm],
             sequence=t0.sequence,
-            span=t0.span,
-            periodic=t0.periodic,
         )
         assert tower_measure_residual(t0p, t1, m[perm, :]) == pytest.approx(
             tower_measure_residual(t0, t1, m), abs=1e-15
@@ -181,7 +174,7 @@ class TestMeasureRelation:
 
     def test_dimension_mismatch(self):
         t0 = level0_tower(FIB, 1e5)
-        t1, m01 = induce_tower(t0, FIB, 1e5)
-        t2, m12 = induce_tower(t1, FIB, 1e5)
+        t1, m01 = induce_tower(t0)
+        t2, m12 = induce_tower(t1)
         with pytest.raises(DomainError):
             tower_measure_residual(t0, t2, m01)
